@@ -73,6 +73,39 @@ func BenchmarkEnvTimerStop(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcSwitch measures one process park and resume: a Sleep(1)
+// from the process into the event loop and back.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEnv()
+	defer e.Close()
+	e.Spawn("bench", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	e.Run()
+}
+
+// BenchmarkProcSpawn measures creating a process and running it to
+// completion.  A fresh environment every 1024 processes keeps the
+// environment's process list from growing with b.N.
+func BenchmarkProcSpawn(b *testing.B) {
+	b.ReportAllocs()
+	fn := func(*sim.Proc) {}
+	e := sim.NewEnv()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 1023 {
+			e.Close()
+			e = sim.NewEnv()
+		}
+		e.Spawn("bench", fn)
+		e.Run()
+	}
+	e.Close()
+}
+
 // BenchmarkCPUSubmit measures one SubmitCall completion round trip
 // through the CPU scheduler.
 func BenchmarkCPUSubmit(b *testing.B) {
@@ -159,6 +192,48 @@ func TestScheduleCallZeroAllocs(t *testing.T) {
 		e.Run()
 	}); avg != 0 {
 		t.Errorf("ScheduleCall+dispatch allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestProcSwitchZeroAllocs pins the process switch: parking a process
+// and resuming it allocates nothing.
+func TestProcSwitchZeroAllocs(t *testing.T) {
+	e := sim.NewEnv()
+	defer e.Close()
+	e.Spawn("sleeper", func(p *sim.Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	e.RunUntil(64)
+	now := e.Now()
+	if avg := testing.AllocsPerRun(200, func() {
+		now++
+		e.RunUntil(now)
+	}); avg != 0 {
+		t.Errorf("process park+resume allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// spawnAllocs is what creating and finishing one process costs: the Proc,
+// the coroutine and the closures that bind it.  It is paid once per
+// process, never per switch.
+const spawnAllocs = 13
+
+// TestProcSpawnAllocs bounds the per-process cost of a coroutine.
+func TestProcSpawnAllocs(t *testing.T) {
+	e := sim.NewEnv()
+	defer e.Close()
+	fn := func(*sim.Proc) {}
+	for i := 0; i < 64; i++ {
+		e.Spawn("warm", fn)
+	}
+	e.Run()
+	if avg := testing.AllocsPerRun(50, func() {
+		e.Spawn("p", fn)
+		e.Run()
+	}); avg > spawnAllocs {
+		t.Errorf("Spawn+run allocates %.1f objects/op, want <= %d", avg, spawnAllocs)
 	}
 }
 

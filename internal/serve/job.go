@@ -86,11 +86,16 @@ type View struct {
 }
 
 // update applies fn under the lock, bumps the version and wakes
-// watchers.
-func (j *Job) update(fn func()) {
+// watchers.  A non-nil persist receives the updated view while the lock
+// is still held, before the wake-up, so whatever it records exists by
+// the time any reader or watcher can see the change.
+func (j *Job) update(fn func(), persist func(View)) {
 	j.mu.Lock()
 	fn()
 	j.version++
+	if persist != nil {
+		persist(j.viewLocked())
+	}
 	close(j.changed)
 	j.changed = make(chan struct{})
 	j.mu.Unlock()
@@ -100,10 +105,10 @@ func (j *Job) setRunning() {
 	j.update(func() {
 		j.state = StateRunning
 		j.started = time.Now()
-	})
+	}, nil)
 }
 
-func (j *Job) finishOK(source string, res *runner.Result, mf *obs.Manifest, stats *runpipe.RunStats) {
+func (j *Job) finishOK(source string, res *runner.Result, mf *obs.Manifest, stats *runpipe.RunStats, persist func(View)) {
 	j.update(func() {
 		j.state = StateDone
 		j.source = source
@@ -111,21 +116,26 @@ func (j *Job) finishOK(source string, res *runner.Result, mf *obs.Manifest, stat
 		j.manifest = mf
 		j.stats = stats
 		j.finished = time.Now()
-	})
+	}, persist)
 }
 
-func (j *Job) finishErr(err error) {
+func (j *Job) finishErr(err error, persist func(View)) {
 	j.update(func() {
 		j.state = StateFailed
 		j.errMsg = err.Error()
 		j.finished = time.Now()
-	})
+	}, persist)
 }
 
 // View snapshots the job for serialization.
 func (j *Job) View() View {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+// viewLocked is View for callers that hold j.mu.
+func (j *Job) viewLocked() View {
 	v := View{
 		ID:        j.id,
 		Key:       j.key,

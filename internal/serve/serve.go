@@ -388,20 +388,21 @@ func (s *Server) resolve(j *Job) (*runner.Result, *obs.Manifest, *runpipe.RunSta
 	return f.res, f.mf, f.stats, SourceRun, nil
 }
 
+// finishOK and finishErr count the job and write its artifacts before
+// its terminal state is published: a client that sees the job finish
+// finds both.
 func (s *Server) finishOK(j *Job, source string, res *runner.Result, mf *obs.Manifest, stats *runpipe.RunStats) {
-	j.finishOK(source, res, mf, stats)
 	s.reg.Counter(fmt.Sprintf("comb_serve_jobs_total{state=%q}", "done"), "finished jobs by terminal state").Inc()
 	s.reg.Counter(fmt.Sprintf("comb_serve_job_source_total{source=%q}", source), "done jobs by result source (run, shared, cache)").Inc()
+	j.finishOK(source, res, mf, stats, func(v View) { s.writeArtifacts(v, mf) })
 	s.log.Printf("serve: job %s done source=%s hash=%s", j.id, source, mf.ResultHash)
-	s.writeArtifacts(j)
 	s.evictTerminal()
 }
 
 func (s *Server) finishErr(j *Job, err error) {
-	j.finishErr(err)
 	s.reg.Counter(fmt.Sprintf("comb_serve_jobs_total{state=%q}", "failed"), "finished jobs by terminal state").Inc()
+	j.finishErr(err, func(v View) { s.writeArtifacts(v, nil) })
 	s.log.Printf("serve: job %s failed: %v", j.id, err)
-	s.writeArtifacts(j)
 	s.evictTerminal()
 }
 
@@ -409,22 +410,19 @@ func (s *Server) finishErr(j *Job, err error) {
 // and, when it has one, the run manifest.  Each file is written
 // atomically, and each job owns its own subdirectory, so concurrent
 // jobs never collide.
-func (s *Server) writeArtifacts(j *Job) {
+func (s *Server) writeArtifacts(v View, mf *obs.Manifest) {
 	if s.cfg.JobsDir == "" {
 		return
 	}
-	dir := filepath.Join(s.cfg.JobsDir, j.id)
-	if b, err := marshalIndent(j.View()); err == nil {
+	dir := filepath.Join(s.cfg.JobsDir, v.ID)
+	if b, err := marshalIndent(v); err == nil {
 		if werr := obs.WriteFileAtomic(filepath.Join(dir, "job.json"), b, 0o644); werr != nil {
-			s.log.Printf("serve: job %s artifacts: %v", j.id, werr)
+			s.log.Printf("serve: job %s artifacts: %v", v.ID, werr)
 		}
 	}
-	j.mu.Lock()
-	mf := j.manifest
-	j.mu.Unlock()
 	if mf != nil {
 		if err := mf.Save(filepath.Join(dir, obs.ManifestFile)); err != nil {
-			s.log.Printf("serve: job %s manifest: %v", j.id, err)
+			s.log.Printf("serve: job %s manifest: %v", v.ID, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -226,6 +227,60 @@ func fakeOutcome(hash string) *runpipe.Outcome {
 // run the engine exactly once; everyone else shares the flight and all
 // responses carry the same result hash.  Run with -race this is the
 // acceptance test for the dedup path.
+// logCheck is an io.Writer for a server's Log that runs check on every
+// job's terminal line ("serve: job <id> done ..." or "... failed: ...")
+// and then reports the id on ids, dropping it when ids is full.
+type logCheck struct {
+	check func(id string)
+	ids   chan string
+}
+
+func (w logCheck) Write(p []byte) (int, error) {
+	if f := strings.Fields(string(p)); len(f) > 3 && f[0] == "serve:" && f[1] == "job" &&
+		(f[3] == "done" || f[3] == "failed:") {
+		w.check(f[2])
+		select {
+		case w.ids <- f[2]:
+		default:
+		}
+	}
+	return len(p), nil
+}
+
+// TestServeArtifactsBeforeTerminalState pins the finish order: a job's
+// artifacts exist before its terminal state is published.  The server
+// logs a job's terminal line just after publishing it, so a log writer
+// that looks for the files at that moment fails on every run if the
+// state is published first.
+func TestServeArtifactsBeforeTerminalState(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		run   RunFunc
+		files []string
+	}{
+		{"done", nil, []string{"job.json", obs.ManifestFile}},
+		{"failed", func(context.Context, spec.Spec) (*runpipe.Outcome, error) {
+			return nil, fmt.Errorf("engine down")
+		}, []string{"job.json"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobsDir := t.TempDir()
+			w := logCheck{ids: make(chan string, 1), check: func(id string) {
+				for _, name := range tc.files {
+					if _, err := os.Stat(filepath.Join(jobsDir, id, name)); err != nil {
+						t.Errorf("job %s was published before its %s was written", id, name)
+					}
+				}
+			}}
+			_, hs := newTestServer(t, Config{Run: tc.run, JobsDir: jobsDir, Log: log.New(w, "", 0)})
+			v := postSpec(t, hs.URL, pollingSpecJSON)
+			if id := <-w.ids; id != v.ID {
+				t.Fatalf("terminal line for job %s, want %s", id, v.ID)
+			}
+		})
+	}
+}
+
 func TestServeSingleflight(t *testing.T) {
 	const n = 8
 	var runs atomic.Int64

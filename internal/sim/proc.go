@@ -1,16 +1,22 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: user code running on its own goroutine that
-// the event loop resumes and parks cooperatively.  At most one process (or
-// event callback) executes at any moment, which keeps simulations
-// deterministic without locks.
+// Proc is a simulated process: user code running as a coroutine that the
+// event loop resumes and parks cooperatively.  A switch between the loop
+// and a process goes straight from one to the other (iter.Pull), never
+// through the goroutine scheduler.  At most one process (or event
+// callback) executes at any moment, which keeps simulations deterministic
+// without locks.
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan any      // event loop -> process: wake-up value
-	parked chan struct{} // process -> event loop: I parked or finished
+	next   func() (struct{}, bool) // event loop -> process: run until it parks or finishes
+	yield  func(struct{}) bool     // process -> event loop: park
+	wake   any                     // wake-up value handed over by dispatch
 	done   bool
 	doneEv *Event // lazily created; fires when the process finishes
 	panicv any
@@ -18,20 +24,22 @@ type Proc struct {
 }
 
 // killSignal is delivered to parked processes by Env.Close so their
-// goroutines unwind and exit.
+// coroutines unwind and exit.
 type killSignal struct{}
 
 // Spawn creates a process named name running fn and schedules its first
 // activation at the current virtual time.
+//
+// A panic in fn is re-raised from the event loop, naming the process.  A
+// call to runtime.Goexit in fn (t.FailNow in a test, for instance) ends
+// the goroutine running the event loop as well, the way it would end a
+// plain function call: the loop does not carry on without the process.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan any),
-		parked: make(chan struct{}),
-	}
-	e.procs = append(e.procs, p)
-	go func() {
+	p := &Proc{env: e, name: name}
+	// The stop function is not kept: Close ends every unfinished
+	// coroutine by resuming it with killSignal.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, killed := r.(killSignal); !killed {
@@ -43,19 +51,18 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 			if p.doneEv != nil && !p.doneEv.Fired() {
 				p.doneEv.Fire(p)
 			}
-			p.parked <- struct{}{}
 		}()
-		first := <-p.resume
-		if _, killed := first.(killSignal); killed {
+		if _, killed := p.wake.(killSignal); killed {
 			panic(killSignal{})
 		}
 		fn(p)
-	}()
+	})
+	e.procs = append(e.procs, p)
 	e.ready(0, p, nil)
 	return p
 }
 
-// dispatch resumes p with val and blocks until p parks again or finishes.
+// dispatch resumes p with val and returns when p parks again or finishes.
 // It must only be called from event-loop context (an event callback), never
 // from inside another process.
 func (e *Env) dispatch(p *Proc, val any) {
@@ -64,8 +71,8 @@ func (e *Env) dispatch(p *Proc, val any) {
 	}
 	prev := e.cur
 	e.cur = p
-	p.resume <- val
-	<-p.parked
+	p.wake = val
+	p.next()
 	e.cur = prev
 	if p.haspan {
 		v := p.panicv
@@ -77,8 +84,9 @@ func (e *Env) dispatch(p *Proc, val any) {
 // park suspends the calling process until something dispatches it again,
 // returning the wake-up value.
 func (p *Proc) park() any {
-	p.parked <- struct{}{}
-	v := <-p.resume
+	p.yield(struct{}{})
+	v := p.wake
+	p.wake = nil
 	if _, killed := v.(killSignal); killed {
 		panic(killSignal{})
 	}

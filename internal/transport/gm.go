@@ -96,8 +96,9 @@ const (
 )
 
 // gmFrag is the payload of one GM wire packet.  buf is the whole send
-// buffer data slices into; the receiver returns it to the sender's pool
-// once the last fragment has been consumed.
+// buffer data slices into; once the last fragment has been consumed the
+// receiver keeps it in its own pool, not the sender's, so under the
+// parallel engine each pool is touched only by its own partition.
 type gmFrag struct {
 	kind gmFragKind
 	id   gmMsgID
@@ -311,11 +312,16 @@ func (ep *gmEndpoint) Progress(p *sim.Proc) {
 	}
 }
 
-// deliverEager lands a complete eager message in the posted receive.
+// deliverEager lands a complete eager message in the posted receive.  The
+// landing buffer is dead once copied out, so it goes back to the pool.
 func (ep *gmEndpoint) deliverEager(r *mpi.Request, in *mpi.Inbound) {
 	count := copy(r.Buf(), in.Data)
 	if in.Size == 0 {
 		count = 0
+	}
+	if ep.pooling() {
+		ep.bufFree = append(ep.bufFree, in.Data)
+		in.Data = nil
 	}
 	r.Complete(in.Src, in.Tag, count)
 }
@@ -365,7 +371,7 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 		acc := ep.eagerAcc[f.id]
 		if acc == nil {
 			acc = ep.getAccum()
-			acc.size, acc.data, acc.src, acc.tag = f.size, make([]byte, f.size), f.src, f.tag
+			acc.size, acc.data, acc.src, acc.tag = f.size, ep.getBuf(f.size), f.src, f.tag
 			ep.eagerAcc[f.id] = acc
 		}
 		copy(acc.data[f.off:], f.data)

@@ -142,8 +142,13 @@ type ptlInbound struct {
 // message record and its buffer, to the pool.  Per-message FIFO delivery
 // (fabric order plus FIFO kernel queueing) guarantees the final
 // fragment's copy completes last, so nothing can still reference the
-// buffer at release time.  Pooling switches off automatically under
-// fault injection, where duplicated deliveries break that guarantee.
+// buffer at release time.  The kernel receive buffer that holds an
+// unexpected message's head comes from the same pool and returns to it
+// when the late-matching Irecv has copied it out: from then on every
+// fragment lands in the user buffer.  The same FIFO order makes the
+// buffered bytes a prefix of the message, so a recycled buffer's stale
+// tail is never read.  Pooling switches off automatically under fault
+// injection, where duplicated deliveries break that guarantee.
 type portalsEndpoint struct {
 	cfg    PortalsConfig
 	node   *cluster.Node
@@ -258,8 +263,13 @@ func (ep *portalsEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
 		copy(r.Buf(), inb.kbuf[:inb.buffered])
 		inb.delivered += inb.buffered
 		inb.buffered = 0
-		inb.kbuf = nil
 	}
+	// The rest of the message lands in the user buffer, so the kernel
+	// bounce buffer is dead.
+	if inb.kbuf != nil && ep.pooling() {
+		ep.bufFree = append(ep.bufFree, inb.kbuf)
+	}
+	inb.kbuf = nil
 	ep.maybeComplete(inb)
 }
 
@@ -360,7 +370,7 @@ func (ep *portalsEndpoint) rxCopyStart(a any) {
 		if r := ep.m.Arrive(&mpi.Inbound{Src: f.src, Tag: f.tag, Size: f.size, Rndv: inb}); r != nil {
 			inb.req = r
 		} else {
-			inb.kbuf = make([]byte, f.size)
+			inb.kbuf = ep.getBuf(f.size)
 			// The envelope is now visible to probes.
 			ep.hub.Wake()
 		}
