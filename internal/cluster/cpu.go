@@ -137,8 +137,18 @@ func (c *CPU) Cores() int { return len(c.cores) }
 // Use consumes d of CPU time at priority prio on behalf of the calling
 // process, blocking it until the demand is fully served.  A non-positive
 // demand returns immediately.
+//
+// A quiet demand runs in place: when a core is idle (so no grant waits:
+// dispatch fills idle cores first) and nothing else is due before the
+// demand ends, the process holds the clock forward by d (sim.Proc.Hold)
+// instead of scheduling the grant's completion timer and wake-up, two
+// events that would run back to back.
 func (c *CPU) Use(p *sim.Proc, d sim.Time, prio Priority) {
 	if d <= 0 {
+		return
+	}
+	if c.idleCore() >= 0 && p.Hold(d, 2) {
+		c.usage[prio] += d
 		return
 	}
 	g := c.grant(d, prio)
@@ -225,6 +235,16 @@ func (c *CPU) highestWaitingPrio() Priority {
 	return -1
 }
 
+// idleCore returns the lowest-indexed idle core, or -1.
+func (c *CPU) idleCore() int {
+	for i := range c.cores {
+		if c.cores[i].running == nil {
+			return i
+		}
+	}
+	return -1
+}
+
 // dispatch places waiting grants on cores, preempting lower-priority work
 // when necessary.  It loops because one call may both fill idle cores and
 // trigger preemptions.
@@ -235,14 +255,7 @@ func (c *CPU) dispatch() {
 			return
 		}
 		// Prefer an idle core (lowest index for determinism).
-		idle := -1
-		for i := range c.cores {
-			if c.cores[i].running == nil {
-				idle = i
-				break
-			}
-		}
-		if idle >= 0 {
+		if idle := c.idleCore(); idle >= 0 {
 			c.start(idle, c.nextWaiting())
 			continue
 		}

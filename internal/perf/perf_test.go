@@ -124,6 +124,45 @@ func BenchmarkCPUSubmit(b *testing.B) {
 	e.Run()
 }
 
+// quietNode is a reference-platform node with nothing else to run:
+// every Work demand finds its core idle and nothing due before it ends.
+func quietNode(e *sim.Env) *cluster.Node {
+	return &cluster.Node{Env: e, CPU: cluster.NewCPU(e, "bench"), P: cluster.PlatformPIII500()}
+}
+
+// BenchmarkCPUUseQuiet measures one Work demand on an idle node: the
+// quiet path, where the process holds the clock instead of parking.
+func BenchmarkCPUUseQuiet(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEnv()
+	defer e.Close()
+	node := quietNode(e)
+	e.Spawn("bench", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			node.Work(p, 10)
+		}
+	})
+	e.Run()
+}
+
+// BenchmarkCPUUseQueued measures one Use that waits behind a kernel
+// grant: the grant path, with a completion timer, a wake-up and a park.
+func BenchmarkCPUUseQueued(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEnv()
+	defer e.Close()
+	cpu := cluster.NewCPU(e, "bench")
+	e.Spawn("bench", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cpu.SubmitCall(100, cluster.Kernel, nil, nil)
+			cpu.Use(p, 100, cluster.User)
+		}
+	})
+	e.Run()
+}
+
 // BenchmarkFabricSend measures one single-packet Send: transit
 // computation, delivery scheduling, sink consumption, packet reclaim.
 func BenchmarkFabricSend(b *testing.B) {
@@ -212,6 +251,40 @@ func TestProcSwitchZeroAllocs(t *testing.T) {
 		e.RunUntil(now)
 	}); avg != 0 {
 		t.Errorf("process park+resume allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestCPUUseQuietZeroAllocs pins the quiet path: a Work demand on an
+// idle node holds the clock in place, allocates nothing and leaves
+// nothing queued.  An observer counts the steps run from inside the
+// process, which are the held ones.
+func TestCPUUseQuietZeroAllocs(t *testing.T) {
+	e := sim.NewEnv()
+	defer e.Close()
+	node := quietNode(e)
+	held := 0
+	e.OnStep(func(sim.Time) {
+		if e.Cur() != nil {
+			held++
+		}
+	})
+	const runs = 200
+	var avg float64
+	e.Spawn("worker", func(p *sim.Proc) {
+		avg = testing.AllocsPerRun(runs, func() {
+			node.Work(p, 10)
+			if n := e.Pending(); n != 0 {
+				t.Errorf("quiet Work left %d events pending", n)
+			}
+		})
+	})
+	e.Run()
+	if avg != 0 {
+		t.Errorf("quiet CPU.Use allocates %.1f objects/op, want 0", avg)
+	}
+	// AllocsPerRun calls the function once more to warm up.
+	if want := 2 * (runs + 1); held != want {
+		t.Errorf("held %d steps, want %d: every quiet demand must hold", held, want)
 	}
 }
 

@@ -17,14 +17,15 @@ import "fmt"
 //     delivery hand-offs at the current instant — bypass the heap through
 //     a FIFO ring;
 //   - cancellable timers borrow slots from a freelist and are addressed
-//     by generation-checked value handles, so stale handles are inert;
+//     by generation-checked value handles, so stale handles are inert,
+//     and a stopped timer leaves the heap at once;
 //   - process wake-ups ride pooled records through ScheduleCall instead
 //     of fresh closures.
 //
 // Event order is identical to the classic heap-of-pointers
 // implementation: earliest timestamp first, FIFO by insertion sequence
-// within a timestamp (TestHeapEquivalence proves this against a
-// container/heap reference).
+// within a timestamp (TestHeapMatchesReferenceOrdering proves this
+// against a container/heap reference).
 type Env struct {
 	now     Time
 	seq     uint64
@@ -36,6 +37,11 @@ type Env struct {
 	cur     *Proc
 	steps   uint64
 	stopped bool
+
+	// deadline is the running loop's last executable timestamp, or -1
+	// when it runs until the queue drains.  Proc.Hold must not carry the
+	// clock past it.
+	deadline Time
 
 	// partStamp, when non-zero, switches event stamping from the serial
 	// (global sequence) scheme to the partition scheme of the parallel
@@ -49,8 +55,8 @@ type Env struct {
 	MaxSteps uint64
 
 	// onStep observers run after the clock advances to each executed
-	// event's timestamp, before the event body.  They must only read
-	// state (the invariant checker hooks here).
+	// or held event's timestamp, before the event body.  They must only
+	// read state (the invariant checker hooks here).
 	onStep []func(at Time)
 
 	// instEnd holds one-shot callbacks that fire when the dispatch loop
@@ -150,8 +156,9 @@ func (e *Env) ScheduleStamped(at Time, seq, sub uint64, fn func(any), arg any) {
 
 // PeekTime returns the timestamp of the earliest queued event and whether
 // one exists.  Between windows the ring is always empty, so this is the
-// heap minimum; it is what the window scheduler folds across partitions
-// to pick the next window's base time.
+// heap minimum, and the heap holds only live events (Timer.Stop removes
+// its entry); it is what the window scheduler folds across partitions to
+// pick the next window's base time.
 func (e *Env) PeekTime() (Time, bool) {
 	if e.ringPop < len(e.ring) {
 		return e.now, true
@@ -200,9 +207,11 @@ func (e *Env) Stopped() bool { return e.stopped }
 
 // OnStep registers an observer called once per executed event with the
 // event's timestamp, after the clock has advanced to it and before the
-// event body runs.  Observers must not schedule, spawn, or otherwise
-// mutate the simulation: they exist for passive monitoring (the
-// invariant checker).  Multiple observers run in registration order.
+// event body runs.  Events that Proc.Hold stands in for count as
+// executed: the observers see each of them at the held-to time, called
+// from inside the holding process.  Observers must not schedule, spawn,
+// or otherwise mutate the simulation: they exist for passive monitoring
+// (the invariant checker).  Multiple observers run in registration order.
 func (e *Env) OnStep(fn func(at Time)) { e.onStep = append(e.onStep, fn) }
 
 // AtInstantEnd registers a one-shot callback that runs after every event
@@ -368,12 +377,11 @@ func (e *Env) siftUp(i int) {
 	e.movedTo(i)
 }
 
-// siftDown restores the 4-ary heap property from the root downward.
-func (e *Env) siftDown() {
+// siftDown restores the 4-ary heap property from entry i downward.
+func (e *Env) siftDown(i int) {
 	h := e.heap
 	n := len(h)
-	q := h[0]
-	i := 0
+	q := h[i]
 	for {
 		first := i<<2 + 1 // leftmost child
 		if first >= n {
@@ -402,16 +410,27 @@ func (e *Env) siftDown() {
 
 // popHeap removes and returns the earliest heap entry.
 func (e *Env) popHeap() queued {
+	top := e.heap[0]
+	e.removeHeap(0)
+	return top
+}
+
+// removeHeap deletes heap entry i.  The last entry takes its place and
+// sifts up if it now sorts before its parent, down otherwise.
+func (e *Env) removeHeap(i int) {
 	h := e.heap
-	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	h[i] = h[n]
 	h[n] = queued{} // release closure/arg references
 	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown()
+	if i == n {
+		return
 	}
-	return top
+	if i > 0 && h[i].less(&h[(i-1)>>2]) {
+		e.siftUp(i)
+	} else {
+		e.siftDown(i)
+	}
 }
 
 // popRing consumes the ring's oldest entry, compacting the ring once it
@@ -447,6 +466,7 @@ func (e *Env) RunUntil(deadline Time) {
 // strictly smaller than every ring entry's and it must run first.  The
 // ring otherwise drains completely before the clock may advance.
 func (e *Env) run(deadline Time) {
+	e.deadline = deadline
 	for !e.stopped {
 		var q queued
 		if e.ringPop < len(e.ring) {
@@ -475,7 +495,7 @@ func (e *Env) run(deadline Time) {
 			return
 		}
 		if q.fn == nil && q.fn1 == nil {
-			continue // cancelled in place by Timer.Stop
+			continue // a ring entry cancelled in place by Timer.Stop
 		}
 		if q.tidx >= 0 {
 			e.freeSlot(q.tidx)
@@ -484,21 +504,26 @@ func (e *Env) run(deadline Time) {
 			panic("sim: event queue went backwards")
 		}
 		e.now = q.at
-		e.steps++
 		e.pending--
-		if e.MaxSteps != 0 && e.steps > e.MaxSteps {
-			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v (livelock?)", e.MaxSteps, e.now))
-		}
-		if e.onStep != nil {
-			for _, obs := range e.onStep {
-				obs(q.at)
-			}
-		}
+		e.step()
 		if q.fn != nil {
 			q.fn()
 		} else {
 			q.fn1(q.arg)
 		}
+	}
+}
+
+// step counts one event executed at the current instant, enforces
+// MaxSteps and runs the OnStep observers.  Proc.Hold calls it once per
+// event it stands in for.
+func (e *Env) step() {
+	e.steps++
+	if e.MaxSteps != 0 && e.steps > e.MaxSteps {
+		panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v (livelock?)", e.MaxSteps, e.now))
+	}
+	for _, obs := range e.onStep {
+		obs(e.now)
 	}
 }
 
@@ -582,8 +607,11 @@ func (t Timer) Active() bool {
 
 // Stop cancels the callback.  It reports whether the cancellation took
 // effect (false if the callback already ran or was already stopped).
-// Stopping drops the callback and its captures immediately — a stopped
-// timer retains nothing until its would-have-been fire time.
+// Stopping drops the callback and its captures immediately.  A heap
+// entry is removed through the slot's back-pointer: the last entry takes
+// its place and sifts, so the heap holds only live events and PeekTime
+// is exact.  A zero-delay entry on the ring is cancelled in place and
+// skipped when the loop reaches it.
 func (t Timer) Stop() bool {
 	e := t.env
 	if e == nil || int(t.idx) >= len(e.slots) {
@@ -595,8 +623,7 @@ func (t Timer) Stop() bool {
 	}
 	switch s.where {
 	case qHeap:
-		q := &e.heap[s.pos]
-		q.fn, q.fn1, q.arg, q.tidx = nil, nil, nil, -1
+		e.removeHeap(int(s.pos))
 	case qRing:
 		q := &e.ring[s.pos]
 		q.fn, q.fn1, q.arg, q.tidx = nil, nil, nil, -1

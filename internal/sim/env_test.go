@@ -80,10 +80,7 @@ func TestTimerStop(t *testing.T) {
 		t.Fatal("stopped timer fired")
 	}
 	if e.Now() != 0 {
-		// The cancelled entry is skipped without advancing the clock to it
-		// only if nothing else runs; popping it does advance Len bookkeeping
-		// but must not run the callback.  Clock may legitimately stay 0.
-		t.Logf("clock advanced to %v after cancelled timer", e.Now())
+		t.Errorf("clock advanced to %v; a stopped timer leaves the queue and must not move it", e.Now())
 	}
 }
 
@@ -191,8 +188,9 @@ func TestPropertyMonotonicClock(t *testing.T) {
 
 func TestTimerStopDropsClosureInPlace(t *testing.T) {
 	// A stopped timer must drop its callback (and everything the closure
-	// captures) at Stop time, not at the would-have-been fire time: the
-	// queue entry is nilled in place while it waits for its turn.
+	// captures) at Stop time, not at the would-have-been fire time: its
+	// heap entry is removed at once, and the vacated array slot is
+	// cleared, so neither the heap nor its backing array retains it.
 	e := NewEnv()
 	big := make([]byte, 1<<20)
 	tm := e.ScheduleTimer(1000, func() { _ = big })
@@ -200,13 +198,14 @@ func TestTimerStopDropsClosureInPlace(t *testing.T) {
 	if !tm.Stop() {
 		t.Fatal("Stop on a pending timer must succeed")
 	}
-	found := false
 	for i := range e.heap {
 		if e.heap[i].at == 1000 {
-			found = true
-			if e.heap[i].fn != nil || e.heap[i].fn1 != nil || e.heap[i].arg != nil {
-				t.Error("stopped entry still references its callback")
-			}
+			t.Error("stopped entry still in the heap")
+		}
+	}
+	for _, q := range e.heap[len(e.heap):cap(e.heap)] {
+		if q.fn != nil || q.fn1 != nil || q.arg != nil {
+			t.Error("vacated heap slot still references a callback")
 		}
 	}
 	for i := e.ringPop; i < len(e.ring); i++ {
@@ -214,10 +213,22 @@ func TestTimerStopDropsClosureInPlace(t *testing.T) {
 			t.Error("delayed timer landed on the zero-delay ring")
 		}
 	}
-	if !found {
-		t.Fatal("stopped entry not found in the heap")
+	if e.Pending() != 1 {
+		t.Errorf("pending = %d after Stop, want 1", e.Pending())
 	}
 	e.Run()
+}
+
+func TestTimerStopPeekTimeExact(t *testing.T) {
+	// Stopping the earlier of two timers leaves the later one at the top
+	// of the heap: PeekTime reports a live event, never a cancelled one.
+	e := NewEnv()
+	early := e.ScheduleTimer(10, func() {})
+	e.ScheduleTimer(20, func() {})
+	early.Stop()
+	if at, ok := e.PeekTime(); !ok || at != 20 {
+		t.Fatalf("PeekTime = %v, %v after stopping the t=10 timer; want 20, true", at, ok)
+	}
 }
 
 func TestCloseAfterStopReleasesQueue(t *testing.T) {

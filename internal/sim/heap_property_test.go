@@ -58,13 +58,17 @@ func genPlan(rng *Rand, n int) (nodes []propNode, roots []int) {
 	nodes = make([]propNode, n)
 	for i := range nodes {
 		// Heavy mass on 0 and small delays: collisions and the ring
-		// fast-path are the interesting regime.
+		// fast-path are the interesting regime.  A far-future class keeps
+		// the heap deep and its entries alive long enough to be stopped,
+		// so removals land anywhere in the heap, not just near the root.
 		var d Time
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			d = 0
 		case 1:
 			d = Time(rng.Intn(3))
+		case 2:
+			d = Time(100 + rng.Intn(400))
 		default:
 			d = Time(rng.Intn(50))
 		}
@@ -82,10 +86,35 @@ func genPlan(rng *Rand, n int) (nodes []propNode, roots []int) {
 	return nodes, roots
 }
 
+// stopCases counts the heap removals Timer.Stop performed in a plan that
+// need more than the plain swap-and-sift-down: removing the last entry
+// (nothing moves) and removing an entry whose replacement must sift up.
+type stopCases struct {
+	last, up int
+}
+
+// classify records which removal case stopping tm is about to exercise.
+func (sc *stopCases) classify(e *Env, tm Timer) {
+	if !tm.Active() {
+		return
+	}
+	s := e.slots[tm.idx]
+	if s.where != qHeap {
+		return
+	}
+	pos, last := int(s.pos), len(e.heap)-1
+	switch {
+	case pos == last:
+		sc.last++
+	case pos > 0 && e.heap[last].less(&e.heap[(pos-1)>>2]):
+		sc.up++
+	}
+}
+
 // runEnvPlan executes the plan on the real Env and returns the fire
 // trace.  Each node is scheduled at most once (first scheduling wins) so
 // the plan terminates.
-func runEnvPlan(t *testing.T, nodes []propNode, roots []int) []int {
+func runEnvPlan(t *testing.T, nodes []propNode, roots []int, sc *stopCases) []int {
 	t.Helper()
 	e := NewEnv()
 	var trace []int
@@ -105,6 +134,7 @@ func runEnvPlan(t *testing.T, nodes []propNode, roots []int) []int {
 			}
 			for _, c := range n.cancels {
 				if scheduled[c] {
+					sc.classify(e, timers[c])
 					timers[c].Stop()
 				}
 			}
@@ -161,24 +191,55 @@ func runRefPlan(nodes []propNode, roots []int) []int {
 	return trace
 }
 
-// TestHeapMatchesReferenceOrdering drives many random plans through both
-// schedulers and requires identical fire traces.
+// stopPlan is a hand-built plan for the removal cases random plans rarely
+// reach.  Nodes 0-9 are roots pushed in order onto the heap:
+//
+//	index  0   1    2   3   4   5    6    7    8    9
+//	at     10  500  20  30  40  510  520  530  540  25
+//
+// Node 10 runs first, from the ring at t=0.  It stops node 5, at index
+// 5 under the 500 at index 1, so the last entry (25, a child of index 2)
+// takes its place and must sift up past 500.  It then stops node 8, by
+// then the last heap entry.
+func stopPlan() (nodes []propNode, roots []int) {
+	for i, d := range []Time{10, 500, 20, 30, 40, 510, 520, 530, 540, 25, 0} {
+		nodes = append(nodes, propNode{delay: d})
+		roots = append(roots, i)
+	}
+	nodes[10].cancels = []int{5, 8}
+	return nodes, roots
+}
+
+// TestHeapMatchesReferenceOrdering drives many random plans, and one
+// hand-built plan of removals, through both schedulers and requires
+// identical fire traces.
 func TestHeapMatchesReferenceOrdering(t *testing.T) {
+	check := func(t *testing.T, nodes []propNode, roots []int, sc *stopCases) {
+		got := runEnvPlan(t, nodes, roots, sc)
+		want := runRefPlan(nodes, roots)
+		if len(got) != len(want) {
+			t.Fatalf("trace lengths differ: env %d vs oracle %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trace diverges at %d: env fired %d, oracle %d", i, got[i], want[i])
+			}
+		}
+	}
+	t.Run("stops", func(t *testing.T) {
+		var sc stopCases
+		nodes, roots := stopPlan()
+		check(t, nodes, roots, &sc)
+		if sc != (stopCases{last: 1, up: 1}) {
+			t.Errorf("plan stopped %+v, want one last-entry and one sift-up removal", sc)
+		}
+	})
 	for seed := uint64(1); seed <= 60; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := NewRand(seed * 0x9e3779b97f4a7c15)
 			nodes, roots := genPlan(rng, 40+int(seed)%100)
-			got := runEnvPlan(t, nodes, roots)
-			want := runRefPlan(nodes, roots)
-			if len(got) != len(want) {
-				t.Fatalf("trace lengths differ: env %d vs oracle %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trace diverges at %d: env fired %d, oracle %d", i, got[i], want[i])
-				}
-			}
+			check(t, nodes, roots, &stopCases{})
 		})
 	}
 }

@@ -64,7 +64,10 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // dispatch resumes p with val and returns when p parks again or finishes.
 // It must only be called from event-loop context (an event callback), never
-// from inside another process.
+// from inside another process, and it must be the last thing that event
+// does: a process that holds (Proc.Hold) returns at a later virtual time,
+// so code after dispatch would run at the wrong instant.  runWake,
+// AwaitAny's callback and Close all end with it.
 func (e *Env) dispatch(p *Proc, val any) {
 	if p.done {
 		return
@@ -139,6 +142,42 @@ func (p *Proc) Now() Time { return p.env.Now() }
 func (p *Proc) Sleep(d Time) {
 	p.env.ready(d, p, nil)
 	p.park()
+}
+
+// Hold advances the clock by d in place of the n events that would
+// otherwise carry the calling process from now to now+d, and reports
+// whether it did.  It holds only when nothing else can happen before
+// now+d, so skipping the events cannot change event order:
+//
+//   - p is the running process (a parked process cannot move the clock);
+//   - the environment is not stopped (the loop would run nothing more);
+//   - no zero-delay event and no AtInstantEnd callback is pending (both
+//     run at the current instant, before anything at now+d);
+//   - every queued event is due strictly after now+d (one due at now+d
+//     was scheduled earlier, so it would run first);
+//   - now+d is within the running loop's deadline (RunUntil, and the
+//     parallel engine's RunBefore window bound).
+//
+// A hold counts the n events in Steps, panics past MaxSteps as the loop
+// would, and runs the OnStep observers n times at now+d.  Pending is
+// unchanged: the events would have been queued and run.  When Hold
+// returns false nothing has changed, and the caller schedules and parks
+// as usual.
+func (p *Proc) Hold(d Time, n int) bool {
+	e := p.env
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	at := e.now + d
+	if e.cur != p || e.stopped || e.ringPop < len(e.ring) || len(e.instEnd) > 0 ||
+		(len(e.heap) > 0 && e.heap[0].at <= at) || (e.deadline >= 0 && at > e.deadline) {
+		return false
+	}
+	e.now = at
+	for ; n > 0; n-- {
+		e.step()
+	}
+	return true
 }
 
 // Yield suspends the process until all other events already scheduled for
