@@ -21,7 +21,7 @@ type Packet struct {
 	Urgent   bool
 	Payload  any
 
-	// pooled marks packets borrowed from the fabric freelist (GetPacket);
+	// pooled marks packets borrowed from a port's pool (GetPacketFrom);
 	// the fabric reclaims them after sink consumption.  Sinks and
 	// observers must therefore never retain a *Packet beyond their call —
 	// copy the fields (or take the Payload) instead.
@@ -80,36 +80,40 @@ type occEntry struct {
 // full-duplex port: packets serialize on the sender's TX side, cross the
 // switch after Latency, and serialize again on the receiver's RX side.
 // Delivery order is FIFO per (sender, receiver) pair and per receiver.
+//
+// Every send goes through the sending node's fabPort, which owns the TX
+// lanes.  The receive half — backplane and RX lanes, shared by all
+// senders — is claimed either inline, in the send's own event, or by
+// Merge, which replays the mailed messages in (birth instant, node, send
+// order).  A partitioned fabric always replays, between windows; a serial
+// fabric replays at the end of each instant exactly when a parallel run
+// of the same configuration could exist (Windowable), so both engines
+// hand out contended receive slots in the same order.
 type Fabric struct {
-	env       *sim.Env
 	cfg       LinkConfig
 	rng       *sim.Rand
-	tx        []sim.Time // TX port busy-until, per node (bulk channel)
-	rx        []sim.Time // RX port busy-until, per node (bulk channel)
-	txU       []sim.Time // TX busy-until, urgent channel
-	rxU       []sim.Time // RX busy-until, urgent channel
+	rx, rxU   []sim.Time // RX busy-until per node, bulk and urgent lanes
 	backplane sim.Time   // shared switch capacity busy-until
-	sinks     []func(*Packet)
+	ports     []*fabPort
 
-	occCache [4]occEntry
-	occNext  int
+	// env is the serial engine's environment, shared by every port; nil
+	// on a partitioned fabric.
+	env *sim.Env
 
-	// Freelists (single-threaded, like the whole fabric): packets are
-	// reclaimed after sink consumption, trains after their last fragment
-	// delivers.  Both stay empty under fault injection, where deliveries
-	// can be duplicated or delayed past any safe reuse point.
-	pktFree   []*Packet
-	trainFree []*train
+	// replay sends the receive half of each port-to-port packet through
+	// Merge instead of claiming it inline.  On a serial fabric, mailing
+	// lists the ports with mail in the current instant, and mergeFn (bound
+	// once) is the instant-end hook that drains them.
+	replay  bool
+	mailing []*fabPort
+	mergeFn func()
+
 	deliverFn func(any) // bound once: delivers a *Packet
 	trainFn   func(any) // bound once: advances a *train
 
-	// stats
-	packets   int64
-	bytes     int64
-	delivered int64
-	lost      int64
-	injDrop   int64 // packets swallowed by the fault injector
-	injDup    int64 // extra deliveries created by the fault injector
+	lost    int64 // packets dropped by loss injection
+	injDrop int64 // packets swallowed by the fault injector
+	injDup  int64 // extra deliveries created by the fault injector
 
 	// observers are called on every delivery (tracing, invariants,
 	// fault-injection jitter).
@@ -117,23 +121,87 @@ type Fabric struct {
 
 	// injector, when set, vets every port-to-port packet's delivery.
 	injector Injector
+}
 
-	// Deferred receive-claim state (see claims.go): claimsOn marks a
-	// serial fabric that must claim backplane/RX time in the partitioned
-	// engine's merge order; the buffers hold the current instant's sent
-	// messages until the instant-end flush replays them sorted by sender.
-	claimsOn   bool
-	claimSched bool
-	claimMsgs  []claimMsg
-	claimPkts  []*Packet
-	claimSent  []sim.Time
-	flushFn    func() // bound once: flushClaims
+// fabPort is one node's side of the fabric: its TX lanes, its sink, the
+// pool it borrows packets and trains from, and an outbox of mailed
+// messages awaiting Merge.  On a partitioned fabric a port is only
+// touched by its node's partition, except during Merge, which the window
+// scheduler's barrier orders against all partition work.
+type fabPort struct {
+	f    *Fabric
+	id   int
+	env  *sim.Env
+	pool *pool
+	sink func(*Packet)
 
-	// ports, when non-nil, puts the fabric in partitioned mode: env is
-	// nil, each node's TX lanes / freelists / outbox live in its port,
-	// and rx/rxU/backplane are claimed by Merge between windows.  See
-	// parallel.go.
-	ports []*fabPort
+	tx, txU sim.Time // TX busy-until, bulk and urgent lanes
+
+	occCache [4]occEntry
+	occNext  int
+
+	packets, bytes, delivered int64
+
+	// Outbox: msgs in send order; mailPkts/mailSent are the flat packet
+	// and sent-time arrays the messages index into, and obNext/pkNext the
+	// merge cursors.  All four reset after each Merge, so steady state
+	// reuses the same backing arrays.  seq numbers a serial port's
+	// messages (see stamp).
+	msgs     []mailMsg
+	mailPkts []*Packet
+	mailSent []sim.Time
+	obNext   int
+	pkNext   int
+	seq      uint64
+}
+
+// pool is a packet and train freelist.  Packets return to the pool of the
+// node that consumed them and trains to the pool of the node that ran
+// them, so the ports of a serial fabric share one pool (with one each, a
+// bulk sender's packets would pile up at its receiver), while each port
+// of a partitioned fabric keeps its own, touched only by its partition or
+// by Merge.  Pools stay empty under fault injection, where deliveries can
+// be duplicated or delayed past any safe reuse point.
+type pool struct {
+	pkts   []*Packet
+	trains []*train
+}
+
+func (pl *pool) packet() *Packet {
+	if n := len(pl.pkts); n > 0 {
+		pkt := pl.pkts[n-1]
+		pl.pkts = pl.pkts[:n-1]
+		return pkt
+	}
+	return &Packet{pooled: true}
+}
+
+// put reclaims a pooled packet; unpooled packets are left to the GC.
+func (pl *pool) put(pkt *Packet) {
+	if !pkt.pooled {
+		return
+	}
+	*pkt = Packet{pooled: true}
+	pl.pkts = append(pl.pkts, pkt)
+}
+
+func (pl *pool) train() *train {
+	if n := len(pl.trains); n > 0 {
+		t := pl.trains[n-1]
+		pl.trains = pl.trains[:n-1]
+		return t
+	}
+	return &train{}
+}
+
+func (pl *pool) putTrain(t *train) {
+	for i := range t.pkts {
+		t.pkts[i] = nil
+	}
+	t.pkts = t.pkts[:0]
+	t.ats = t.ats[:0]
+	t.next = 0
+	pl.trains = append(pl.trains, t)
 }
 
 // Observe registers a delivery observer.  Observers run in registration
@@ -156,16 +224,18 @@ type Injector interface {
 
 // SetInjector installs the fault injector (at most one; later calls
 // replace earlier ones).  It must be called before traffic flows: packet
-// pooling and train batching are disabled while an injector is present,
-// but packets already in flight on the pooled path would misbehave.
-// Fault injection reorders deliveries across partition boundaries, so it
-// requires the serial engine; transports that inject should implement
-// transport.FaultMarker so the platform layer falls back before building.
+// pooling, train batching and the instant-end replay are disabled while
+// an injector is present, but packets already in flight on those paths
+// would misbehave.  Fault injection reorders deliveries across partition
+// boundaries, so it requires the serial engine; transports that inject
+// should implement transport.FaultMarker so the platform layer falls back
+// before building.
 func (f *Fabric) SetInjector(inj Injector) {
-	if f.ports != nil {
+	if f.env == nil {
 		panic("cluster: fault injection requires the serial engine (implement transport.FaultMarker)")
 	}
 	f.injector = inj
+	f.replay = inj == nil && Windowable(len(f.ports), f.cfg)
 }
 
 // Injected reports whether a fault injector is installed.  Transports use
@@ -174,28 +244,34 @@ func (f *Fabric) SetInjector(inj Injector) {
 // under injection every object must be left to the garbage collector.
 func (f *Fabric) Injected() bool { return f.injector != nil }
 
-// NewFabric returns a fabric with n ports.
+// NewFabric returns a serial fabric with n ports on env.
 func NewFabric(env *sim.Env, n int, cfg LinkConfig) *Fabric {
+	f := newFabric(n, cfg)
+	f.env = env
+	f.replay = Windowable(n, cfg)
+	f.mergeFn = f.Merge
+	shared := &pool{}
+	for i := range f.ports {
+		f.ports[i] = &fabPort{f: f, id: i, env: env, pool: shared}
+	}
+	return f
+}
+
+// newFabric builds the state both engines share; the caller fills in the
+// ports.
+func newFabric(n int, cfg LinkConfig) *Fabric {
 	if cfg.MTU <= 0 {
 		panic("cluster: fabric MTU must be positive")
 	}
 	f := &Fabric{
-		env:   env,
 		cfg:   cfg,
 		rng:   sim.NewRand(cfg.Seed),
-		tx:    make([]sim.Time, n),
 		rx:    make([]sim.Time, n),
-		txU:   make([]sim.Time, n),
 		rxU:   make([]sim.Time, n),
-		sinks: make([]func(*Packet), n),
-	}
-	for i := range f.occCache {
-		f.occCache[i].size = -1
+		ports: make([]*fabPort, n),
 	}
 	f.deliverFn = func(a any) { f.deliver(a.(*Packet)) }
 	f.trainFn = f.runTrain
-	f.claimsOn = conservativeOrder(n, cfg)
-	f.flushFn = f.flushClaims
 	return f
 }
 
@@ -203,140 +279,186 @@ func NewFabric(env *sim.Env, n int, cfg LinkConfig) *Fabric {
 func (f *Fabric) Config() LinkConfig { return f.cfg }
 
 // Ports returns the number of attached ports.
-func (f *Fabric) Ports() int { return len(f.tx) }
+func (f *Fabric) Ports() int { return len(f.ports) }
 
 // Attach registers the packet sink for a node.  The sink runs in
 // event-loop context when a packet finishes arriving at the node's RX port.
 func (f *Fabric) Attach(node int, sink func(*Packet)) {
-	if f.sinks[node] != nil {
+	p := f.ports[node]
+	if p.sink != nil {
 		panic(fmt.Sprintf("cluster: node %d already attached", node))
 	}
-	f.sinks[node] = sink
+	p.sink = sink
 }
 
-// GetPacket returns an empty packet for a subsequent Send.  On the
-// fault-free path it comes from the fabric's freelist and is reclaimed
-// automatically after the receiving sink consumes it (or after a loss
-// drop); under fault injection it is a plain allocation, since duplicated
-// or delayed deliveries outlive any safe reuse point.
-func (f *Fabric) GetPacket() *Packet {
-	if f.ports != nil {
-		panic("cluster: GetPacket on a partitioned fabric; use GetPacketFrom")
-	}
+// GetPacketFrom returns an empty packet for a subsequent Send from node
+// from.  On the fault-free path it comes from the port's pool and is
+// reclaimed automatically after the receiving sink consumes it (or after
+// a loss drop); under fault injection it is a plain allocation, since
+// duplicated or delayed deliveries outlive any safe reuse point.
+func (f *Fabric) GetPacketFrom(from int) *Packet {
 	if f.injector != nil {
 		return &Packet{}
 	}
-	if n := len(f.pktFree); n > 0 {
-		pkt := f.pktFree[n-1]
-		f.pktFree = f.pktFree[:n-1]
-		return pkt
-	}
-	return &Packet{pooled: true}
-}
-
-// put reclaims a pooled packet; unpooled packets are left to the GC.
-func (f *Fabric) put(pkt *Packet) {
-	if !pkt.pooled {
-		return
-	}
-	*pkt = Packet{pooled: true}
-	f.pktFree = append(f.pktFree, pkt)
+	return f.ports[from].pool.packet()
 }
 
 // occOf returns the base port occupancy for a packet of size bytes,
 // memoized over the handful of wire sizes a run actually uses.
-func (f *Fabric) occOf(size int) sim.Time {
-	for i := range f.occCache {
-		if f.occCache[i].size == size {
-			return f.occCache[i].occ
+func (p *fabPort) occOf(size int) sim.Time {
+	for i := range p.occCache {
+		if p.occCache[i].size == size {
+			return p.occCache[i].occ
 		}
 	}
-	occ := f.cfg.Occupancy(size)
-	f.occCache[f.occNext] = occEntry{size: size, occ: occ}
-	f.occNext = (f.occNext + 1) & (len(f.occCache) - 1)
+	occ := p.f.cfg.Occupancy(size)
+	p.occCache[p.occNext] = occEntry{size: size, occ: occ}
+	p.occNext = (p.occNext + 1) & (len(p.occCache) - 1)
 	return occ
-}
-
-// transit runs pkt through the port/backplane timing model, advancing the
-// lane clocks and drawing any jitter/loss randomness.  It returns when the
-// packet has fully left the sender's port, when it finishes arriving at
-// the receiver (meaningless if lost), and whether loss ate it.
-func (f *Fabric) transit(pkt *Packet) (sent, done sim.Time, lost bool) {
-	now := f.env.Now()
-	if pkt.From == pkt.To {
-		// Loopback: deliver after a nominal latency without using ports.
-		return now, now + f.cfg.Latency, false
-	}
-	occ := f.occOf(pkt.Size)
-	if f.cfg.Jitter > 0 {
-		occ = f.rng.Jitter(occ, f.cfg.Jitter)
-	}
-
-	txLane, rxLane := f.tx, f.rx
-	if pkt.Urgent {
-		txLane, rxLane = f.txU, f.rxU
-	}
-
-	start := txLane[pkt.From]
-	if start < now {
-		start = now
-	}
-	sent = start + occ
-	txLane[pkt.From] = sent
-
-	if f.cfg.LossRate > 0 && f.rng.Float64() < f.cfg.LossRate {
-		return sent, 0, true
-	}
-
-	arrive := sent + f.cfg.Latency
-	if f.cfg.BackplaneBandwidth > 0 {
-		// Shared switching capacity: serialize through the backplane.
-		bocc := sim.PerByte(int64(pkt.Size), f.cfg.BackplaneBandwidth)
-		bstart := f.backplane
-		if bstart < arrive {
-			bstart = arrive
-		}
-		f.backplane = bstart + bocc
-		arrive = f.backplane
-	}
-	rstart := rxLane[pkt.To]
-	if rstart < arrive {
-		rstart = arrive
-	}
-	done = rstart + occ
-	rxLane[pkt.To] = done
-	return sent, done, false
 }
 
 // Send transmits pkt.  It returns the time at which the packet has fully
 // left the sender's port (i.e. when the send-side buffer is reusable).
 // Sends never block; contention shows up purely as queueing delay.
 func (f *Fabric) Send(pkt *Packet) sim.Time {
-	if f.ports != nil {
-		return f.ports[pkt.From].send(pkt)
-	}
-	if f.deferClaims() && pkt.From != pkt.To {
-		return f.sendDeferred(pkt)
-	}
-	sent, done, lost := f.transit(pkt)
-	f.packets++
-	f.bytes += int64(pkt.Size)
-	if lost {
-		f.lost++
-		f.put(pkt)
+	p := f.ports[pkt.From]
+	now := p.env.Now()
+	if f.replay && pkt.To != pkt.From {
+		seq, sub := p.stamp(now)
+		sent, _, _ := p.claim(pkt, now, true)
+		p.enqueue(pkt, sent)
+		p.seal(seq, sub, 1)
 		return sent
 	}
-	f.scheduleDelivery(pkt, done)
+	sent, done, lost := p.claim(pkt, now, false)
+	if !lost {
+		p.deliverAt(pkt, now, done)
+	}
 	return sent
 }
 
-// scheduleDelivery arranges for pkt to reach its sink at the natural
-// delivery time at, letting the fault injector (if any) drop, delay, or
-// duplicate it first.
-func (f *Fabric) scheduleDelivery(pkt *Packet, at sim.Time) {
-	now := f.env.Now()
+// SendMessage fragments a message of size bytes into MTU-sized packets and
+// transmits them back to back.  mk builds the per-fragment payload given
+// (fragment index, fragment bytes, last).  It returns the time the final
+// fragment has left the sender's port.
+//
+// A mailed message replays as one unit, and an inline one travels as one
+// train; under fault injection each fragment meets the injector on its
+// own instead.
+func (f *Fabric) SendMessage(from, to, size, header int, mk func(i, n int, last bool) any) sim.Time {
+	if size < 0 {
+		panic("cluster: negative message size")
+	}
+	p := f.ports[from]
+	now := p.env.Now()
+	mailed := f.replay && from != to
+	var seq, sub uint64
+	var t *train
+	if mailed {
+		seq, sub = p.stamp(now)
+	} else if f.injector == nil {
+		t = p.pool.train()
+	}
+	var sent sim.Time
+	rem := size
+	i := 0
+	for {
+		n := min(rem, f.cfg.MTU)
+		rem -= n
+		last := rem == 0
+		pkt := f.GetPacketFrom(from)
+		pkt.From, pkt.To, pkt.Size, pkt.Payload = from, to, n+header, mk(i, n, last)
+		var done sim.Time
+		var lost bool
+		sent, done, lost = p.claim(pkt, now, mailed)
+		switch {
+		case mailed:
+			p.enqueue(pkt, sent)
+		case lost: // claim returned it to its pool
+		case t == nil: // fault injection
+			p.deliverAt(pkt, now, done)
+		default:
+			t.pkts = append(t.pkts, pkt)
+			t.ats = append(t.ats, done)
+		}
+		i++
+		if last {
+			break
+		}
+	}
+	switch {
+	case mailed:
+		p.seal(seq, sub, int32(i))
+	case t == nil: // fault injection: each fragment is already scheduled
+	case len(t.pkts) == 0: // every fragment lost
+		p.pool.putTrain(t)
+	case len(t.pkts) == 1:
+		p.env.ScheduleCall(t.ats[0]-now, f.deliverFn, t.pkts[0])
+		p.pool.putTrain(t)
+	default:
+		p.env.ScheduleCall(t.ats[0]-now, f.trainFn, t)
+	}
+	return sent
+}
+
+// claim puts pkt on the wire in the fabric's per-packet order: jitter
+// draw, TX claim, loss draw, then the RX claim with the same (possibly
+// jittered) occupancy — unless the packet is mailed, which leaves the
+// receive half to Merge.  Loopback packets skip the ports and arrive after
+// the nominal latency.  It returns when the packet has fully left the
+// sender's port, when it finishes arriving (unset when mailed), and
+// whether loss ate it; a lost packet is already back in its pool.
+func (p *fabPort) claim(pkt *Packet, now sim.Time, mailed bool) (sent, done sim.Time, lost bool) {
+	f := p.f
+	p.packets++
+	p.bytes += int64(pkt.Size)
+	if pkt.To == p.id {
+		return now, now + f.cfg.Latency, false
+	}
+	occ := p.occOf(pkt.Size)
+	if f.cfg.Jitter > 0 {
+		occ = f.rng.Jitter(occ, f.cfg.Jitter)
+	}
+	lane := &p.tx
+	if pkt.Urgent {
+		lane = &p.txU
+	}
+	sent = max(*lane, now) + occ
+	*lane = sent
+	if f.cfg.LossRate > 0 && f.rng.Float64() < f.cfg.LossRate {
+		f.lost++
+		p.pool.put(pkt)
+		return sent, 0, true
+	}
+	if mailed {
+		return sent, 0, false
+	}
+	return sent, f.rxClaim(pkt, sent, occ), false
+}
+
+// rxClaim is the receive half of a packet's transit: wire latency,
+// optional backplane serialization, then occ on the receiver's RX lane.
+func (f *Fabric) rxClaim(pkt *Packet, sent, occ sim.Time) sim.Time {
+	arrive := sent + f.cfg.Latency
+	if f.cfg.BackplaneBandwidth > 0 {
+		// Shared switching capacity: serialize through the backplane.
+		f.backplane = max(f.backplane, arrive) + sim.PerByte(int64(pkt.Size), f.cfg.BackplaneBandwidth)
+		arrive = f.backplane
+	}
+	lane := f.rx
+	if pkt.Urgent {
+		lane = f.rxU
+	}
+	lane[pkt.To] = max(lane[pkt.To], arrive) + occ
+	return lane[pkt.To]
+}
+
+// deliverAt schedules pkt's delivery at its natural arrival time at,
+// letting the fault injector (if any) drop, delay, or duplicate it first.
+func (p *fabPort) deliverAt(pkt *Packet, now, at sim.Time) {
+	f := p.f
 	if f.injector == nil {
-		f.env.ScheduleCall(at-now, f.deliverFn, pkt)
+		p.env.ScheduleCall(at-now, f.deliverFn, pkt)
 		return
 	}
 	whens := f.injector.Deliver(pkt, at)
@@ -349,21 +471,23 @@ func (f *Fabric) scheduleDelivery(pkt *Packet, at sim.Time) {
 		if w < at {
 			panic(fmt.Sprintf("cluster: injector delivery at %v before natural time %v", w, at))
 		}
-		f.env.Schedule(w-now, func() { f.deliver(pkt) })
+		p.env.Schedule(w-now, func() { f.deliver(pkt) })
 	}
 }
 
+// deliver hands a fully-arrived packet to its destination's sink, in the
+// destination's environment, and returns it to the destination's pool.
 func (f *Fabric) deliver(pkt *Packet) {
-	f.delivered++
+	p := f.ports[pkt.To]
+	p.delivered++
 	for _, obs := range f.observers {
-		obs(pkt, f.env.Now())
+		obs(pkt, p.env.Now())
 	}
-	sink := f.sinks[pkt.To]
-	if sink == nil {
+	if p.sink == nil {
 		panic(fmt.Sprintf("cluster: packet for unattached node %d", pkt.To))
 	}
-	sink(pkt)
-	f.put(pkt)
+	p.sink(pkt)
+	p.pool.put(pkt)
 }
 
 // train is a fragmented message in flight: the fragments' packets and
@@ -377,25 +501,6 @@ type train struct {
 	next int
 }
 
-func (f *Fabric) getTrain() *train {
-	if n := len(f.trainFree); n > 0 {
-		t := f.trainFree[n-1]
-		f.trainFree = f.trainFree[:n-1]
-		return t
-	}
-	return &train{}
-}
-
-func (f *Fabric) putTrain(t *train) {
-	for i := range t.pkts {
-		t.pkts[i] = nil
-	}
-	t.pkts = t.pkts[:0]
-	t.ats = t.ats[:0]
-	t.next = 0
-	f.trainFree = append(f.trainFree, t)
-}
-
 // runTrain delivers the train's due fragment, plus any further fragments
 // sharing the same delivery instant — delivering the group inside one
 // event firing reproduces exactly the back-to-back order the per-fragment
@@ -403,120 +508,35 @@ func (f *Fabric) putTrain(t *train) {
 // fragment.
 func (f *Fabric) runTrain(a any) {
 	t := a.(*train)
-	now := f.env.Now()
+	p := f.ports[t.pkts[t.next].To]
+	now := p.env.Now()
 	for {
 		pkt := t.pkts[t.next]
 		t.pkts[t.next] = nil
 		t.next++
 		f.deliver(pkt)
 		if t.next == len(t.pkts) {
-			f.putTrain(t)
+			p.pool.putTrain(t)
 			return
 		}
 		if at := t.ats[t.next]; at != now {
-			f.env.ScheduleCall(at-now, f.trainFn, t)
+			p.env.ScheduleCall(at-now, f.trainFn, t)
 			return
 		}
 	}
 }
 
-// SendMessage fragments a message of size bytes into MTU-sized packets and
-// transmits them back to back.  mk builds the per-fragment payload given
-// (fragment index, fragment bytes, last).  It returns the time the final
-// fragment has left the sender's port.
-func (f *Fabric) SendMessage(from, to, size, header int, mk func(i, n int, last bool) any) sim.Time {
-	if size < 0 {
-		panic("cluster: negative message size")
-	}
-	if f.ports != nil {
-		return f.ports[from].sendMessage(to, size, header, mk)
-	}
-	if f.injector != nil {
-		return f.sendMessageInjected(from, to, size, header, mk)
-	}
-	if f.deferClaims() && from != to {
-		return f.sendMessageDeferred(from, to, size, header, mk)
-	}
-	t := f.getTrain()
-	var sent sim.Time
-	rem := size
-	i := 0
-	for {
-		n := rem
-		if n > f.cfg.MTU {
-			n = f.cfg.MTU
-		}
-		rem -= n
-		last := rem == 0
-		pkt := f.GetPacket()
-		pkt.From, pkt.To, pkt.Size, pkt.Payload = from, to, n+header, mk(i, n, last)
-		var done sim.Time
-		var lostPkt bool
-		sent, done, lostPkt = f.transit(pkt)
-		f.packets++
-		f.bytes += int64(pkt.Size)
-		if lostPkt {
-			f.lost++
-			f.put(pkt)
-		} else {
-			t.pkts = append(t.pkts, pkt)
-			t.ats = append(t.ats, done)
-		}
-		i++
-		if last {
-			break
-		}
-	}
-	now := f.env.Now()
-	switch len(t.pkts) {
-	case 0: // every fragment lost
-		f.putTrain(t)
-	case 1:
-		f.env.ScheduleCall(t.ats[0]-now, f.deliverFn, t.pkts[0])
-		f.putTrain(t)
-	default:
-		f.env.ScheduleCall(t.ats[0]-now, f.trainFn, t)
-	}
-	return sent
-}
-
-// sendMessageInjected is the fault-injection fragment loop: plain
-// per-fragment sends so the injector can reorder, duplicate or drop each
-// one independently.
-func (f *Fabric) sendMessageInjected(from, to, size, header int, mk func(i, n int, last bool) any) sim.Time {
-	var sent sim.Time
-	rem := size
-	i := 0
-	for {
-		n := rem
-		if n > f.cfg.MTU {
-			n = f.cfg.MTU
-		}
-		rem -= n
-		last := rem == 0
-		sent = f.Send(&Packet{From: from, To: to, Size: n + header, Payload: mk(i, n, last)})
-		i++
-		if last {
-			break
-		}
-	}
-	return sent
-}
-
-// Stats returns (packets sent, wire bytes sent, packets delivered).  On a
-// partitioned fabric the per-port counters are summed; callers read stats
-// after the run, when the window scheduler's barrier has ordered all
-// partition writes before this goroutine.
+// Stats returns (packets sent, wire bytes sent, packets delivered), summed
+// over the ports.  On a partitioned fabric callers read stats after the
+// run, when the window scheduler's barrier has ordered all partition
+// writes before this goroutine.
 func (f *Fabric) Stats() (packets, bytes, delivered int64) {
-	if f.ports != nil {
-		for _, p := range f.ports {
-			packets += p.packets
-			bytes += p.bytes
-			delivered += p.delivered
-		}
-		return packets, bytes, delivered
+	for _, p := range f.ports {
+		packets += p.packets
+		bytes += p.bytes
+		delivered += p.delivered
 	}
-	return f.packets, f.bytes, f.delivered
+	return packets, bytes, delivered
 }
 
 // Lost returns the number of packets dropped by loss injection.

@@ -65,18 +65,7 @@ func NewSystem(n int, p Platform) *System {
 		Fabric: NewFabric(env, n, p.Link),
 		P:      p,
 	}
-	cores := p.CPUs
-	if cores == 0 {
-		cores = 1
-	}
-	for i := 0; i < n; i++ {
-		s.Nodes = append(s.Nodes, &Node{
-			ID:  i,
-			Env: env,
-			CPU: NewSMP(env, fmt.Sprintf("cpu%d", i), cores),
-			P:   p,
-		})
-	}
+	s.addNodes(n)
 	return s
 }
 
@@ -97,19 +86,29 @@ func NewPartitionedSystem(n int, p Platform) *System {
 		Fabric: NewParallelFabric(envs, p.Link),
 		P:      p,
 	}
-	cores := p.CPUs
+	s.addNodes(n)
+	return s
+}
+
+// addNodes creates the n nodes: on the shared Env of a serial system, on
+// their own partition environments otherwise.
+func (s *System) addNodes(n int) {
+	cores := s.P.CPUs
 	if cores == 0 {
 		cores = 1
 	}
 	for i := 0; i < n; i++ {
+		env := s.Env
+		if env == nil {
+			env = s.Envs[i]
+		}
 		s.Nodes = append(s.Nodes, &Node{
 			ID:  i,
-			Env: envs[i],
-			CPU: NewSMP(envs[i], fmt.Sprintf("cpu%d", i), cores),
-			P:   p,
+			Env: env,
+			CPU: NewSMP(env, fmt.Sprintf("cpu%d", i), cores),
+			P:   s.P,
 		})
 	}
-	return s
 }
 
 // Partitioned reports whether this system runs one environment per node.

@@ -1,62 +1,43 @@
 package cluster
 
-import (
-	"fmt"
+import "comb/internal/sim"
 
-	"comb/internal/sim"
-)
-
-// This file is the partitioned (parallel-engine) side of the fabric.
+// This file is the replay side of the fabric.
 //
-// In partitioned mode every node owns a fabPort: its TX lane clocks, its
-// packet/train freelists, and an outbox of cross-partition messages.  A
-// send claims only sender-side resources (TX occupancy), which depend on
-// nothing outside the partition, then mails the packets with a
-// (birth instant, partition|seq) stamp.  The single-threaded Merge phase
-// between windows replays the mailed messages in global stamp order,
-// claiming backplane and RX-lane time exactly as the serial engine would
-// have at those sends' execution order, and inserts the delivery events
-// into the destination heaps with the mailed stamps.  Conservative
+// A mailed send claims only sender-side resources (TX occupancy), which
+// depend on nothing outside the sender, then leaves its packets in the
+// port's outbox under a (birth instant, node|seq) stamp.  Merge replays
+// the outboxes in global stamp order, claiming backplane and RX-lane time
+// and scheduling the deliveries on the destination.  On the partitioned
+// engine Merge runs single-threaded between windows, and conservative
 // lookahead (see Lookahead) guarantees every merged delivery lands at or
-// beyond the current window bound, never in a partition's past.
+// beyond the current window bound, never in a partition's past.  A serial
+// fabric runs the same Merge at the end of each instant in which a port
+// mailed, so same-instant senders into one node take their receive slots
+// in node order on both engines — the traffic shape collective trees
+// create.  Serial configurations no parallel run could share (see
+// Windowable) claim inline instead: their order is part of their seeded
+// histories.
 
 // mailMsg is one outbound message in a port's outbox: its merge stamp and
 // how many packets of the flat mailPkts/mailSent arrays it spans.
+// Fragments replay back to back under one stamp.
 type mailMsg struct {
 	seq, sub uint64
 	npkts    int32
 }
 
-// fabPort is one node's private slice of a partitioned fabric.  It is
-// only ever touched by the owning partition's goroutine, except during
-// the single-threaded merge phase (outbox cursors, freelist refills for
-// merged trains), which the window scheduler's barrier makes safe.
-type fabPort struct {
-	f   *Fabric
-	id  int
-	env *sim.Env
-
-	tx, txU sim.Time // TX busy-until, bulk and urgent lanes
-
-	occCache [4]occEntry
-	occNext  int
-
-	pktFree   []*Packet
-	trainFree []*train
-	deliverFn func(any) // bound once: delivers a *Packet on this port
-	trainFn   func(any) // bound once: advances a *train on this port
-
-	packets, bytes, delivered int64
-
-	// Outbox: msgs in send order; mailPkts/mailSent are the flat packet
-	// and sent-time arrays the messages index into.  obNext/pkNext are
-	// the merge cursors.  All four reset after each merge, so steady
-	// state reuses the same backing arrays.
-	msgs     []mailMsg
-	mailPkts []*Packet
-	mailSent []sim.Time
-	obNext   int
-	pkNext   int
+// Windowable reports whether an n-node fabric on link could run under the
+// window engine, and so whether a serial fabric replays its sends the
+// way Merge does.  It needs more than two nodes (two cannot gain from
+// partitioning), no jitter or loss (they draw from one random stream in
+// global event order, which partitions cannot reproduce), and a positive
+// lookahead.  The platform layer adds one condition of its own, a
+// transport that injects no faults; SetInjector turns the replay off
+// likewise.
+func Windowable(n int, link LinkConfig) bool {
+	return n > 2 && link.Jitter == 0 && link.LossRate == 0 &&
+		link.Latency+2*link.PerPacket > 0
 }
 
 // NewParallelFabric returns a fabric with one port per environment, in
@@ -65,40 +46,19 @@ type fabPort struct {
 // cannot be partitioned deterministically; the platform layer falls back
 // to the serial engine instead of ever reaching this panic.
 func NewParallelFabric(envs []*sim.Env, cfg LinkConfig) *Fabric {
-	if cfg.MTU <= 0 {
-		panic("cluster: fabric MTU must be positive")
-	}
 	if cfg.Jitter > 0 || cfg.LossRate > 0 {
 		panic("cluster: a partitioned fabric cannot model jitter or loss")
 	}
-	n := len(envs)
-	f := &Fabric{
-		cfg:   cfg,
-		rng:   sim.NewRand(cfg.Seed),
-		tx:    make([]sim.Time, n),
-		rx:    make([]sim.Time, n),
-		txU:   make([]sim.Time, n),
-		rxU:   make([]sim.Time, n),
-		sinks: make([]func(*Packet), n),
-	}
-	for i := range f.occCache {
-		f.occCache[i].size = -1
-	}
-	f.ports = make([]*fabPort, n)
-	for i := range f.ports {
-		p := &fabPort{f: f, id: i, env: envs[i]}
-		for j := range p.occCache {
-			p.occCache[j].size = -1
-		}
-		p.deliverFn = func(a any) { p.deliver(a.(*Packet)) }
-		p.trainFn = p.runTrain
-		f.ports[i] = p
+	f := newFabric(len(envs), cfg)
+	f.replay = true
+	for i, env := range envs {
+		f.ports[i] = &fabPort{f: f, id: i, env: env, pool: &pool{}}
 	}
 	return f
 }
 
 // Partitioned reports whether this fabric runs in partitioned mode.
-func (f *Fabric) Partitioned() bool { return f.ports != nil }
+func (f *Fabric) Partitioned() bool { return f.env == nil }
 
 // Lookahead returns the minimum cross-partition delivery delay: a packet
 // sent at t occupies the TX port for at least PerPacket, crosses the wire
@@ -110,243 +70,74 @@ func (f *Fabric) Lookahead() sim.Time {
 	return f.cfg.Latency + 2*f.cfg.PerPacket
 }
 
-// GetPacketFrom is GetPacket for a known sending node — required in
-// partitioned mode, where freelists are per-port, and equivalent to
-// GetPacket on a serial fabric.
-func (f *Fabric) GetPacketFrom(from int) *Packet {
-	if f.ports == nil {
-		return f.GetPacket()
+// stamp draws the merge stamp for a message p is about to mail.  A
+// partition draws it from its environment, so the merged delivery sorts
+// among the destination's local events where the serial engine's
+// globally-sequenced one would.  A serial port's stamps only have to
+// order the instant that Merge closes, so the port numbers its own
+// messages and leaves the environment's sequence untouched.
+func (p *fabPort) stamp(now sim.Time) (seq, sub uint64) {
+	if p.f.env == nil {
+		return p.env.MailStamp()
 	}
-	p := f.ports[from]
-	if n := len(p.pktFree); n > 0 {
-		pkt := p.pktFree[n-1]
-		p.pktFree = p.pktFree[:n-1]
-		return pkt
-	}
-	return &Packet{pooled: true}
+	p.seq++
+	return uint64(now), uint64(p.id+1)<<40 | p.seq
 }
 
-// occOf mirrors Fabric.occOf on the port's private cache.
-func (p *fabPort) occOf(size int) sim.Time {
-	for i := range p.occCache {
-		if p.occCache[i].size == size {
-			return p.occCache[i].occ
-		}
-	}
-	occ := p.f.cfg.Occupancy(size)
-	p.occCache[p.occNext] = occEntry{size: size, occ: occ}
-	p.occNext = (p.occNext + 1) & (len(p.occCache) - 1)
-	return occ
-}
-
-// put reclaims a pooled packet into this port's freelist.  Packets free
-// where they are consumed, so a pool is only ever touched by its owning
-// partition (or the merge phase, under the barrier).
-func (p *fabPort) put(pkt *Packet) {
-	if !pkt.pooled {
-		return
-	}
-	*pkt = Packet{pooled: true}
-	p.pktFree = append(p.pktFree, pkt)
-}
-
-func (p *fabPort) getTrain() *train {
-	if n := len(p.trainFree); n > 0 {
-		t := p.trainFree[n-1]
-		p.trainFree = p.trainFree[:n-1]
-		return t
-	}
-	return &train{}
-}
-
-func (p *fabPort) putTrain(t *train) {
-	for i := range t.pkts {
-		t.pkts[i] = nil
-	}
-	t.pkts = t.pkts[:0]
-	t.ats = t.ats[:0]
-	t.next = 0
-	p.trainFree = append(p.trainFree, t)
-}
-
-// send is the partitioned Send: claim TX occupancy locally, then either
-// deliver loopback traffic in-partition or mail the packet for the next
-// merge.  The returned sent time is exact — TX lanes are wholly owned by
-// the sender, so it equals the serial engine's answer.
-func (p *fabPort) send(pkt *Packet) sim.Time {
-	f := p.f
-	now := p.env.Now()
-	p.packets++
-	p.bytes += int64(pkt.Size)
-	if pkt.From == pkt.To {
-		p.env.ScheduleCall(f.cfg.Latency, p.deliverFn, pkt)
-		return now
-	}
-	occ := p.occOf(pkt.Size)
-	lane := &p.tx
-	if pkt.Urgent {
-		lane = &p.txU
-	}
-	start := *lane
-	if start < now {
-		start = now
-	}
-	sent := start + occ
-	*lane = sent
-	seq, sub := p.env.MailStamp()
-	p.msgs = append(p.msgs, mailMsg{seq: seq, sub: sub, npkts: 1})
+// enqueue adds one claimed packet to the message p is mailing.
+func (p *fabPort) enqueue(pkt *Packet, sent sim.Time) {
 	p.mailPkts = append(p.mailPkts, pkt)
 	p.mailSent = append(p.mailSent, sent)
-	return sent
 }
 
-// sendMessage is the partitioned SendMessage fragment loop: one mail
-// stamp covers the whole train, so the merge replays its fragments
-// back to back exactly as the serial engine's in-event loop did.
-func (p *fabPort) sendMessage(to, size, header int, mk func(i, n int, last bool) any) sim.Time {
-	if size < 0 {
-		panic("cluster: negative message size")
-	}
-	f := p.f
-	if p.id == to {
-		return p.sendMessageLoopback(size, header, mk)
-	}
-	now := p.env.Now()
-	seq, sub := p.env.MailStamp()
-	var sent sim.Time
-	rem := size
-	i := 0
-	npkts := int32(0)
-	for {
-		n := rem
-		if n > f.cfg.MTU {
-			n = f.cfg.MTU
+// seal closes the message of the last npkts enqueued packets under its
+// stamp.  A serial port mailing first in an instant lists itself for
+// that instant's Merge, and the first port schedules it.
+func (p *fabPort) seal(seq, sub uint64, npkts int32) {
+	if f := p.f; f.env != nil && len(p.msgs) == 0 {
+		if len(f.mailing) == 0 {
+			f.env.AtInstantEnd(f.mergeFn)
 		}
-		rem -= n
-		last := rem == 0
-		pkt := f.GetPacketFrom(p.id)
-		pkt.From, pkt.To, pkt.Size, pkt.Payload = p.id, to, n+header, mk(i, n, last)
-		occ := p.occOf(pkt.Size)
-		start := p.tx
-		if start < now {
-			start = now
-		}
-		sent = start + occ
-		p.tx = sent
-		p.packets++
-		p.bytes += int64(pkt.Size)
-		p.mailPkts = append(p.mailPkts, pkt)
-		p.mailSent = append(p.mailSent, sent)
-		npkts++
-		i++
-		if last {
-			break
-		}
+		f.mailing = append(f.mailing, p)
 	}
 	p.msgs = append(p.msgs, mailMsg{seq: seq, sub: sub, npkts: npkts})
-	return sent
 }
 
-// sendMessageLoopback mirrors the serial loopback message path: every
-// fragment lands after the nominal latency without touching ports, all
-// inside this partition.
-func (p *fabPort) sendMessageLoopback(size, header int, mk func(i, n int, last bool) any) sim.Time {
-	f := p.f
-	now := p.env.Now()
-	t := p.getTrain()
-	rem := size
-	i := 0
-	for {
-		n := rem
-		if n > f.cfg.MTU {
-			n = f.cfg.MTU
-		}
-		rem -= n
-		last := rem == 0
-		pkt := f.GetPacketFrom(p.id)
-		pkt.From, pkt.To, pkt.Size, pkt.Payload = p.id, p.id, n+header, mk(i, n, last)
-		p.packets++
-		p.bytes += int64(pkt.Size)
-		t.pkts = append(t.pkts, pkt)
-		t.ats = append(t.ats, now+f.cfg.Latency)
-		i++
-		if last {
-			break
-		}
-	}
-	if len(t.pkts) == 1 {
-		p.env.ScheduleCall(f.cfg.Latency, p.deliverFn, t.pkts[0])
-		p.putTrain(t)
-	} else {
-		p.env.ScheduleCall(f.cfg.Latency, p.trainFn, t)
-	}
-	return now
-}
-
-// deliver hands a fully-arrived packet to the destination sink, all
-// within the destination's partition.
-func (p *fabPort) deliver(pkt *Packet) {
-	p.delivered++
-	for _, obs := range p.f.observers {
-		obs(pkt, p.env.Now())
-	}
-	sink := p.f.sinks[pkt.To]
-	if sink == nil {
-		panic(fmt.Sprintf("cluster: packet for unattached node %d", pkt.To))
-	}
-	sink(pkt)
-	p.put(pkt)
-}
-
-// runTrain mirrors Fabric.runTrain on the destination partition.
-func (p *fabPort) runTrain(a any) {
-	t := a.(*train)
-	now := p.env.Now()
-	for {
-		pkt := t.pkts[t.next]
-		t.pkts[t.next] = nil
-		t.next++
-		p.deliver(pkt)
-		if t.next == len(t.pkts) {
-			p.putTrain(t)
-			return
-		}
-		if at := t.ats[t.next]; at != now {
-			p.env.ScheduleCall(at-now, p.trainFn, t)
-			return
-		}
-	}
-}
-
-// Merge drains every port's outbox in global (birth instant, partition,
-// local seq) order — the same order in which the serial engine would have
-// executed those sends — claiming backplane and RX-lane occupancy for
-// each packet and inserting the delivery events into the destination
-// heaps with the mailed stamps.  It runs single-threaded between windows;
-// the window scheduler's channel barrier orders it against all partition
-// work.
+// Merge drains every outbox in global (birth instant, node, send order) —
+// the order in which the serial engine executes those sends — claiming
+// backplane and RX-lane occupancy for each packet and scheduling the
+// deliveries.  The window scheduler runs it between windows; a serial
+// fabric runs it at the end of each instant in which a port mailed.
 func (f *Fabric) Merge() {
+	ports := f.mailing
+	if f.env == nil {
+		// Partitions cannot list themselves while they run; look here.
+		for _, p := range f.ports {
+			if len(p.msgs) > 0 {
+				ports = append(ports, p)
+			}
+		}
+	}
 	for {
-		best := -1
+		var best *fabPort
 		var bseq, bsub uint64
-		for i, p := range f.ports {
-			if p.obNext >= len(p.msgs) {
+		for _, p := range ports {
+			if p.obNext == len(p.msgs) {
 				continue
 			}
 			m := &p.msgs[p.obNext]
-			if best < 0 || m.seq < bseq || (m.seq == bseq && m.sub < bsub) {
-				best, bseq, bsub = i, m.seq, m.sub
+			if best == nil || m.seq < bseq || (m.seq == bseq && m.sub < bsub) {
+				best, bseq, bsub = p, m.seq, m.sub
 			}
 		}
-		if best < 0 {
+		if best == nil {
 			break
 		}
-		p := f.ports[best]
-		m := p.msgs[p.obNext]
-		p.obNext++
-		f.mergeOne(p, m)
+		m := best.msgs[best.obNext]
+		best.obNext++
+		f.mergeOne(best, m)
 	}
-	for _, p := range f.ports {
+	for _, p := range ports {
 		for i := range p.mailPkts {
 			p.mailPkts[i] = nil
 		}
@@ -355,51 +146,36 @@ func (f *Fabric) Merge() {
 		p.mailSent = p.mailSent[:0]
 		p.obNext, p.pkNext = 0, 0
 	}
+	f.mailing = ports[:0]
 }
 
 // mergeOne replays one mailed message: claim receive-side time for each
-// fragment and schedule the delivery (or train) on the destination.
+// fragment, with the occupancy its TX claim used, and schedule the
+// delivery (or train) on the destination.
 func (f *Fabric) mergeOne(src *fabPort, m mailMsg) {
-	pkts := src.mailPkts[src.pkNext : src.pkNext+int(m.npkts)]
-	sents := src.mailSent[src.pkNext : src.pkNext+int(m.npkts)]
-	src.pkNext += int(m.npkts)
+	end := src.pkNext + int(m.npkts)
+	pkts, sents := src.mailPkts[src.pkNext:end], src.mailSent[src.pkNext:end]
+	src.pkNext = end
 	dst := f.ports[pkts[0].To]
-	if m.npkts == 1 {
-		done := f.rxClaim(pkts[0], sents[0])
-		dst.env.ScheduleStamped(done, m.seq, m.sub, dst.deliverFn, pkts[0])
+	if len(pkts) == 1 {
+		f.scheduleMerged(dst, m, f.rxClaim(pkts[0], sents[0], src.occOf(pkts[0].Size)), f.deliverFn, pkts[0])
 		return
 	}
-	t := dst.getTrain()
+	t := dst.pool.train()
 	for k, pkt := range pkts {
 		t.pkts = append(t.pkts, pkt)
-		t.ats = append(t.ats, f.rxClaim(pkt, sents[k]))
+		t.ats = append(t.ats, f.rxClaim(pkt, sents[k], src.occOf(pkt.Size)))
 	}
-	dst.env.ScheduleStamped(t.ats[0], m.seq, m.sub, dst.trainFn, t)
+	f.scheduleMerged(dst, m, t.ats[0], f.trainFn, t)
 }
 
-// rxClaim is the receive half of the serial engine's transit: wire
-// latency, optional backplane serialization, then RX-lane occupancy.
-func (f *Fabric) rxClaim(pkt *Packet, sent sim.Time) sim.Time {
-	arrive := sent + f.cfg.Latency
-	if f.cfg.BackplaneBandwidth > 0 {
-		bocc := sim.PerByte(int64(pkt.Size), f.cfg.BackplaneBandwidth)
-		bstart := f.backplane
-		if bstart < arrive {
-			bstart = arrive
-		}
-		f.backplane = bstart + bocc
-		arrive = f.backplane
+// scheduleMerged schedules fn(arg) at absolute time at on dst: under the
+// mailed stamp on a partition, as an ordinary event on the serial engine,
+// where the instant-end replay is itself in stamp order.
+func (f *Fabric) scheduleMerged(dst *fabPort, m mailMsg, at sim.Time, fn func(any), arg any) {
+	if f.env == nil {
+		dst.env.ScheduleStamped(at, m.seq, m.sub, fn, arg)
+		return
 	}
-	lane := f.rx
-	if pkt.Urgent {
-		lane = f.rxU
-	}
-	occ := f.occOf(pkt.Size)
-	rstart := lane[pkt.To]
-	if rstart < arrive {
-		rstart = arrive
-	}
-	done := rstart + occ
-	lane[pkt.To] = done
-	return done
+	f.env.ScheduleCall(at-f.env.Now(), fn, arg)
 }

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"context"
 	"time"
 
 	"comb/internal/cluster"
@@ -166,40 +165,22 @@ func (v PairView) RecordSpan(cat, name string, start, end time.Duration, kv ...s
 }
 
 // Run builds the platform described by cfg and executes fn once per rank
-// on a bound Sim machine, driving the simulation to completion.
+// on a bound Sim machine, driving the simulation to completion.  The
+// invariant checker watches the run: a violated conservation law comes
+// back as the error.
 func Run(cfg platform.Config, fn func(m core.Machine)) error {
-	return RunContext(context.Background(), cfg, fn)
-}
-
-// RunContext is Run with cancellation: a cancelled ctx tears the
-// simulation down (see platform.Instance.RunContext) and returns ctx.Err()
-// instead of running the point to completion.
-func RunContext(ctx context.Context, cfg platform.Config, fn func(m core.Machine)) error {
-	return RunChecked(ctx, cfg, fn, nil)
-}
-
-// RunChecked is RunContext with the invariant checker attached: the
-// simulation's conservation laws are verified after the run and any
-// violation comes back as the error.  The optional post hook runs after
-// the conservation checks and before the verdict, so callers can feed
-// produced results to the checker's plausibility checks
-// (CheckPolling/CheckPWW).
-func RunChecked(ctx context.Context, cfg platform.Config, fn func(m core.Machine), post func(*invariant.Checker)) error {
 	in, err := platform.New(cfg)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
 	chk := invariant.Attach(in.Sys, in.Comms, invariant.Options{})
-	err = in.RunContext(ctx, func(p *sim.Proc, c *mpi.Comm) {
+	err = in.Run(func(p *sim.Proc, c *mpi.Comm) {
 		fn(NewSim(p, c, in.Sys.Nodes[c.Rank()]))
 	})
 	if err != nil {
 		return err
 	}
 	chk.Finish()
-	if post != nil {
-		post(chk)
-	}
 	return chk.Err()
 }

@@ -173,7 +173,7 @@ func BenchmarkFabricSend(b *testing.B) {
 	f.Attach(1, func(*cluster.Packet) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkt := f.GetPacket()
+		pkt := f.GetPacketFrom(0)
 		pkt.From, pkt.To, pkt.Size = 0, 1, 4096
 		f.Send(pkt)
 		e.Run()
@@ -194,6 +194,40 @@ func BenchmarkFabricSendMessage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.SendMessage(0, 1, 65536, 16, mk)
 		e.Run()
+	}
+}
+
+// replayRound builds a 4-node serial fabric, which replays its sends at
+// instant end (cluster.Windowable), and returns one round of fan-in
+// traffic: three same-instant packets into node 0 plus a fragmented
+// message, driven through the replay to delivery.
+func replayRound() func() {
+	e := sim.NewEnv()
+	f := cluster.NewFabric(e, 4, benchLink())
+	for n := 0; n < 4; n++ {
+		f.Attach(n, func(*cluster.Packet) {})
+	}
+	payload := new(int)
+	mk := func(i, n int, last bool) any { return payload }
+	return func() {
+		for from := 1; from < 4; from++ {
+			pkt := f.GetPacketFrom(from)
+			pkt.From, pkt.To, pkt.Size = from, 0, 4096
+			f.Send(pkt)
+		}
+		f.SendMessage(1, 0, 65536, 16, mk)
+		e.Run()
+	}
+}
+
+// BenchmarkFabricSendDeferred measures the replay path: TX claims inline,
+// then the instant-end Merge claiming RX time in node order.
+func BenchmarkFabricSendDeferred(b *testing.B) {
+	b.ReportAllocs()
+	round := replayRound()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }
 
@@ -311,7 +345,7 @@ func TestProcSpawnAllocs(t *testing.T) {
 }
 
 // TestFabricSendZeroAllocs pins the injector-free fabric guarantee: a
-// pooled packet's full lifecycle — GetPacket, Send, delivery, sink,
+// pooled packet's full lifecycle — GetPacketFrom, Send, delivery, sink,
 // reclaim — allocates nothing once the freelist is warm.
 func TestFabricSendZeroAllocs(t *testing.T) {
 	e := sim.NewEnv()
@@ -319,7 +353,7 @@ func TestFabricSendZeroAllocs(t *testing.T) {
 	f.Attach(0, func(*cluster.Packet) {})
 	f.Attach(1, func(*cluster.Packet) {})
 	send := func() {
-		pkt := f.GetPacket()
+		pkt := f.GetPacketFrom(0)
 		pkt.From, pkt.To, pkt.Size = 0, 1, 4096
 		f.Send(pkt)
 		e.Run()
@@ -351,5 +385,20 @@ func TestSendMessageAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, send); avg != 0 {
 		t.Errorf("Fabric.SendMessage lifecycle allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestFabricSendDeferredZeroAllocs pins the replay path: outboxes, the
+// instant-end hook and the merged trains reuse their storage once warm.
+func TestFabricSendDeferredZeroAllocs(t *testing.T) {
+	if !cluster.Windowable(4, benchLink()) {
+		t.Fatal("a 4-node fabric on benchLink must replay its sends")
+	}
+	round := replayRound()
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("replayed fan-in round allocates %.1f objects/op, want 0", avg)
 	}
 }

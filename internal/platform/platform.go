@@ -38,8 +38,9 @@ type Config struct {
 	// engine, so the choice never affects hashes or cache keys.  The
 	// builder silently falls back to serial whenever parallelism cannot
 	// help or cannot be conservative: Nodes <= 2, zero lookahead on the
-	// link, wire jitter or loss (global RNG stream), or a fault-injecting
-	// transport (transport.FaultMarker).
+	// link, wire jitter or loss (global RNG stream) — the conditions
+	// cluster.Windowable checks — or a fault-injecting transport
+	// (transport.FaultMarker).
 	SimWorkers int
 }
 
@@ -124,21 +125,14 @@ func New(cfg Config) (*Instance, error) {
 
 // useParallel decides whether the parallel engine is both requested and
 // conservatively sound for this configuration.  p is the final platform
-// (link preferences and seed already applied).
+// (link preferences and seed already applied).  Injected deliveries
+// reorder across partitions, so a fault-injecting transport stays serial.
 func useParallel(cfg Config, n int, p cluster.Platform, tr transport.Transport) bool {
-	if cfg.SimWorkers <= 1 || n <= 2 {
+	if cfg.SimWorkers <= 1 || !cluster.Windowable(n, p.Link) {
 		return false
 	}
-	if p.Link.Jitter > 0 || p.Link.LossRate > 0 {
-		return false // global RNG stream: consumption order is global state
-	}
-	if p.Link.Latency+2*p.Link.PerPacket <= 0 {
-		return false // zero lookahead: no conservative window exists
-	}
-	if fm, ok := tr.(transport.FaultMarker); ok && fm.InjectsFaults() {
-		return false // injected deliveries reorder across partitions
-	}
-	return true
+	fm, ok := tr.(transport.FaultMarker)
+	return !ok || !fm.InjectsFaults()
 }
 
 // Run spawns fn once per rank and drives the simulation until the event

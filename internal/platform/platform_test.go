@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"comb/internal/cluster"
+	"comb/internal/faultinject"
 	"comb/internal/mpi"
 	"comb/internal/sim"
 	"comb/internal/transport"
@@ -86,5 +87,57 @@ func TestLaunchRoundTrip(t *testing.T) {
 	}
 	if sum != 42 {
 		t.Fatalf("sum = %d", sum)
+	}
+}
+
+// TestParallelEngineChoice: the window engine runs exactly when it is
+// requested (SimWorkers > 1), the fabric could be windowed
+// (cluster.Windowable) and the transport injects no faults.
+func TestParallelEngineChoice(t *testing.T) {
+	link := func(edit func(*cluster.LinkConfig)) cluster.Platform {
+		p := cluster.PlatformPIII500()
+		edit(&p.Link)
+		return p
+	}
+	platforms := []struct {
+		name string
+		p    cluster.Platform
+	}{
+		{"reference", cluster.PlatformPIII500()},
+		{"jitter", link(func(l *cluster.LinkConfig) { l.Jitter = 0.2 })},
+		{"loss", link(func(l *cluster.LinkConfig) { l.LossRate = 0.01 })},
+		{"zero lookahead", link(func(l *cluster.LinkConfig) { l.Latency, l.PerPacket = 0, 0 })},
+	}
+	engaged := 0
+	for _, pc := range platforms {
+		for _, nodes := range []int{2, 3, 8} {
+			for _, workers := range []int{0, 1, 4} {
+				for _, faults := range []bool{false, true} {
+					tr := transport.Transport(transport.NewGM())
+					if faults {
+						tr = faultinject.Wrap(tr, faultinject.Spec{DelayProb: 0.1})
+					}
+					p := pc.p
+					in, err := New(Config{Custom: tr, Platform: &p, Nodes: nodes, SimWorkers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := workers > 1 && cluster.Windowable(nodes, p.Link) && !faults
+					if in.Parallel() != want {
+						t.Errorf("%s, %d nodes, %d workers, faults=%v: Parallel() = %v, want %v",
+							pc.name, nodes, workers, faults, in.Parallel(), want)
+					}
+					if in.Parallel() {
+						engaged++
+					}
+					in.Close()
+				}
+			}
+		}
+	}
+	// Only the reference platform at 3 and 8 nodes, with 4 workers and no
+	// faults, qualifies.
+	if engaged != 2 {
+		t.Errorf("parallel engine chosen %d times, want 2", engaged)
 	}
 }

@@ -181,33 +181,6 @@ func pwwPoint(ctx context.Context, eng *runner.Engine, system string, size int, 
 	return r, nil
 }
 
-// RunPollingOnce runs a single, uncached polling-method measurement of
-// the named system with exactly the given configuration.
-func RunPollingOnce(system string, cfg core.PollingConfig) (*core.PollingResult, error) {
-	var res *core.PollingResult
-	var ferr error
-	err := machine.Run(platform.Config{Transport: system}, func(m core.Machine) {
-		r, err := core.RunPolling(m, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		if r != nil {
-			res = r
-		}
-	})
-	if err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, fmt.Errorf("sweep: polling produced no worker result")
-	}
-	return res, nil
-}
-
 // RunPWWOnce runs a single, uncached PWW measurement of the named system
 // with exactly the given configuration.
 func RunPWWOnce(system string, cfg core.PWWConfig) (*core.PWWResult, error) {
