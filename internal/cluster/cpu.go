@@ -157,6 +157,27 @@ func (c *CPU) Use(p *sim.Proc, d sim.Time, prio Priority) {
 	p.Park()
 }
 
+// UseCall is Use for callback chains: it consumes d of CPU time at
+// priority prio on behalf of the calling event callback, then the chain
+// continues.  A quiet demand (see Use) holds the clock forward by d in
+// place (sim.Env.Hold, with no process running) and UseCall returns
+// true: the caller continues at once, in the same event, with what fn
+// would have done.  Otherwise it submits the demand with fn(arg) as its
+// completion (SubmitCall) and returns false, and the caller returns.
+// Either way UseCall must be the caller's last action before that
+// continuation.  A non-positive demand returns true at once.
+func (c *CPU) UseCall(d sim.Time, prio Priority, fn func(any), arg any) bool {
+	if d <= 0 {
+		return true
+	}
+	if c.idleCore() >= 0 && c.env.Hold(d, 2) {
+		c.usage[prio] += d
+		return true
+	}
+	c.SubmitCall(d, prio, fn, arg)
+	return false
+}
+
 // Submit enqueues a CPU demand without blocking and returns the event that
 // fires when the demand has been fully served.  Callers that only need a
 // completion callback should use SubmitCall, which avoids the Event
@@ -308,6 +329,14 @@ func (c *CPU) preempt(i int) {
 
 // complete retires the finished grant (passed as the timer argument),
 // notifies its completion channel and dispatches further work.
+//
+// A waiting process or callback is handed the grant in place when its
+// zero-delay wake-up would be the very next event anyway
+// (sim.Env.NextInPlace): complete then resumes it, or calls it, as its
+// last action, after dispatch.  The decision is taken before release
+// and dispatch, because dispatch can queue a zero-delay completion (a
+// grant preempted with no time left resumes on a core), which must run
+// after the hand-off, as it would behind the scheduled wake-up.
 func (c *CPU) complete(a any) {
 	g := a.(*cpuGrant)
 	core := &c.cores[g.core]
@@ -316,16 +345,26 @@ func (c *CPU) complete(a any) {
 	}
 	c.usage[g.prio] += c.env.Now() - core.startedAt
 	core.running = nil
+	waiter, fn, arg := g.waiter, g.fn, g.arg
+	inPlace := (waiter != nil || fn != nil) && c.env.NextInPlace()
 	switch {
-	case g.waiter != nil:
-		c.env.Ready(g.waiter, nil)
+	case inPlace:
+	case waiter != nil:
+		c.env.Ready(waiter, nil)
 	case g.done != nil:
 		g.done.Fire(nil)
-	case g.fn != nil:
-		c.env.ScheduleCall(0, g.fn, g.arg)
+	case fn != nil:
+		c.env.ScheduleCall(0, fn, arg)
 	}
 	c.release(g)
 	c.dispatch()
+	switch {
+	case !inPlace:
+	case waiter != nil:
+		c.env.ResumeInPlace(waiter, nil)
+	default:
+		c.env.CallInPlace(fn, arg)
+	}
 }
 
 // Usage returns the total CPU time consumed so far at priority prio,

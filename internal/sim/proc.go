@@ -163,22 +163,7 @@ func (p *Proc) Sleep(d Time) {
 // unchanged: the events would have been queued and run.  When Hold
 // returns false nothing has changed, and the caller schedules and parks
 // as usual.
-func (p *Proc) Hold(d Time, n int) bool {
-	e := p.env
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	at := e.now + d
-	if e.cur != p || e.stopped || e.ringPop < len(e.ring) || len(e.instEnd) > 0 ||
-		(len(e.heap) > 0 && e.heap[0].at <= at) || (e.deadline >= 0 && at > e.deadline) {
-		return false
-	}
-	e.now = at
-	for ; n > 0; n-- {
-		e.step()
-	}
-	return true
-}
+func (p *Proc) Hold(d Time, n int) bool { return p.env.hold(p, d, n) }
 
 // Yield suspends the process until all other events already scheduled for
 // the current instant have run.

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"comb/internal/cluster"
 	"comb/internal/mpi"
 	"comb/internal/sim"
@@ -61,8 +59,8 @@ func (t *Portals) Name() string { return "portals" }
 // Offload implements Transport: Portals provides application offload.
 func (t *Portals) Offload() bool { return true }
 
-// Build implements Transport, attaching one endpoint per node and spawning
-// its kernel transmit driver.
+// Build implements Transport, attaching one endpoint per node with its
+// kernel transmit driver.
 func (t *Portals) Build(sys *cluster.System) []mpi.Endpoint {
 	eps := make([]mpi.Endpoint, len(sys.Nodes))
 	for i, node := range sys.Nodes {
@@ -71,23 +69,16 @@ func (t *Portals) Build(sys *cluster.System) []mpi.Endpoint {
 			node:     node,
 			fab:      sys.Fabric,
 			hub:      mpi.NewActivityHub(node.Env),
-			txKick:   mpi.NewActivityHub(node.Env),
-			inflight: make(map[ptlMsgID]*ptlInbound),
+			inflight: make(map[msgID]*ptlInbound),
 		}
 		ep.rxKernelFn = ep.rxKernel
 		ep.rxCopyStartFn = ep.rxCopyStart
 		ep.rxCopyDoneFn = ep.rxCopyDone
+		ep.tx.init(node, sys.Fabric, t.Config.TxKernelCost, ep.frag, nil)
 		sys.Fabric.Attach(node.ID, ep.onPacket)
-		node.Env.Spawn(fmt.Sprintf("ptl-tx-%d", node.ID), ep.txDriver)
 		eps[i] = ep
 	}
 	return eps
-}
-
-// ptlMsgID uniquely identifies a message across the system.
-type ptlMsgID struct {
-	src int
-	seq int64
 }
 
 // ptlFrag is the payload of one Portals wire packet.  msg backs data (its
@@ -95,7 +86,7 @@ type ptlMsgID struct {
 // fragment is matched; both let the copy-completion stage recycle the
 // sender-side objects without any closure captures.
 type ptlFrag struct {
-	id    ptlMsgID
+	id    msgID
 	src   int
 	tag   int
 	size  int
@@ -105,21 +96,13 @@ type ptlFrag struct {
 	first bool
 	last  bool
 
-	msg *ptlTx
+	msg *txMsg
 	inb *ptlInbound
-}
-
-// ptlTx is one message queued for the kernel transmit driver.
-type ptlTx struct {
-	id   ptlMsgID
-	dst  int
-	tag  int
-	data []byte
 }
 
 // ptlInbound is kernel-side state for one arriving message.
 type ptlInbound struct {
-	id        ptlMsgID
+	id        msgID
 	src, tag  int
 	size      int
 	req       *mpi.Request // nil until matched
@@ -150,18 +133,17 @@ type ptlInbound struct {
 // tail is never read.  Pooling switches off automatically under fault
 // injection, where duplicated deliveries break that guarantee.
 type portalsEndpoint struct {
-	cfg    PortalsConfig
-	node   *cluster.Node
-	fab    *cluster.Fabric
-	hub    *mpi.ActivityHub
-	txKick *mpi.ActivityHub
-	m      mpi.Matcher
-	seq    int64
+	cfg  PortalsConfig
+	node *cluster.Node
+	fab  *cluster.Fabric
+	hub  *mpi.ActivityHub
+	m    mpi.Matcher
+	seq  int64
+	tx   txDriver
 
-	inflight map[ptlMsgID]*ptlInbound
-	txq      []*ptlTx
+	inflight map[msgID]*ptlInbound
 
-	txFree   []*ptlTx
+	txFree   []*txMsg
 	fragFree []*ptlFrag
 	bufFree  [][]byte
 	inbFree  []*ptlInbound
@@ -191,13 +173,13 @@ func (ep *portalsEndpoint) Progress(p *sim.Proc) {
 // pooling reports whether object recycling is safe (no fault injector).
 func (ep *portalsEndpoint) pooling() bool { return !ep.fab.Injected() }
 
-func (ep *portalsEndpoint) getTx() *ptlTx {
+func (ep *portalsEndpoint) getTx() *txMsg {
 	if n := len(ep.txFree); n > 0 && ep.pooling() {
 		tx := ep.txFree[n-1]
 		ep.txFree = ep.txFree[:n-1]
 		return tx
 	}
-	return &ptlTx{}
+	return &txMsg{}
 }
 
 func (ep *portalsEndpoint) getFrag() *ptlFrag {
@@ -236,14 +218,13 @@ func (ep *portalsEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	n := len(r.Data())
 	ep.node.CPU.Use(p, ep.cfg.TrapCost+ep.cfg.DescCost, cluster.Kernel)
 	ep.node.Memcpy(p, n, cluster.Kernel)
-	id := ptlMsgID{src: ep.rank(), seq: ep.seq}
+	id := msgID{src: ep.rank(), seq: ep.seq}
 	ep.seq++
 	tx := ep.getTx()
 	tx.id, tx.dst, tx.tag = id, r.Peer(), r.Tag()
 	tx.data = ep.getBuf(n)
 	copy(tx.data, r.Data())
-	ep.txq = append(ep.txq, tx)
-	ep.txKick.Wake()
+	ep.tx.push(tx)
 	r.Complete(ep.rank(), r.Tag(), n)
 }
 
@@ -293,48 +274,15 @@ func (ep *portalsEndpoint) maybeComplete(inb *ptlInbound) {
 	ep.hub.Wake()
 }
 
-// txDriver is the kernel transmit process: it charges per-packet kernel
-// CPU, hands fragments to the packet engine, and paces itself to the wire.
-func (ep *portalsEndpoint) txDriver(p *sim.Proc) {
-	for {
-		for len(ep.txq) == 0 {
-			p.Await(ep.txKick.Activity())
-		}
-		msg := ep.txq[0]
-		ep.txq[0] = nil
-		ep.txq = ep.txq[1:]
-		off := 0
-		rem := len(msg.data)
-		first := true
-		for {
-			n := rem
-			if n > ep.fab.Config().MTU {
-				n = ep.fab.Config().MTU
-			}
-			rem -= n
-			last := rem == 0
-			ep.node.CPU.Use(p, ep.cfg.TxKernelCost, cluster.Interrupt)
-			f := ep.getFrag()
-			f.id, f.src, f.tag, f.size = msg.id, ep.rank(), msg.tag, len(msg.data)
-			f.off, f.n, f.data = off, n, msg.data[off:off+n]
-			f.first, f.last = first, last
-			f.msg, f.inb = msg, nil
-			pkt := ep.fab.GetPacketFrom(ep.node.ID)
-			pkt.From, pkt.To = ep.rank(), msg.dst
-			pkt.Size = n + ep.node.P.PacketHeader
-			pkt.Payload = f
-			sentAt := ep.fab.Send(pkt)
-			off += n
-			first = false
-			// Pace to the wire so kernel TX work tracks actual transmission.
-			if sentAt > p.Now() {
-				p.Sleep(sentAt - p.Now())
-			}
-			if last {
-				break
-			}
-		}
-	}
+// frag builds the wire payload of m's fragment [off, off+n) for the
+// transmit driver.
+func (ep *portalsEndpoint) frag(m *txMsg, off, n int, last bool) any {
+	f := ep.getFrag()
+	f.id, f.src, f.tag, f.size = m.id, ep.rank(), m.tag, len(m.data)
+	f.off, f.n, f.data = off, n, m.data[off:off+n]
+	f.first, f.last = off == 0, last
+	f.msg, f.inb = m, nil
+	return f
 }
 
 // onPacket is the NIC receive path: raise an interrupt, then run kernel
@@ -401,7 +349,7 @@ func (ep *portalsEndpoint) rxCopyDone(a any) {
 		ep.fragFree = append(ep.fragFree, f)
 		if last {
 			ep.bufFree = append(ep.bufFree, msg.data)
-			*msg = ptlTx{}
+			*msg = txMsg{}
 			ep.txFree = append(ep.txFree, msg)
 		}
 	}

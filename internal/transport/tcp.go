@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"comb/internal/cluster"
 	"comb/internal/mpi"
 	"comb/internal/sim"
@@ -99,31 +97,24 @@ func (t *TCP) Build(sys *cluster.System) []mpi.Endpoint {
 			node:      node,
 			fab:       sys.Fabric,
 			hub:       mpi.NewActivityHub(node.Env),
-			txKick:    mpi.NewActivityHub(node.Env),
-			inflight:  make(map[tcpMsgID]*tcpInbound),
-			unacked:   make(map[tcpMsgID]*tcpTx),
-			completed: make(map[tcpMsgID]bool),
+			inflight:  make(map[msgID]*tcpInbound),
+			unacked:   make(map[msgID]*txMsg),
+			completed: make(map[msgID]bool),
 		}
 		ep.rxKernelFn = ep.rxKernel
 		ep.rxProtoFn = ep.rxProto
 		ep.rxAcceptFn = ep.rxAccept
 		ep.retransmitFn = ep.retransmit
+		ep.tx.init(node, sys.Fabric, t.Config.SegKernelCost, ep.seg, ep.armRetransmit)
 		sys.Fabric.Attach(node.ID, ep.onPacket)
-		node.Env.Spawn(fmt.Sprintf("tcp-tx-%d", node.ID), ep.txDriver)
 		eps[i] = ep
 	}
 	return eps
 }
 
-// tcpMsgID identifies one MPI message in the byte stream.
-type tcpMsgID struct {
-	src int
-	seq int64
-}
-
 // tcpSeg is one TCP segment (or ACK) on the wire.
 type tcpSeg struct {
-	id    tcpMsgID
+	id    msgID
 	src   int
 	tag   int
 	size  int
@@ -138,20 +129,9 @@ type tcpSeg struct {
 	ackDone bool
 }
 
-// tcpTx is a message queued on the send socket.  rto is the armed
-// retransmission timer; stopping it on the message-complete ack both
-// cancels the resend and drops the record so it can be recycled.
-type tcpTx struct {
-	id   tcpMsgID
-	dst  int
-	tag  int
-	data []byte
-	rto  sim.Timer
-}
-
 // tcpInbound is kernel socket-buffer state for one arriving message.
 type tcpInbound struct {
-	id       tcpMsgID
+	id       msgID
 	src, tag int
 	size     int
 	got      int          // unique bytes landed in the socket buffer
@@ -162,22 +142,21 @@ type tcpInbound struct {
 // tcpEndpoint models the socket API, the kernel TCP/IP stack and the MPI
 // library half for one rank.
 type tcpEndpoint struct {
-	cfg    TCPConfig
-	node   *cluster.Node
-	fab    *cluster.Fabric
-	hub    *mpi.ActivityHub
-	txKick *mpi.ActivityHub
-	m      mpi.Matcher
-	seq    int64
+	cfg  TCPConfig
+	node *cluster.Node
+	fab  *cluster.Fabric
+	hub  *mpi.ActivityHub
+	m    mpi.Matcher
+	seq  int64
+	tx   txDriver
 
-	inflight  map[tcpMsgID]*tcpInbound
-	ready     []*tcpInbound // fully-buffered messages awaiting the library
-	txq       []*tcpTx
-	rxSegs    int64               // delayed-ACK counter
-	unacked   map[tcpMsgID]*tcpTx // sent, awaiting a message-complete ack
-	completed map[tcpMsgID]bool   // messages already delivered (re-ack dups)
+	inflight  map[msgID]*tcpInbound
+	ready     []*tcpInbound    // fully-buffered messages awaiting the library
+	rxSegs    int64            // delayed-ACK counter
+	unacked   map[msgID]*txMsg // sent, awaiting a message-complete ack
+	completed map[msgID]bool   // messages already delivered (re-ack dups)
 
-	txFree  []*tcpTx
+	txFree  []*txMsg
 	segFree []*tcpSeg
 	bufFree [][]byte
 
@@ -190,13 +169,13 @@ type tcpEndpoint struct {
 // pooling reports whether object recycling is safe (no fault injector).
 func (ep *tcpEndpoint) pooling() bool { return !ep.fab.Injected() }
 
-func (ep *tcpEndpoint) getTx() *tcpTx {
+func (ep *tcpEndpoint) getTx() *txMsg {
 	if n := len(ep.txFree); n > 0 && ep.pooling() {
 		tx := ep.txFree[n-1]
 		ep.txFree = ep.txFree[:n-1]
 		return tx
 	}
-	return &tcpTx{}
+	return &txMsg{}
 }
 
 func (ep *tcpEndpoint) getSeg() *tcpSeg {
@@ -249,14 +228,13 @@ func (ep *tcpEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	n := len(r.Data())
 	ep.node.CPU.Use(p, ep.cfg.TrapCost, cluster.Kernel)
 	ep.node.CPU.Use(p, ep.hostByteCost(n), cluster.Kernel)
-	id := tcpMsgID{src: ep.rank(), seq: ep.seq}
+	id := msgID{src: ep.rank(), seq: ep.seq}
 	ep.seq++
 	tx := ep.getTx()
 	tx.id, tx.dst, tx.tag = id, r.Peer(), r.Tag()
 	tx.data = ep.getBuf(n)
 	copy(tx.data, r.Data())
-	ep.txq = append(ep.txq, tx)
-	ep.txKick.Wake()
+	ep.tx.push(tx)
 	r.Complete(ep.rank(), r.Tag(), n)
 }
 
@@ -295,51 +273,20 @@ func (ep *tcpEndpoint) deliver(p *sim.Proc, r *mpi.Request, in *mpi.Inbound) {
 	r.Complete(in.Src, in.Tag, count)
 }
 
-// txDriver is the kernel transmit half: per-segment protocol processing,
-// paced to the wire.
-func (ep *tcpEndpoint) txDriver(p *sim.Proc) {
-	mtu := ep.fab.Config().MTU
-	hdr := ep.node.P.PacketHeader
-	for {
-		for len(ep.txq) == 0 {
-			p.Await(ep.txKick.Activity())
-		}
-		msg := ep.txq[0]
-		ep.txq[0] = nil
-		ep.txq = ep.txq[1:]
-		off, rem := 0, len(msg.data)
-		for {
-			n := rem
-			if n > mtu {
-				n = mtu
-			}
-			rem -= n
-			last := rem == 0
-			ep.node.CPU.Use(p, ep.cfg.SegKernelCost, cluster.Interrupt)
-			seg := ep.getSeg()
-			seg.id, seg.src, seg.tag, seg.size = msg.id, ep.rank(), msg.tag, len(msg.data)
-			seg.off, seg.n, seg.data, seg.last = off, n, msg.data[off:off+n], last
-			pkt := ep.fab.GetPacketFrom(ep.node.ID)
-			pkt.From, pkt.To, pkt.Size = ep.rank(), msg.dst, n+hdr
-			pkt.Payload = seg
-			sentAt := ep.fab.Send(pkt)
-			off += n
-			if sentAt > p.Now() {
-				p.Sleep(sentAt - p.Now())
-			}
-			if last {
-				break
-			}
-		}
-		ep.armRetransmit(msg)
-	}
+// seg builds the wire segment for m's bytes [off, off+n) for the
+// transmit driver.
+func (ep *tcpEndpoint) seg(m *txMsg, off, n int, last bool) any {
+	seg := ep.getSeg()
+	seg.id, seg.src, seg.tag, seg.size = m.id, ep.rank(), m.tag, len(m.data)
+	seg.off, seg.n, seg.data, seg.last = off, n, m.data[off:off+n], last
+	return seg
 }
 
 // armRetransmit registers msg as awaiting its message-complete ack and
 // arms the timeout that re-enqueues it.  The timer is cancellable, so an
 // arriving ack releases the message record immediately instead of
 // leaving it captured until the RTO expires.
-func (ep *tcpEndpoint) armRetransmit(msg *tcpTx) {
+func (ep *tcpEndpoint) armRetransmit(msg *txMsg) {
 	if ep.cfg.RTO <= 0 {
 		return
 	}
@@ -351,13 +298,12 @@ func (ep *tcpEndpoint) armRetransmit(msg *tcpTx) {
 // queue (go-back-N at message granularity, like an era stack after a
 // coarse RTO).
 func (ep *tcpEndpoint) retransmit(a any) {
-	msg := a.(*tcpTx)
+	msg := a.(*txMsg)
 	if _, waiting := ep.unacked[msg.id]; !waiting {
 		return
 	}
 	delete(ep.unacked, msg.id)
-	ep.txq = append(ep.txq, msg)
-	ep.txKick.Wake()
+	ep.tx.push(msg)
 }
 
 // onPacket is the receive path: interrupt, protocol processing, and the
@@ -386,7 +332,7 @@ func (ep *tcpEndpoint) rxProto(a any) {
 				// retransmit timer and recycle the record.
 				if msg.rto.Stop() && ep.pooling() {
 					ep.bufFree = append(ep.bufFree, msg.data)
-					*msg = tcpTx{}
+					*msg = txMsg{}
 					ep.txFree = append(ep.txFree, msg)
 				}
 			}
