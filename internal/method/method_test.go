@@ -30,6 +30,18 @@ func (f fakeMethod) Run(ctx context.Context, in *platform.Instance, cfg Config) 
 func (f fakeMethod) DecodeParams(b []byte) (any, error)    { return nil, nil }
 func (f fakeMethod) DecodeResult(b []byte) (Result, error) { return nil, nil }
 
+// registerForTest registers m and removes it from the global registry
+// when the test ends, so repeated runs (-count) start from the same set.
+func registerForTest(t *testing.T, m Method) {
+	t.Helper()
+	Register(m)
+	t.Cleanup(func() {
+		regMu.Lock()
+		delete(methods, m.Name())
+		regMu.Unlock()
+	})
+}
+
 func TestRegisterRejectsEmptyAndDuplicate(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -41,7 +53,7 @@ func TestRegisterRejectsEmptyAndDuplicate(t *testing.T) {
 		fn()
 	}
 	mustPanic("empty name", func() { Register(fakeMethod{name: ""}) })
-	Register(fakeMethod{name: "testdup"})
+	registerForTest(t, fakeMethod{name: "testdup"})
 	mustPanic("duplicate", func() { Register(fakeMethod{name: "testdup"}) })
 }
 
@@ -56,8 +68,8 @@ func TestLookupUnknownListsRegistered(t *testing.T) {
 }
 
 func TestNamesSorted(t *testing.T) {
-	Register(fakeMethod{name: "zzz-test"})
-	Register(fakeMethod{name: "aaa-test"})
+	registerForTest(t, fakeMethod{name: "zzz-test"})
+	registerForTest(t, fakeMethod{name: "aaa-test"})
 	names := Names()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {

@@ -218,14 +218,12 @@ func (r *request) matches(msg *message) bool {
 	return r.src == msg.src && r.tag == msg.tag
 }
 
-// drainLocked moves staged messages to posted receives or the unexpected
-// queue.  Caller holds m.mu.
+// drainLocked matches posted receives against the unexpected queue, then
+// moves staged messages to posted receives or the unexpected queue.
+// Unexpected messages arrived before anything staged, so they must be
+// offered to a receive first: MPI forbids a later message with the same
+// source and tag from overtaking an earlier one.  Caller holds m.mu.
 func (m *Machine) drainLocked() {
-	for _, msg := range m.staging {
-		m.deliverLocked(msg)
-	}
-	m.staging = m.staging[:0]
-	// Also match unexpected messages against newly posted receives.
 	keep := m.unexpected[:0]
 	for _, msg := range m.unexpected {
 		if !m.matchPostedLocked(msg) {
@@ -233,6 +231,10 @@ func (m *Machine) drainLocked() {
 		}
 	}
 	m.unexpected = keep
+	for _, msg := range m.staging {
+		m.deliverLocked(msg)
+	}
+	m.staging = m.staging[:0]
 }
 
 func (m *Machine) deliverLocked(msg *message) {

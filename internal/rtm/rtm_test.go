@@ -85,6 +85,30 @@ func TestOrderingSameEnvelope(t *testing.T) {
 	})
 }
 
+// TestDrainKeepsUnexpectedFirst stages two messages with one envelope by
+// hand, the first already drained to the unexpected queue, and posts one
+// receive: it must get the first.  No goroutine runs, so the outcome does
+// not depend on scheduling.
+func TestDrainKeepsUnexpectedFirst(t *testing.T) {
+	w := NewWorld(2, Library)
+	sender, recv := w.ranks[0], w.ranks[1]
+	sender.Isend(1, 3, []byte("first"))
+	recv.mu.Lock()
+	recv.drainLocked()
+	recv.mu.Unlock()
+	sender.Isend(1, 3, []byte("secnd"))
+	buf := make([]byte, 5)
+	if r := recv.Irecv(0, 3, buf); !r.Done() {
+		t.Fatal("receive not matched")
+	}
+	if string(buf) != "first" {
+		t.Fatalf("receive got %q, want %q: a later message overtook an earlier one", buf, "first")
+	}
+	if len(recv.unexpected) != 1 || string(recv.unexpected[0].data) != "secnd" {
+		t.Fatalf("unexpected queue holds %d messages, want only the second", len(recv.unexpected))
+	}
+}
+
 func TestWaitany(t *testing.T) {
 	forEachMode(t, func(t *testing.T, mode Mode) {
 		w := NewWorld(2, mode)
