@@ -231,7 +231,7 @@ func (in *Instance) runParallel(ctx context.Context, fn func(p *sim.Proc, c *mpi
 	return nil
 }
 
-// Close tears the simulation down (terminating kernel driver processes).
+// Close tears the simulation down (terminating parked processes).
 func (in *Instance) Close() { in.Sys.Close() }
 
 // Launch is the one-shot helper: build cfg, run fn per rank, tear down.
