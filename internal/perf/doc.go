@@ -1,9 +1,9 @@
 // Package perf holds the simulator's microbenchmark suite: tight-loop
 // benchmarks for the event core (Env.Schedule and dispatch), the CPU
-// scheduler (SubmitCall, and Use both quiet and queued) and the fabric
-// (Send, SendMessage), each reporting ns/op and allocs/op, plus
-// AllocsPerRun regression tests pinning the zero-allocation guarantees
-// of the fault-free hot path.
+// scheduler (SubmitCall, and Use both quiet and queued), the fabric
+// (Send, SendMessage) and the Portals per-packet chain, each reporting
+// ns/op and allocs/op, plus AllocsPerRun regression tests pinning the
+// zero-allocation guarantees of the fault-free hot path.
 //
 // The figure-level macrobenchmarks live in the repository root
 // (bench_test.go) and are gated by scripts/benchdiff.sh against
