@@ -33,7 +33,8 @@ type fakeKey struct {
 }
 
 type fakeMsg struct {
-	data []byte
+	n    int
+	data []byte // nil for a length-only message
 }
 
 type fakeReq struct {
@@ -41,7 +42,8 @@ type fakeReq struct {
 	kind  string
 	done  bool
 	bytes int
-	buf   []byte
+	n     int    // receive capacity
+	buf   []byte // nil for a length-only receive
 }
 
 func (r *fakeReq) Done() bool {
@@ -93,34 +95,53 @@ func (m *fakeMachine) Now() time.Duration { return m.clock }
 func (m *fakeMachine) Work(iters int64) { m.clock += time.Duration(iters) }
 
 func (m *fakeMachine) Isend(dst, tag int, data []byte) core.Request {
+	return m.send(dst, tag, &fakeMsg{n: len(data), data: append([]byte(nil), data...)})
+}
+
+func (m *fakeMachine) IsendLen(dst, tag, n int) core.Request {
+	return m.send(dst, tag, &fakeMsg{n: n})
+}
+
+func (m *fakeMachine) send(dst, tag int, msg *fakeMsg) core.Request {
 	w := m.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	key := fakeKey{src: m.rank, dst: dst, tag: tag}
-	msg := &fakeMsg{data: append([]byte(nil), data...)}
 	if pending := w.recvs[key]; len(pending) > 0 {
 		r := pending[0]
 		w.recvs[key] = pending[1:]
-		r.bytes = copy(r.buf, msg.data)
-		r.done = true
+		r.land(msg)
 		w.cond.Broadcast()
 	} else {
 		w.queues[key] = append(w.queues[key], msg)
 	}
-	return &fakeReq{w: w, kind: "send", done: true, bytes: len(data)}
+	return &fakeReq{w: w, kind: "send", done: true, bytes: msg.n}
+}
+
+// land completes the receive with msg: count min(message size, capacity).
+func (r *fakeReq) land(msg *fakeMsg) {
+	copy(r.buf, msg.data)
+	r.bytes = min(msg.n, r.n)
+	r.done = true
 }
 
 func (m *fakeMachine) Irecv(src, tag int, buf []byte) core.Request {
+	return m.recv(src, tag, &fakeReq{w: m.w, kind: "recv", n: len(buf), buf: buf})
+}
+
+func (m *fakeMachine) IrecvLen(src, tag, n int) core.Request {
+	return m.recv(src, tag, &fakeReq{w: m.w, kind: "recv", n: n})
+}
+
+func (m *fakeMachine) recv(src, tag int, r *fakeReq) core.Request {
 	w := m.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	key := fakeKey{src: src, dst: m.rank, tag: tag}
-	r := &fakeReq{w: w, kind: "recv", buf: buf}
 	if q := w.queues[key]; len(q) > 0 {
 		msg := q[0]
 		w.queues[key] = q[1:]
-		r.bytes = copy(buf, msg.data)
-		r.done = true
+		r.land(msg)
 	} else {
 		w.recvs[key] = append(w.recvs[key], r)
 	}

@@ -35,6 +35,14 @@ type Machine interface {
 	Isend(dst, tag int, data []byte) Request
 	// Irecv posts a non-blocking receive into buf from src.
 	Irecv(src, tag int, buf []byte) Request
+	// IsendLen starts a length-only send of an n-byte message to dst: it
+	// costs what an Isend of n bytes costs but carries no bytes.  The
+	// methods' bulk streams use it, since nothing reads their contents.
+	IsendLen(dst, tag, n int) Request
+	// IrecvLen posts a length-only receive of capacity n from src.  It
+	// completes like an Irecv into an n-byte buffer, with Bytes
+	// min(message size, n), and keeps no bytes.
+	IrecvLen(src, tag, n int) Request
 	// Test polls r for completion, giving the library a progress
 	// opportunity (MPI_Test).
 	Test(r Request) bool

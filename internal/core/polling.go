@@ -64,19 +64,19 @@ func pollingWorker(m Machine, cfg PollingConfig) *PollingResult {
 
 	m.Barrier()
 
-	// All receives are posted before any send (Fig 1 setup).
+	// All receives are posted before any send (Fig 1 setup).  The data
+	// messages are length-only: their cost depends on their size alone,
+	// and nothing reads their contents.  Only the termination handshake
+	// carries bytes.
 	recvs := make([]Request, q)
-	bufs := make([][]byte, q)
 	for i := range recvs {
-		bufs[i] = make([]byte, cfg.MsgSize)
-		recvs[i] = m.Irecv(peer, cfg.Tag, bufs[i])
+		recvs[i] = m.IrecvLen(peer, cfg.Tag, cfg.MsgSize)
 	}
 	finAckBuf := make([]byte, 8)
 	finAck := m.Irecv(peer, cfg.Tag+finAckTagOff, finAckBuf)
 
 	m.Barrier()
 
-	payload := make([]byte, cfg.MsgSize)
 	var sends []Request
 	var sent, received, bytes, timedMsgs int64
 
@@ -89,7 +89,7 @@ func pollingWorker(m Machine, cfg PollingConfig) *PollingResult {
 
 	start := m.Now()
 	for i := 0; i < q; i++ {
-		sends = append(sends, m.Isend(peer, cfg.Tag, payload))
+		sends = append(sends, m.IsendLen(peer, cfg.Tag, cfg.MsgSize))
 		sent++
 	}
 
@@ -128,11 +128,11 @@ func pollingWorker(m Machine, cfg PollingConfig) *PollingResult {
 			timedMsgs++
 			replies++
 			bytes += int64(recvs[i].Bytes())
-			recvs[i] = m.Irecv(peer, cfg.Tag, bufs[i])
+			recvs[i] = m.IrecvLen(peer, cfg.Tag, cfg.MsgSize)
 		}
 		serviced := replies
 		for ; replies > 0; replies-- {
-			sends = append(sends, m.Isend(peer, cfg.Tag, payload))
+			sends = append(sends, m.IsendLen(peer, cfg.Tag, cfg.MsgSize))
 			sent++
 		}
 		sends = pruneDone(sends)
@@ -158,7 +158,7 @@ func pollingWorker(m Machine, cfg PollingConfig) *PollingResult {
 	for received < supportSent {
 		i := m.Waitany(recvs)
 		received++
-		recvs[i] = m.Irecv(peer, cfg.Tag, bufs[i])
+		recvs[i] = m.IrecvLen(peer, cfg.Tag, cfg.MsgSize)
 	}
 	m.Wait(finSend)
 	m.Waitall(sends)
@@ -191,21 +191,18 @@ func pollingSupport(m Machine, cfg PollingConfig) {
 	m.Barrier()
 
 	recvs := make([]Request, q)
-	bufs := make([][]byte, q)
 	for i := range recvs {
-		bufs[i] = make([]byte, cfg.MsgSize)
-		recvs[i] = m.Irecv(peer, cfg.Tag, bufs[i])
+		recvs[i] = m.IrecvLen(peer, cfg.Tag, cfg.MsgSize)
 	}
 	finBuf := make([]byte, 8)
 	fin := m.Irecv(peer, cfg.Tag+finTagOff, finBuf)
 
 	m.Barrier()
 
-	payload := make([]byte, cfg.MsgSize)
 	var sends []Request
 	var sent, received int64
 	for i := 0; i < q; i++ {
-		sends = append(sends, m.Isend(peer, cfg.Tag, payload))
+		sends = append(sends, m.IsendLen(peer, cfg.Tag, cfg.MsgSize))
 		sent++
 	}
 
@@ -227,11 +224,11 @@ func pollingSupport(m Machine, cfg PollingConfig) {
 			if recvs[j].Done() {
 				received++
 				replies++
-				recvs[j] = m.Irecv(peer, cfg.Tag, bufs[j])
+				recvs[j] = m.IrecvLen(peer, cfg.Tag, cfg.MsgSize)
 			}
 		}
 		for ; replies > 0; replies-- {
-			sends = append(sends, m.Isend(peer, cfg.Tag, payload))
+			sends = append(sends, m.IsendLen(peer, cfg.Tag, cfg.MsgSize))
 			sent++
 		}
 		sends = pruneDone(sends)
@@ -243,7 +240,7 @@ func pollingSupport(m Machine, cfg PollingConfig) {
 	for received < workerSent {
 		i := m.Waitany(recvs)
 		received++
-		recvs[i] = m.Irecv(peer, cfg.Tag, bufs[i])
+		recvs[i] = m.IrecvLen(peer, cfg.Tag, cfg.MsgSize)
 	}
 	m.Waitall(sends)
 

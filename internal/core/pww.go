@@ -35,25 +35,21 @@ func RunPWW(m Machine, cfg PWWConfig) (*PWWResult, error) {
 	}
 }
 
-// pwwBatch is one in-flight batch's requests and buffers.
+// pwwBatch is one in-flight batch's requests.  Its messages are
+// length-only: their cost depends on their size alone, and nothing reads
+// their contents.
 type pwwBatch struct {
 	recvs []Request
 	sends []Request
-	bufs  [][]byte
 	all   []Request
 }
 
-func newPWWBatch(b int, msgSize int) *pwwBatch {
-	pb := &pwwBatch{
+func newPWWBatch(b int) *pwwBatch {
+	return &pwwBatch{
 		recvs: make([]Request, b),
 		sends: make([]Request, b),
-		bufs:  make([][]byte, b),
 		all:   make([]Request, 0, 2*b),
 	}
-	for i := range pb.bufs {
-		pb.bufs[i] = make([]byte, msgSize)
-	}
-	return pb
 }
 
 func pwwWorker(m Machine, cfg PWWConfig) *PWWResult {
@@ -73,9 +69,8 @@ func pwwWorker(m Machine, cfg PWWConfig) *PWWResult {
 
 	window := make([]*pwwBatch, cfg.Interleave)
 	for i := range window {
-		window[i] = newPWWBatch(b, cfg.MsgSize)
+		window[i] = newPWWBatch(b)
 	}
-	payload := make([]byte, cfg.MsgSize)
 
 	var postRecv, postSend, workT, waitT time.Duration
 	var bytes int64
@@ -91,12 +86,12 @@ func pwwWorker(m Machine, cfg PWWConfig) *PWWResult {
 		// Post phase: receives first, then sends, each call timed.
 		for i := 0; i < b; i++ {
 			t0 := m.Now()
-			pb.recvs[i] = m.Irecv(peer, cfg.Tag, pb.bufs[i])
+			pb.recvs[i] = m.IrecvLen(peer, cfg.Tag, cfg.MsgSize)
 			postRecv += m.Now() - t0
 		}
 		for i := 0; i < b; i++ {
 			t0 := m.Now()
-			pb.sends[i] = m.Isend(peer, cfg.Tag, payload)
+			pb.sends[i] = m.IsendLen(peer, cfg.Tag, cfg.MsgSize)
 			postSend += m.Now() - t0
 		}
 	}
@@ -196,16 +191,15 @@ func pwwSupport(m Machine, cfg PWWConfig) {
 
 	window := make([]*pwwBatch, cfg.Interleave)
 	for i := range window {
-		window[i] = newPWWBatch(b, cfg.MsgSize)
+		window[i] = newPWWBatch(b)
 	}
-	payload := make([]byte, cfg.MsgSize)
 
 	post := func(pb *pwwBatch) {
 		for i := 0; i < b; i++ {
-			pb.recvs[i] = m.Irecv(peer, cfg.Tag, pb.bufs[i])
+			pb.recvs[i] = m.IrecvLen(peer, cfg.Tag, cfg.MsgSize)
 		}
 		for i := 0; i < b; i++ {
-			pb.sends[i] = m.Isend(peer, cfg.Tag, payload)
+			pb.sends[i] = m.IsendLen(peer, cfg.Tag, cfg.MsgSize)
 		}
 	}
 	wait := func(pb *pwwBatch) {

@@ -32,6 +32,41 @@ func TestParseStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurationsRenderLosslessly pins String's duration form: exact for
+// every duration, and unchanged for the forms committed keys use.
+func TestDurationsRenderLosslessly(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"delay=0.2:12345ns", "delay=0.2:12345ns,seed=0"},
+		{"delay=0.2:12346ns", "delay=0.2:12346ns,seed=0"},
+		{"jitter=0.1:1234567ns", "jitter=0.1:1234567ns,seed=0"},
+		{"delay=0.2:20000s", "delay=0.2:20000s,seed=0"},
+		{"delay=0.2:20us,seed=5", "delay=0.2:20us,seed=5"},
+		{"reorder=0.25,delay=0.5:40us,seed=7", "reorder=0.25,delay=0.5:40us,seed=7"},
+		{"jitter=0.3:100us,seed=11", "jitter=0.3:100us,seed=11"},
+		{"delay=0.1:1.5ms", "delay=0.1:1.5ms,seed=0"},
+		// A reorder or duplication bound off the default has no delay
+		// probability to ride on.
+		{"reorder=0.1,delay=0:5us", "reorder=0.1,delay=0:5us,seed=0"},
+		{"dup=0.1,delay=0:25us", "dup=0.1,delay=0:25us,seed=0"},
+		{"dup=0.1,delay=0:10us", "dup=0.1,seed=0"},
+	} {
+		s, err := Parse(tc.in)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.in, err)
+		}
+		if got := s.String(); got != tc.want {
+			t.Errorf("Parse(%q).String() = %q, want %q", tc.in, got, tc.want)
+		}
+		if back, err := Parse(s.String()); err != nil || back != s {
+			t.Errorf("Parse(%q) = %+v, %v; want %+v", s.String(), back, err, s)
+		}
+	}
+	// An unset bound means the default, so it adds nothing to the key.
+	if got := (Spec{Reorder: 0.25, Dup: 0.1, Seed: 3}).String(); got != "dup=0.1,reorder=0.25,seed=3" {
+		t.Errorf("String() = %q, want the form without a delay bound", got)
+	}
+}
+
 func TestParseDefaults(t *testing.T) {
 	s, err := Parse("delay=0.2,jitter=0.1,seed=1")
 	if err != nil {
@@ -58,6 +93,8 @@ func TestParseErrors(t *testing.T) {
 		"drop=high",
 		"drop=1.5",
 		"drop=-0.1",
+		"drop=NaN",
+		"jitter=NaN:1us",
 		"delay=0.2:fast",
 		"seed=-1",
 		"seed=abc",

@@ -27,8 +27,8 @@ type Spec struct {
 	// delivery delay, uniform in (0, DelayMax].
 	DelayProb float64
 	// DelayMax bounds the extra delay (also used as the hold-back bound
-	// for reordering).  Defaults to 10us when a delay or reorder
-	// probability is set without it.
+	// for reordering and the lag of a duplicate).  Defaults to 10us when
+	// a delay, reorder or duplication probability is set without it.
 	DelayMax sim.Time
 	// JitterProb is the per-bulk-packet probability of a CPU jitter burst
 	// on the receiving node: JitterBurst of interrupt-priority CPU time
@@ -60,16 +60,29 @@ func (s Spec) Zero() bool {
 // (see internal/scenario).
 func (s Spec) WireOnly() bool { return s.JitterProb == 0 }
 
-// withDefaults returns s with unset magnitude bounds filled in.
+// withDefaults returns s with unset magnitude bounds filled in and
+// unused ones cleared, so two specs that inject the same faults are equal
+// and render alike.
 func (s Spec) withDefaults() Spec {
-	if (s.DelayProb > 0 || s.Reorder > 0) && s.DelayMax <= 0 {
-		s.DelayMax = DefaultDelayMax
+	if s.delayBounded() {
+		if s.DelayMax <= 0 {
+			s.DelayMax = DefaultDelayMax
+		}
+	} else {
+		s.DelayMax = 0
 	}
-	if s.JitterProb > 0 && s.JitterBurst <= 0 {
-		s.JitterBurst = DefaultJitterBurst
+	if s.JitterProb > 0 {
+		if s.JitterBurst <= 0 {
+			s.JitterBurst = DefaultJitterBurst
+		}
+	} else {
+		s.JitterBurst = 0
 	}
 	return s
 }
+
+// delayBounded reports whether DelayMax bounds any fault s injects.
+func (s Spec) delayBounded() bool { return s.DelayProb > 0 || s.Reorder > 0 || s.Dup > 0 }
 
 // Validate checks probability ranges and magnitude signs.
 func (s Spec) Validate() error {
@@ -80,7 +93,7 @@ func (s Spec) Validate() error {
 		{"drop", s.Drop}, {"dup", s.Dup}, {"reorder", s.Reorder},
 		{"delay", s.DelayProb}, {"jitter", s.JitterProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("faultinject: %s probability %v outside [0,1]", p.name, p.v)
 		}
 	}
@@ -94,7 +107,9 @@ func (s Spec) Validate() error {
 }
 
 // String renders the spec in the form Parse accepts, suitable for replay
-// instructions in failure messages.
+// instructions in failure messages and for cache keys: Parse reads every
+// parsed spec's String back as the same spec.  A reorder or duplication
+// bound that is set and not the default renders as "delay=0:<bound>".
 func (s Spec) String() string {
 	var parts []string
 	add := func(k string, v float64) {
@@ -105,14 +120,38 @@ func (s Spec) String() string {
 	add("drop", s.Drop)
 	add("dup", s.Dup)
 	add("reorder", s.Reorder)
-	if s.DelayProb > 0 {
-		parts = append(parts, fmt.Sprintf("delay=%v:%v", s.DelayProb, s.DelayMax))
+	if s.DelayProb > 0 || (s.delayBounded() && s.DelayMax > 0 && s.DelayMax != DefaultDelayMax) {
+		parts = append(parts, fmt.Sprintf("delay=%v:%s", s.DelayProb, durString(s.DelayMax)))
 	}
 	if s.JitterProb > 0 {
-		parts = append(parts, fmt.Sprintf("jitter=%v:%v", s.JitterProb, s.JitterBurst))
+		parts = append(parts, fmt.Sprintf("jitter=%v:%s", s.JitterProb, durString(s.JitterBurst)))
 	}
 	parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
 	return strings.Join(parts, ",")
+}
+
+// durString renders d so that time.ParseDuration reads it back exactly:
+// in sim.Time's short form when that round-trips, as every committed key's
+// durations do, else as a whole number of the largest unit dividing d.
+func durString(d sim.Time) string {
+	if s := d.String(); parsesTo(s, d) {
+		return s
+	}
+	for _, u := range []struct {
+		t    sim.Time
+		name string
+	}{{sim.Second, "s"}, {sim.Millisecond, "ms"}, {sim.Microsecond, "us"}} {
+		if d%u.t == 0 {
+			return fmt.Sprintf("%d%s", d/u.t, u.name)
+		}
+	}
+	return fmt.Sprintf("%dns", int64(d))
+}
+
+// parsesTo reports whether time.ParseDuration reads s as exactly d.
+func parsesTo(s string, d sim.Time) bool {
+	got, err := time.ParseDuration(s)
+	return err == nil && got.Nanoseconds() == int64(d)
 }
 
 // Parse reads a comma-separated fault spec, e.g.

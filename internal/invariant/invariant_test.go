@@ -84,7 +84,7 @@ type brokenEndpoint struct {
 }
 
 func (b brokenEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
-	r.Complete(r.Peer(), r.Tag(), len(r.Buf()))
+	r.Complete(r.Peer(), r.Tag(), r.Len())
 }
 
 // MatchState forwards to the real endpoint so the checker's unexpected-

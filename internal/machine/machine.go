@@ -53,6 +53,16 @@ func (m *Sim) Irecv(src, tag int, buf []byte) core.Request {
 	return m.c.Irecv(m.p, src, tag, buf)
 }
 
+// IsendLen implements core.Machine.
+func (m *Sim) IsendLen(dst, tag, n int) core.Request {
+	return m.c.IsendLen(m.p, dst, tag, n)
+}
+
+// IrecvLen implements core.Machine.
+func (m *Sim) IrecvLen(src, tag, n int) core.Request {
+	return m.c.IrecvLen(m.p, src, tag, n)
+}
+
 // Test implements core.Machine.
 func (m *Sim) Test(r core.Request) bool { return m.c.Test(m.p, r.(*mpi.Request)) }
 
@@ -131,6 +141,16 @@ func (v PairView) Isend(dst, tag int, data []byte) core.Request {
 // Irecv implements core.Machine, translating the pair-local source.
 func (v PairView) Irecv(src, tag int, buf []byte) core.Request {
 	return v.M.Irecv(v.base()+src, tag, buf)
+}
+
+// IsendLen implements core.Machine, translating the pair-local destination.
+func (v PairView) IsendLen(dst, tag, n int) core.Request {
+	return v.M.IsendLen(v.base()+dst, tag, n)
+}
+
+// IrecvLen implements core.Machine, translating the pair-local source.
+func (v PairView) IrecvLen(src, tag, n int) core.Request {
+	return v.M.IrecvLen(v.base()+src, tag, n)
 }
 
 // Test implements core.Machine.

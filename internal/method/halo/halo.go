@@ -121,13 +121,6 @@ func measure(ctx context.Context, in *platform.Instance, system string, p Params
 				dirs = append(dirs, d)
 			}
 		}
-		sendBufs := make(map[int][]byte, len(dirs))
-		recvBufs := make(map[int][]byte, len(dirs))
-		for _, d := range dirs {
-			sendBufs[d] = make([]byte, p.MsgSize)
-			recvBufs[d] = make([]byte, p.MsgSize)
-		}
-
 		c.Barrier(pr)
 		t0 := pr.Now()
 		var myWait sim.Time
@@ -135,12 +128,13 @@ func measure(ctx context.Context, in *platform.Instance, system string, p Params
 			reqs := make([]*mpi.Request, 0, 2*len(dirs))
 			// Receives first (pre-posted halos), then the sends: a halo
 			// sent in direction d arrives tagged d and matches the
-			// receiver's opposite-direction slot.
+			// receiver's opposite-direction slot.  Halos are length-only:
+			// nothing reads their contents.
 			for _, d := range dirs {
-				reqs = append(reqs, c.Irecv(pr, nb[d], opposite(d), recvBufs[d]))
+				reqs = append(reqs, c.IrecvLen(pr, nb[d], opposite(d), p.MsgSize))
 			}
 			for _, d := range dirs {
-				reqs = append(reqs, c.Isend(pr, nb[d], d, sendBufs[d]))
+				reqs = append(reqs, c.IsendLen(pr, nb[d], d, p.MsgSize))
 			}
 			if p.WorkIters > 0 {
 				switch p.Progress {

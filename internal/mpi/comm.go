@@ -51,44 +51,62 @@ func (c *Comm) Endpoint() Endpoint { return c.ep }
 // and returns its request.  The payload is captured at call time, so the
 // caller may reuse the slice once the request completes.
 func (c *Comm) Isend(p *sim.Proc, dst, tag int, data []byte) *Request {
-	c.checkRank(dst)
-	c.checkTag(tag)
-	r := &Request{
-		kind:     KindSend,
-		comm:     c,
-		peer:     dst,
-		tag:      tag,
-		data:     data,
-		postedAt: c.env.Now(),
-	}
-	if c.meter != nil {
-		c.meter.posted(KindSend)
-	}
-	c.ep.Isend(p, r)
-	return r
+	return c.isend(p, dst, tag, len(data), data)
+}
+
+// IsendLen starts a length-only send: an n-byte message that carries no
+// bytes.  Transports charge it exactly as an Isend of n bytes; only the
+// payload copies are skipped.  Bulk streams whose contents nothing reads
+// use it.
+func (c *Comm) IsendLen(p *sim.Proc, dst, tag, n int) *Request {
+	return c.isend(p, dst, tag, n, nil)
 }
 
 // Irecv posts a non-blocking receive into buf from rank src (or AnySource)
 // with the given tag (or AnyTag) and returns its request.
 func (c *Comm) Irecv(p *sim.Proc, src, tag int, buf []byte) *Request {
+	return c.irecv(p, src, tag, len(buf), buf)
+}
+
+// IrecvLen posts a length-only receive of capacity n: it matches and
+// completes like an Irecv into an n-byte buffer, with count min(message
+// size, n), but keeps no bytes.
+func (c *Comm) IrecvLen(p *sim.Proc, src, tag, n int) *Request {
+	return c.irecv(p, src, tag, n, nil)
+}
+
+func (c *Comm) isend(p *sim.Proc, dst, tag, n int, data []byte) *Request {
+	c.checkRank(dst)
+	c.checkTag(tag)
+	c.checkLen(n)
+	return c.post(p, &Request{kind: KindSend, peer: dst, tag: tag, n: n, data: data})
+}
+
+func (c *Comm) irecv(p *sim.Proc, src, tag, n int, buf []byte) *Request {
 	if src != AnySource {
 		c.checkRank(src)
 	}
 	if tag != AnyTag {
 		c.checkTag(tag)
 	}
-	r := &Request{
-		kind:     KindRecv,
-		comm:     c,
-		peer:     src,
-		tag:      tag,
-		buf:      buf,
-		postedAt: c.env.Now(),
-	}
+	c.checkLen(n)
+	return c.post(p, &Request{kind: KindRecv, peer: src, tag: tag, n: n, buf: buf})
+}
+
+// post stamps r, counts it on the meter and hands it to the endpoint.
+// Every request, application or library-internal, goes through here, so
+// conservation accounting covers internal traffic exactly like
+// application traffic.
+func (c *Comm) post(p *sim.Proc, r *Request) *Request {
+	r.comm, r.postedAt = c, c.env.Now()
 	if c.meter != nil {
-		c.meter.posted(KindRecv)
+		c.meter.posted(r.kind)
 	}
-	c.ep.Irecv(p, r)
+	if r.kind == KindSend {
+		c.ep.Isend(p, r)
+	} else {
+		c.ep.Irecv(p, r)
+	}
 	return r
 }
 
@@ -241,27 +259,13 @@ func (c *Comm) recvInternal(p *sim.Proc, src, tag int, buf []byte) {
 }
 
 // postInternalSend / postInternalRecv post a library-internal request
-// (reserved tag space, no tag validation) without waiting on it.  They
-// still feed the message meter: conservation accounting covers internal
-// traffic exactly like application traffic.
+// (reserved tag space, no tag validation) without waiting on it.
 func (c *Comm) postInternalSend(p *sim.Proc, dst, tag int, data []byte) *Request {
-	r := &Request{kind: KindSend, comm: c, peer: dst, tag: tag, data: data,
-		postedAt: c.env.Now()}
-	if c.meter != nil {
-		c.meter.posted(KindSend)
-	}
-	c.ep.Isend(p, r)
-	return r
+	return c.post(p, &Request{kind: KindSend, peer: dst, tag: tag, n: len(data), data: data})
 }
 
 func (c *Comm) postInternalRecv(p *sim.Proc, src, tag int, buf []byte) *Request {
-	r := &Request{kind: KindRecv, comm: c, peer: src, tag: tag, buf: buf,
-		postedAt: c.env.Now()}
-	if c.meter != nil {
-		c.meter.posted(KindRecv)
-	}
-	c.ep.Irecv(p, r)
-	return r
+	return c.post(p, &Request{kind: KindRecv, peer: src, tag: tag, n: len(buf), buf: buf})
 }
 
 func (c *Comm) checkRank(rank int) {
@@ -273,5 +277,11 @@ func (c *Comm) checkRank(rank int) {
 func (c *Comm) checkTag(tag int) {
 	if tag < 0 || tag >= TagUpper {
 		panic(fmt.Sprintf("mpi: tag %d out of range [0,%d)", tag, TagUpper))
+	}
+}
+
+func (c *Comm) checkLen(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("mpi: negative message length %d", n))
 	}
 }

@@ -287,3 +287,45 @@ func TestDeadlockDetected(t *testing.T) {
 		t.Fatal("expected deadlock error")
 	}
 }
+
+// TestMeterConservesLengthOnly mixes length-only and byte messages, both
+// ways and with the receive posted late, and checks the meter's
+// conservation totals: every post completes, and the bytes sent, read
+// from each request's length, equal the bytes received.
+func TestMeterConservesLengthOnly(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, name string) {
+		in, err := platform.New(platform.Config{Transport: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer in.Close()
+		var m mpi.Meter
+		for _, c := range in.Comms {
+			c.SetMeter(&m)
+		}
+		const small, large = 1_000, 100_000
+		err = in.Run(func(p *sim.Proc, c *mpi.Comm) {
+			peer := 1 - c.Rank()
+			rs := []*mpi.Request{
+				c.IrecvLen(p, peer, 1, large),
+				c.Irecv(p, peer, 2, make([]byte, small)),
+				c.IsendLen(p, peer, 1, large),
+				c.Isend(p, peer, 2, pattern(small, 1)),
+				c.IsendLen(p, peer, 3, small),
+			}
+			p.Sleep(50 * sim.Millisecond) // the tag-3 message arrives unexpected
+			rs = append(rs, c.IrecvLen(p, peer, 3, small))
+			c.Waitall(p, rs)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const perRank = large + 2*small
+		if m.PostedSends != 6 || m.DoneSends != 6 || m.PostedRecvs != 6 || m.DoneRecvs != 6 {
+			t.Errorf("meter counts %+v, want 6 posted and done each way", m)
+		}
+		if m.SentBytes != 2*perRank || m.RecvBytes != 2*perRank {
+			t.Errorf("sent %d bytes, received %d, want %d both", m.SentBytes, m.RecvBytes, 2*perRank)
+		}
+	})
+}

@@ -1,8 +1,10 @@
 package mpi
 
 // Inbound is an incoming message envelope presented to the matcher: either
-// a fully-buffered eager message (Data non-nil) or a rendezvous
-// announcement (Data nil, Rndv carrying the transport's RTS handle).
+// a fully-buffered eager message (Rndv nil) or a rendezvous announcement
+// (Rndv carrying the transport's RTS handle).  Size is the message length;
+// Data holds a buffered message's bytes, and is nil when the message is
+// length-only, so it cannot tell the two kinds apart.
 type Inbound struct {
 	Src  int
 	Tag  int

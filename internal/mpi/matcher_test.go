@@ -15,7 +15,7 @@ func newTestEnv(t *testing.T) *sim.Env {
 }
 
 func recvReq(env *sim.Env, src, tag int) *Request {
-	return &Request{kind: KindRecv, peer: src, tag: tag, buf: make([]byte, 64), ev: env.NewEvent()}
+	return &Request{kind: KindRecv, peer: src, tag: tag, n: 64, buf: make([]byte, 64), ev: env.NewEvent()}
 }
 
 func TestMatcherExactMatch(t *testing.T) {
@@ -173,7 +173,7 @@ func TestRequestCompleteTwicePanics(t *testing.T) {
 
 func TestRequestAccessors(t *testing.T) {
 	env := newTestEnv(t)
-	r := &Request{kind: KindSend, peer: 3, tag: 9, data: []byte("hello"), ev: env.NewEvent()}
+	r := &Request{kind: KindSend, peer: 3, tag: 9, n: 5, data: []byte("hello"), ev: env.NewEvent()}
 	if r.Kind() != KindSend || r.Peer() != 3 || r.Tag() != 9 || r.Bytes() != 5 {
 		t.Fatal("send accessors wrong")
 	}

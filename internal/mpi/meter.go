@@ -44,7 +44,7 @@ func (m *Meter) posted(kind Kind) {
 func (m *Meter) completed(r *Request) {
 	if r.kind == KindSend {
 		m.DoneSends++
-		m.SentBytes += int64(len(r.data))
+		m.SentBytes += int64(r.n)
 	} else {
 		m.DoneRecvs++
 		m.RecvBytes += int64(r.status.Count)

@@ -44,8 +44,9 @@ type Request struct {
 	peer int // destination rank (send) or source filter (recv)
 	tag  int
 
-	data []byte // send payload (captured at post time)
-	buf  []byte // receive buffer
+	n    int    // payload length: a send's size, a receive's capacity
+	data []byte // send payload (captured at post time); nil when length-only
+	buf  []byte // receive buffer; nil when length-only
 
 	done     bool
 	status   Status
@@ -65,10 +66,17 @@ func (r *Request) Peer() int { return r.peer }
 // Tag returns the message tag (may be AnyTag for receives).
 func (r *Request) Tag() int { return r.tag }
 
-// Data returns the payload of a send request.
+// Len returns the request's payload length: the message size of a send,
+// the capacity of a receive.  Transports take every size and every cost
+// from it, never from Data or Buf.
+func (r *Request) Len() int { return r.n }
+
+// Data returns the payload of a send request, or nil for a length-only
+// send (Comm.IsendLen).
 func (r *Request) Data() []byte { return r.data }
 
-// Buf returns the receive buffer of a receive request.
+// Buf returns the receive buffer of a receive request, or nil for a
+// length-only receive (Comm.IrecvLen).
 func (r *Request) Buf() []byte { return r.buf }
 
 // Done reports whether the request has completed.
@@ -78,7 +86,7 @@ func (r *Request) Done() bool { return r.done }
 // payload length for sends, the received count for completed receives.
 func (r *Request) Bytes() int {
 	if r.kind == KindSend {
-		return len(r.data)
+		return r.n
 	}
 	return r.status.Count
 }
@@ -112,7 +120,8 @@ func (r *Request) SetPriv(v any) { r.priv = v }
 
 // Complete marks the request finished and fires its completion event.
 // Transports call it exactly once; a second call panics.  For receives,
-// src/tag/count record the matched envelope.
+// src/tag/count record the matched envelope; count is min(message size,
+// Len) whether or not either end carries bytes.
 func (r *Request) Complete(src, tag, count int) {
 	if r.done {
 		panic(fmt.Sprintf("mpi: %v request completed twice", r.kind))

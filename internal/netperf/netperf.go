@@ -133,16 +133,14 @@ func measure(ctx context.Context, in *platform.Instance, system string, mode Wai
 	})
 	env.Spawn("netperf-comm", func(p *sim.Proc) {
 		// Netperf streams continuously; keep a window of exchanges in
-		// flight so the node sees sustained communication load.
+		// flight so the node sees sustained communication load.  The
+		// stream is length-only: nothing reads its contents.
 		const window = 8
 		c := in.Comms[0]
-		payload := make([]byte, msgSize)
 		recvs := make([]*mpi.Request, window)
-		bufs := make([][]byte, window)
 		for i := range recvs {
-			bufs[i] = make([]byte, msgSize)
-			recvs[i] = c.Irecv(p, 1, 1, bufs[i])
-			c.Isend(p, 1, 1, payload)
+			recvs[i] = c.IrecvLen(p, 1, 1, msgSize)
+			c.IsendLen(p, 1, 1, msgSize)
 		}
 		streamReady.Fire(nil)
 		for !stop {
@@ -150,8 +148,8 @@ func measure(ctx context.Context, in *platform.Instance, system string, mode Wai
 			case SelectWait:
 				// Netperf's assumption: relinquish the CPU while waiting.
 				i := c.Waitany(p, recvs)
-				recvs[i] = c.Irecv(p, 1, 1, bufs[i])
-				c.Isend(p, 1, 1, payload)
+				recvs[i] = c.IrecvLen(p, 1, 1, msgSize)
+				c.IsendLen(p, 1, 1, msgSize)
 			case BusyWait:
 				// How OS-bypass MPI actually waits: spin inside the
 				// library, losing the CPU only when the scheduler preempts
@@ -168,13 +166,12 @@ func measure(ctx context.Context, in *platform.Instance, system string, mode Wai
 	})
 	env.Spawn("netperf-echo", func(p *sim.Proc) {
 		c := in.Comms[1]
-		buf := make([]byte, msgSize)
 		finBuf := make([]byte, 0)
 		fin := c.Irecv(p, 0, 2, finBuf)
 		pending := make([]*mpi.Request, 0, 3)
 		for {
-			rr := c.Irecv(p, 0, 1, buf)
-			sr := c.Isend(p, 0, 1, buf)
+			rr := c.IrecvLen(p, 0, 1, msgSize)
+			sr := c.IsendLen(p, 0, 1, msgSize)
 			for !(rr.Done() && sr.Done()) {
 				// Wait only on still-incomplete requests (plus the stop
 				// signal) so Waitany always makes progress.

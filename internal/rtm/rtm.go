@@ -94,9 +94,11 @@ func (w *World) Run(fn func(m core.Machine)) {
 	}
 }
 
-// message is one in-flight payload.
+// message is one in-flight message: its length, and its bytes unless it
+// is length-only.
 type message struct {
 	src, tag int
+	n        int
 	data     []byte
 }
 
@@ -106,7 +108,8 @@ type request struct {
 	kind  int // 0 send, 1 recv
 	src   int
 	tag   int
-	buf   []byte
+	n     int    // receive capacity
+	buf   []byte // nil for a length-only receive
 	done  bool
 	bytes int
 }
@@ -188,18 +191,35 @@ func Calibrate() time.Duration {
 // (buffered send), so the request completes at once; delivery follows the
 // world's progress discipline on the receiving side.
 func (m *Machine) Isend(dst, tag int, data []byte) core.Request {
+	return m.send(dst, &message{src: m.rank, tag: tag, n: len(data), data: append([]byte(nil), data...)})
+}
+
+// IsendLen implements core.Machine: an n-byte message with no bytes.
+func (m *Machine) IsendLen(dst, tag, n int) core.Request {
+	return m.send(dst, &message{src: m.rank, tag: tag, n: n})
+}
+
+func (m *Machine) send(dst int, msg *message) core.Request {
 	peer := m.w.ranks[dst]
-	msg := &message{src: m.rank, tag: tag, data: append([]byte(nil), data...)}
 	peer.mu.Lock()
 	peer.staging = append(peer.staging, msg)
 	peer.cond.Broadcast()
 	peer.mu.Unlock()
-	return &request{m: m, kind: 0, done: true, bytes: len(data)}
+	return &request{m: m, kind: 0, done: true, bytes: msg.n}
 }
 
 // Irecv implements core.Machine.
 func (m *Machine) Irecv(src, tag int, buf []byte) core.Request {
-	r := &request{m: m, kind: 1, src: src, tag: tag, buf: buf}
+	return m.recv(&request{m: m, kind: 1, src: src, tag: tag, n: len(buf), buf: buf})
+}
+
+// IrecvLen implements core.Machine: a receive of capacity n that keeps no
+// bytes.
+func (m *Machine) IrecvLen(src, tag, n int) core.Request {
+	return m.recv(&request{m: m, kind: 1, src: src, tag: tag, n: n})
+}
+
+func (m *Machine) recv(r *request) core.Request {
 	m.mu.Lock()
 	m.posted = append(m.posted, r)
 	if m.w.mode == Library {
@@ -248,7 +268,8 @@ func (m *Machine) matchPostedLocked(msg *message) bool {
 	for i, r := range m.posted {
 		if r.matches(msg) {
 			m.posted = append(m.posted[:i], m.posted[i+1:]...)
-			r.bytes = copy(r.buf, msg.data)
+			copy(r.buf, msg.data)
+			r.bytes = min(msg.n, r.n)
 			r.done = true
 			m.cond.Broadcast()
 			return true

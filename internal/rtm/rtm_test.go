@@ -263,3 +263,33 @@ func TestCalibrate(t *testing.T) {
 		t.Fatalf("per-iteration cost %v implausibly slow", per)
 	}
 }
+
+// TestLengthOnly sends length-only messages: into a length-only receive,
+// which completes with the message's length, and into a smaller byte
+// buffer, which completes with its capacity and is left untouched.
+func TestLengthOnly(t *testing.T) {
+	forEachMode(t, func(t *testing.T, mode Mode) {
+		buf := []byte("untouched")
+		var whole, truncated int
+		w := NewWorld(2, mode)
+		w.Run(func(m core.Machine) {
+			if m.Rank() == 0 {
+				m.Wait(m.IsendLen(1, 5, 100_000))
+				m.Wait(m.IsendLen(1, 6, 100_000))
+			} else {
+				r := m.IrecvLen(0, 5, 200_000)
+				m.Wait(r)
+				whole = r.Bytes()
+				r = m.Irecv(0, 6, buf)
+				m.Wait(r)
+				truncated = r.Bytes()
+			}
+		})
+		if whole != 100_000 || truncated != len(buf) {
+			t.Errorf("Bytes = %d and %d, want 100000 and %d", whole, truncated, len(buf))
+		}
+		if string(buf) != "untouched" {
+			t.Errorf("byte buffer holds %q after a length-only message", buf)
+		}
+	})
+}

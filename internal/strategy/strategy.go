@@ -29,6 +29,7 @@ package strategy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,10 +126,18 @@ func Parse(text string) (*Spec, error) {
 	return s, nil
 }
 
-// Validate checks the name, rejects knobs that do not apply to it, and
-// fills the applicable zero knobs with their defaults.  A grid spec
-// ends up with every knob zero.
+// Validate checks the name, rejects knobs that do not apply to it or are
+// not finite, and fills the applicable zero knobs with their defaults.  A
+// grid spec ends up with every knob zero.
 func (s *Spec) Validate() error {
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{{"target", s.Target}, {"reltol", s.RelTol}, {"confidence", s.Confidence}} {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return fmt.Errorf("strategy: %s %g is not finite", k.name, k.v)
+		}
+	}
 	switch s.Name {
 	case "", Grid:
 		s.Name = Grid

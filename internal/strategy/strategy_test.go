@@ -54,6 +54,11 @@ func TestParseErrors(t *testing.T) {
 		"bisect:target=abc",                 // unparsable value
 		"bisect:target",                     // not key=value
 		"bisect:speed=9",                    // unknown knob
+		"adaptive-reps:confidence=NaN",      // not finite
+		"adaptive-reps:reltol=NaN",          // not finite
+		"adaptive-reps:reltol=+Inf",         // not finite
+		"bisect:target=NaN",                 // not finite
+		"bisect:target=-Inf",                // not finite
 	}
 	for _, in := range cases {
 		if _, err := Parse(in); err == nil {

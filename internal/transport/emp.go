@@ -69,6 +69,7 @@ func (t *EMP) Build(sys *cluster.System) []mpi.Endpoint {
 			node: node,
 			fab:  sys.Fabric,
 			hub:  mpi.NewActivityHub(node.Env),
+			bufs: bufPool{fab: sys.Fabric},
 			acc:  make(map[empMsgID]*empAccum),
 		}
 		ep.sendDoneFn = ep.sendDone
@@ -85,8 +86,9 @@ type empMsgID struct {
 }
 
 // empFrag is one wire frame.  buf is the whole send buffer data slices
-// into (recycled once every byte of the message has landed); acc carries
-// the receive accumulator through the deferred firmware-match event.
+// into (recycled once every byte of the message has landed; both are nil
+// for a length-only message); acc carries the receive accumulator through
+// the deferred firmware-match event.
 type empFrag struct {
 	id   empMsgID
 	src  int
@@ -103,7 +105,7 @@ type empFrag struct {
 type empAccum struct {
 	size int
 	got  int
-	data []byte
+	data []byte // on-card assembly buffer; nil when length-only
 	src  int
 	tag  int
 	req  *mpi.Request // matched destination, nil while unexpected
@@ -121,8 +123,8 @@ type empEndpoint struct {
 	seq  int64
 	acc  map[empMsgID]*empAccum
 
+	bufs       bufPool
 	fragFree   []*empFrag
-	bufFree    [][]byte
 	accFree    []*empAccum
 	sendDoneFn func(any) // bound once: completes a finished send
 	matchFn    func(any) // bound once: deferred firmware match
@@ -147,29 +149,13 @@ func (ep *empEndpoint) putFrag(f *empFrag) {
 	}
 }
 
-func (ep *empEndpoint) getBuf(n int) []byte {
-	if m := len(ep.bufFree); m > 0 && ep.pooling() {
-		buf := ep.bufFree[m-1]
-		ep.bufFree = ep.bufFree[:m-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func (ep *empEndpoint) getAccum(size int) *empAccum {
+func (ep *empEndpoint) getAccum() *empAccum {
 	if n := len(ep.accFree); n > 0 && ep.pooling() {
 		a := ep.accFree[n-1]
 		ep.accFree = ep.accFree[:n-1]
-		if cap(a.data) >= size {
-			a.data = a.data[:size]
-			return a
-		}
-		a.data = make([]byte, size)
 		return a
 	}
-	return &empAccum{data: make([]byte, size)}
+	return &empAccum{}
 }
 
 func (ep *empEndpoint) rank() int { return ep.node.ID }
@@ -195,15 +181,16 @@ func (ep *empEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	ep.node.CPU.Use(p, ep.cfg.PostCost, cluster.User)
 	id := empMsgID{src: ep.rank(), seq: ep.seq}
 	ep.seq++
-	data := ep.getBuf(len(r.Data()))
-	copy(data, r.Data())
+	size, data := r.Len(), ep.bufs.copyOf(r.Data())
 	off := 0
-	sentAt := ep.fab.SendMessage(ep.rank(), r.Peer(), len(data), ep.node.P.PacketHeader,
+	sentAt := ep.fab.SendMessage(ep.rank(), r.Peer(), size, ep.node.P.PacketHeader,
 		func(i, n int, last bool) any {
 			f := ep.getFrag()
-			f.id, f.src, f.tag, f.size = id, ep.rank(), r.Tag(), len(data)
+			f.id, f.src, f.tag, f.size = id, ep.rank(), r.Tag(), size
 			f.off, f.n, f.last = off, n, last
-			f.data, f.buf = data[off:off+n], data
+			if data != nil {
+				f.data, f.buf = data[off:off+n], data
+			}
 			off += n
 			return f
 		})
@@ -217,7 +204,7 @@ func (ep *empEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 // sendDone completes a send whose final frame has left the host.
 func (ep *empEndpoint) sendDone(a any) {
 	r := a.(*mpi.Request)
-	r.Complete(ep.rank(), r.Tag(), len(r.Data()))
+	r.Complete(ep.rank(), r.Tag(), r.Len())
 	ep.hub.Wake()
 }
 
@@ -239,17 +226,14 @@ func (ep *empEndpoint) maybeComplete(a *empAccum) {
 	if a.req == nil || a.got != a.size {
 		return
 	}
-	count := copy(a.req.Buf(), a.data)
-	if a.size == 0 {
-		count = 0
-	}
-	req, src, tag := a.req, a.src, a.tag
+	copy(a.req.Buf(), a.data)
+	req, src, tag, size := a.req, a.src, a.tag, a.size
+	ep.bufs.put(a.data)
 	if ep.pooling() {
-		data := a.data
-		*a = empAccum{data: data} // keep the assembly buffer for reuse
+		*a = empAccum{}
 		ep.accFree = append(ep.accFree, a)
 	}
-	req.Complete(src, tag, count)
+	req.Complete(src, tag, min(size, req.Len()))
 	ep.hub.Wake()
 }
 
@@ -260,8 +244,11 @@ func (ep *empEndpoint) onPacket(pkt *cluster.Packet) {
 	f := pkt.Payload.(*empFrag)
 	a := ep.acc[f.id]
 	if a == nil {
-		a = ep.getAccum(f.size)
-		a.size, a.got, a.src, a.tag, a.req = f.size, 0, f.src, f.tag, nil
+		a = ep.getAccum()
+		a.size, a.src, a.tag = f.size, f.src, f.tag
+		if f.data != nil {
+			a.data = ep.bufs.get(f.size)
+		}
 		ep.acc[f.id] = a
 		// Firmware matching happens once per message; model its latency
 		// by deferring the first frame's accounting.
@@ -293,13 +280,13 @@ func (ep *empEndpoint) match(arg any) {
 // landed, nothing references the sender's buffer any more, so it is
 // recycled here.
 func (ep *empEndpoint) landFrag(a *empAccum, f *empFrag) {
-	copy(a.data[f.off:], f.data)
+	if a.data != nil {
+		copy(a.data[f.off:], f.data)
+	}
 	a.got += f.n
 	if a.got == a.size {
 		delete(ep.acc, f.id)
-		if ep.pooling() && f.buf != nil {
-			ep.bufFree = append(ep.bufFree, f.buf)
-		}
+		ep.bufs.put(f.buf)
 		ep.maybeComplete(a)
 	}
 }

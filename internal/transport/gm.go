@@ -68,6 +68,7 @@ func (g *GM) Build(sys *cluster.System) []mpi.Endpoint {
 			node:     node,
 			fab:      sys.Fabric,
 			hub:      mpi.NewActivityHub(node.Env),
+			bufs:     bufPool{fab: sys.Fabric},
 			eagerAcc: make(map[gmMsgID]*gmAccum),
 			dataAcc:  make(map[gmMsgID]*gmAccum),
 			sendReqs: make(map[gmMsgID]*mpi.Request),
@@ -98,7 +99,8 @@ const (
 // gmFrag is the payload of one GM wire packet.  buf is the whole send
 // buffer data slices into; once the last fragment has been consumed the
 // receiver keeps it in its own pool, not the sender's, so under the
-// parallel engine each pool is touched only by its own partition.
+// parallel engine each pool is touched only by its own partition.  Both
+// are nil for a length-only message.
 type gmFrag struct {
 	kind gmFragKind
 	id   gmMsgID
@@ -135,7 +137,7 @@ type gmEvent struct {
 type gmAccum struct {
 	size int
 	got  int
-	data []byte       // eager assembly buffer (GM receive ring)
+	data []byte       // eager assembly buffer (GM receive ring); nil when length-only
 	req  *mpi.Request // destination request for rendezvous data
 	src  int
 	tag  int
@@ -159,8 +161,8 @@ type gmEndpoint struct {
 	dataAcc  map[gmMsgID]*gmAccum
 	sendReqs map[gmMsgID]*mpi.Request
 
+	bufs       bufPool
 	fragFree   []*gmFrag
-	bufFree    [][]byte
 	accFree    []*gmAccum
 	sendDoneFn func(any) // bound once: queues the send-done NIC event
 }
@@ -175,17 +177,6 @@ func (ep *gmEndpoint) getFrag() *gmFrag {
 		return f
 	}
 	return &gmFrag{}
-}
-
-func (ep *gmEndpoint) getBuf(n int) []byte {
-	if m := len(ep.bufFree); m > 0 && ep.pooling() {
-		buf := ep.bufFree[m-1]
-		ep.bufFree = ep.bufFree[:m-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]byte, n)
 }
 
 func (ep *gmEndpoint) getAccum() *gmAccum {
@@ -223,16 +214,14 @@ func (ep *gmEndpoint) pushEvent(ev gmEvent) {
 
 // Isend implements mpi.Endpoint.
 func (ep *gmEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
-	n := len(r.Data())
+	n := r.Len()
 	id := gmMsgID{src: ep.rank(), seq: ep.seq}
 	ep.seq++
 	if n < ep.cfg.EagerThreshold {
 		// Eager: the library copies the payload into GM send tokens; this
 		// is where GM's measured ~45 us per small message goes.
 		ep.node.CPU.Use(p, ep.cfg.EagerSendCost, cluster.User)
-		data := ep.getBuf(n)
-		copy(data, r.Data())
-		sentAt := ep.sendPayload(r.Peer(), id, r.Tag(), gmEagerFrag, data)
+		sentAt := ep.sendPayload(r, id, gmEagerFrag)
 		ep.scheduleAtCall(sentAt, ep.sendDoneFn, r)
 		return
 	}
@@ -266,7 +255,7 @@ func (ep *gmEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
 	if in == nil {
 		return
 	}
-	if in.Data != nil {
+	if in.Rndv == nil {
 		// The message arrived before the receive was posted, so it sits in
 		// a GM unexpected buffer; matching it costs a host copy.
 		ep.node.Memcpy(p, in.Size, cluster.User)
@@ -300,14 +289,12 @@ func (ep *gmEndpoint) Progress(p *sim.Proc) {
 				panic(fmt.Sprintf("transport: gm CTS for unknown send %v", ev.id))
 			}
 			delete(ep.sendReqs, ev.id)
-			data := ep.getBuf(len(r.Data()))
-			copy(data, r.Data())
-			sentAt := ep.sendPayload(r.Peer(), ev.id, r.Tag(), gmDataFrag, data)
+			sentAt := ep.sendPayload(r, ev.id, gmDataFrag)
 			ep.scheduleAtCall(sentAt, ep.sendDoneFn, r)
 		case gmEvtSendDone:
-			ev.req.Complete(ep.rank(), ev.req.Tag(), len(ev.req.Data()))
+			ev.req.Complete(ep.rank(), ev.req.Tag(), ev.req.Len())
 		case gmEvtDataDone:
-			ev.req.Complete(ev.in.Src, ev.in.Tag, ev.in.Size)
+			ev.req.Complete(ev.in.Src, ev.in.Tag, min(ev.in.Size, ev.req.Len()))
 		}
 	}
 }
@@ -315,15 +302,10 @@ func (ep *gmEndpoint) Progress(p *sim.Proc) {
 // deliverEager lands a complete eager message in the posted receive.  The
 // landing buffer is dead once copied out, so it goes back to the pool.
 func (ep *gmEndpoint) deliverEager(r *mpi.Request, in *mpi.Inbound) {
-	count := copy(r.Buf(), in.Data)
-	if in.Size == 0 {
-		count = 0
-	}
-	if ep.pooling() {
-		ep.bufFree = append(ep.bufFree, in.Data)
-		in.Data = nil
-	}
-	r.Complete(in.Src, in.Tag, count)
+	copy(r.Buf(), in.Data)
+	ep.bufs.put(in.Data)
+	in.Data = nil
+	r.Complete(in.Src, in.Tag, min(in.Size, r.Len()))
 }
 
 // sendCTS registers the receive buffer for incoming rendezvous data and
@@ -337,16 +319,20 @@ func (ep *gmEndpoint) sendCTS(p *sim.Proc, r *mpi.Request, in *mpi.Inbound) {
 	ep.sendCtrl(in.Src, gmCTS, id, 0, 0)
 }
 
-// sendPayload fragments data onto the wire and returns when the final
-// fragment has left the host (NIC DMA complete).
-func (ep *gmEndpoint) sendPayload(dst int, id gmMsgID, tag int, kind gmFragKind, data []byte) sim.Time {
+// sendPayload fragments r's message onto the wire, copying its bytes, if
+// it has any, into pooled send tokens, and returns when the final fragment
+// has left the host (NIC DMA complete).
+func (ep *gmEndpoint) sendPayload(r *mpi.Request, id gmMsgID, kind gmFragKind) sim.Time {
+	size, data := r.Len(), ep.bufs.copyOf(r.Data())
 	off := 0
-	return ep.fab.SendMessage(ep.rank(), dst, len(data), ep.node.P.PacketHeader,
+	return ep.fab.SendMessage(ep.rank(), r.Peer(), size, ep.node.P.PacketHeader,
 		func(i, n int, last bool) any {
 			f := ep.getFrag()
-			f.kind, f.id, f.src, f.tag = kind, id, ep.rank(), tag
-			f.size, f.off, f.n, f.last = len(data), off, n, last
-			f.data, f.buf = data[off:off+n], data
+			f.kind, f.id, f.src, f.tag = kind, id, ep.rank(), r.Tag()
+			f.size, f.off, f.n, f.last = size, off, n, last
+			if data != nil {
+				f.data, f.buf = data[off:off+n], data
+			}
 			off += n
 			return f
 		})
@@ -371,10 +357,15 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 		acc := ep.eagerAcc[f.id]
 		if acc == nil {
 			acc = ep.getAccum()
-			acc.size, acc.data, acc.src, acc.tag = f.size, ep.getBuf(f.size), f.src, f.tag
+			acc.size, acc.src, acc.tag = f.size, f.src, f.tag
+			if f.data != nil {
+				acc.data = ep.bufs.get(f.size)
+			}
 			ep.eagerAcc[f.id] = acc
 		}
-		copy(acc.data[f.off:], f.data)
+		if acc.data != nil {
+			copy(acc.data[f.off:], f.data)
+		}
 		acc.got += f.n
 		if f.last {
 			if acc.got != acc.size {
@@ -397,7 +388,9 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 		if !ok {
 			panic(fmt.Sprintf("transport: gm data for unregistered rendezvous %v", f.id))
 		}
-		copy(acc.req.Buf()[f.off:], f.data)
+		if buf := acc.req.Buf(); f.off < len(buf) {
+			copy(buf[f.off:], f.data)
+		}
 		acc.got += f.n
 		if f.last {
 			if acc.got != acc.size {
@@ -414,8 +407,8 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 	// slices) has been fully consumed: recycle both.  Fabric FIFO per pair
 	// guarantees the last fragment really is consumed last.
 	if ep.pooling() {
-		if f.last && f.buf != nil {
-			ep.bufFree = append(ep.bufFree, f.buf)
+		if f.last {
+			ep.bufs.put(f.buf)
 		}
 		*f = gmFrag{}
 		ep.fragFree = append(ep.fragFree, f)

@@ -58,7 +58,7 @@ type idealFrag struct {
 type idealAccum struct {
 	size int
 	got  int
-	data []byte
+	data []byte // assembly buffer; nil when length-only
 	src  int
 	tag  int
 }
@@ -92,12 +92,15 @@ func (ep *idealEndpoint) Progress(p *sim.Proc) {}
 func (ep *idealEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	id := idealMsgID{src: ep.rank(), seq: ep.seq}
 	ep.seq++
-	data := append([]byte(nil), r.Data()...)
+	size, data := r.Len(), append([]byte(nil), r.Data()...)
 	off := 0
-	sentAt := ep.fab.SendMessage(ep.rank(), r.Peer(), len(data), ep.node.P.PacketHeader,
+	sentAt := ep.fab.SendMessage(ep.rank(), r.Peer(), size, ep.node.P.PacketHeader,
 		func(i, n int, last bool) any {
-			f := &idealFrag{id: id, src: ep.rank(), tag: r.Tag(), size: len(data),
-				off: off, n: n, data: data[off : off+n], last: last}
+			f := &idealFrag{id: id, src: ep.rank(), tag: r.Tag(), size: size,
+				off: off, n: n, last: last}
+			if data != nil {
+				f.data = data[off : off+n]
+			}
 			off += n
 			return f
 		})
@@ -111,26 +114,36 @@ func (ep *idealEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 // sendDone completes a send whose final frame has left the host.
 func (ep *idealEndpoint) sendDone(a any) {
 	r := a.(*mpi.Request)
-	r.Complete(ep.rank(), r.Tag(), len(r.Data()))
+	r.Complete(ep.rank(), r.Tag(), r.Len())
 	ep.hub.Wake()
 }
 
 // Irecv implements mpi.Endpoint.
 func (ep *idealEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
 	if in := ep.m.PostRecv(r); in != nil {
-		count := copy(r.Buf(), in.Data)
-		r.Complete(in.Src, in.Tag, count)
+		ep.deliver(r, in)
 	}
+}
+
+// deliver lands a complete message in the matched receive.
+func (ep *idealEndpoint) deliver(r *mpi.Request, in *mpi.Inbound) {
+	copy(r.Buf(), in.Data)
+	r.Complete(in.Src, in.Tag, min(in.Size, r.Len()))
 }
 
 func (ep *idealEndpoint) onPacket(pkt *cluster.Packet) {
 	f := pkt.Payload.(*idealFrag)
 	a := ep.acc[f.id]
 	if a == nil {
-		a = &idealAccum{size: f.size, data: make([]byte, f.size), src: f.src, tag: f.tag}
+		a = &idealAccum{size: f.size, src: f.src, tag: f.tag}
+		if f.data != nil {
+			a.data = make([]byte, f.size)
+		}
 		ep.acc[f.id] = a
 	}
-	copy(a.data[f.off:], f.data)
+	if a.data != nil {
+		copy(a.data[f.off:], f.data)
+	}
 	a.got += f.n
 	if !f.last {
 		return
@@ -138,11 +151,7 @@ func (ep *idealEndpoint) onPacket(pkt *cluster.Packet) {
 	delete(ep.acc, f.id)
 	in := &mpi.Inbound{Src: a.src, Tag: a.tag, Size: a.size, Data: a.data}
 	if r := ep.m.Arrive(in); r != nil {
-		count := copy(r.Buf(), in.Data)
-		if in.Size == 0 {
-			count = 0
-		}
-		r.Complete(in.Src, in.Tag, count)
+		ep.deliver(r, in)
 	}
 	// Wake blocked waits and probes: either a request completed or a new
 	// envelope is visible on the unexpected queue.

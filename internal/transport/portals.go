@@ -69,6 +69,7 @@ func (t *Portals) Build(sys *cluster.System) []mpi.Endpoint {
 			node:     node,
 			fab:      sys.Fabric,
 			hub:      mpi.NewActivityHub(node.Env),
+			bufs:     bufPool{fab: sys.Fabric},
 			inflight: make(map[msgID]*ptlInbound),
 		}
 		ep.rxKernelFn = ep.rxKernel
@@ -82,9 +83,10 @@ func (t *Portals) Build(sys *cluster.System) []mpi.Endpoint {
 }
 
 // ptlFrag is the payload of one Portals wire packet.  msg backs data (its
-// kernel send buffer) and inb is filled in by the receive path once the
-// fragment is matched; both let the copy-completion stage recycle the
-// sender-side objects without any closure captures.
+// kernel send buffer; nil for a length-only message) and inb is filled in
+// by the receive path once the fragment is matched; both let the
+// copy-completion stage recycle the sender-side objects without any
+// closure captures.
 type ptlFrag struct {
 	id    msgID
 	src   int
@@ -106,8 +108,8 @@ type ptlInbound struct {
 	src, tag  int
 	size      int
 	req       *mpi.Request // nil until matched
-	kbuf      []byte       // kernel buffering for the unexpected path
-	buffered  int          // bytes parked in kbuf awaiting a late match
+	kbuf      []byte       // kernel buffering for the unexpected path; nil when length-only
+	buffered  int          // bytes parked in the kernel awaiting a late match
 	delivered int          // bytes landed in the user buffer
 }
 
@@ -143,9 +145,9 @@ type portalsEndpoint struct {
 
 	inflight map[msgID]*ptlInbound
 
+	bufs     bufPool
 	txFree   []*txMsg
 	fragFree []*ptlFrag
-	bufFree  [][]byte
 	inbFree  []*ptlInbound
 
 	rxKernelFn    func(any) // bound once: kernel protocol + match stage
@@ -191,17 +193,6 @@ func (ep *portalsEndpoint) getFrag() *ptlFrag {
 	return &ptlFrag{}
 }
 
-func (ep *portalsEndpoint) getBuf(n int) []byte {
-	if m := len(ep.bufFree); m > 0 && ep.pooling() {
-		buf := ep.bufFree[m-1]
-		ep.bufFree = ep.bufFree[:m-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
 func (ep *portalsEndpoint) getInbound() *ptlInbound {
 	if n := len(ep.inbFree); n > 0 && ep.pooling() {
 		inb := ep.inbFree[n-1]
@@ -215,15 +206,14 @@ func (ep *portalsEndpoint) getInbound() *ptlInbound {
 // kernel buffers and enqueues it for the transmit driver.  The request is
 // complete (buffer reusable) when the syscall returns.
 func (ep *portalsEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
-	n := len(r.Data())
+	n := r.Len()
 	ep.node.CPU.Use(p, ep.cfg.TrapCost+ep.cfg.DescCost, cluster.Kernel)
 	ep.node.Memcpy(p, n, cluster.Kernel)
 	id := msgID{src: ep.rank(), seq: ep.seq}
 	ep.seq++
 	tx := ep.getTx()
-	tx.id, tx.dst, tx.tag = id, r.Peer(), r.Tag()
-	tx.data = ep.getBuf(n)
-	copy(tx.data, r.Data())
+	tx.id, tx.dst, tx.tag, tx.n = id, r.Peer(), r.Tag(), n
+	tx.data = ep.bufs.copyOf(r.Data())
 	ep.tx.push(tx)
 	r.Complete(ep.rank(), r.Tag(), n)
 }
@@ -241,15 +231,15 @@ func (ep *portalsEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
 	inb.req = r
 	if inb.buffered > 0 {
 		ep.node.Memcpy(p, inb.buffered, cluster.Kernel)
-		copy(r.Buf(), inb.kbuf[:inb.buffered])
+		if inb.kbuf != nil {
+			copy(r.Buf(), inb.kbuf[:inb.buffered])
+		}
 		inb.delivered += inb.buffered
 		inb.buffered = 0
 	}
 	// The rest of the message lands in the user buffer, so the kernel
 	// bounce buffer is dead.
-	if inb.kbuf != nil && ep.pooling() {
-		ep.bufFree = append(ep.bufFree, inb.kbuf)
-	}
+	ep.bufs.put(inb.kbuf)
 	inb.kbuf = nil
 	ep.maybeComplete(inb)
 }
@@ -260,11 +250,8 @@ func (ep *portalsEndpoint) maybeComplete(inb *ptlInbound) {
 		return
 	}
 	delete(ep.inflight, inb.id)
-	count := inb.size
-	if count > len(inb.req.Buf()) {
-		count = len(inb.req.Buf())
-	}
 	req := inb.req
+	count := min(inb.size, req.Len())
 	src, tag := inb.src, inb.tag
 	if ep.pooling() {
 		*inb = ptlInbound{}
@@ -278,8 +265,11 @@ func (ep *portalsEndpoint) maybeComplete(inb *ptlInbound) {
 // transmit driver.
 func (ep *portalsEndpoint) frag(m *txMsg, off, n int, last bool) any {
 	f := ep.getFrag()
-	f.id, f.src, f.tag, f.size = m.id, ep.rank(), m.tag, len(m.data)
-	f.off, f.n, f.data = off, n, m.data[off:off+n]
+	f.id, f.src, f.tag, f.size = m.id, ep.rank(), m.tag, m.n
+	f.off, f.n = off, n
+	if m.data != nil {
+		f.data = m.data[off : off+n]
+	}
 	f.first, f.last = off == 0, last
 	f.msg, f.inb = m, nil
 	return f
@@ -318,7 +308,9 @@ func (ep *portalsEndpoint) rxCopyStart(a any) {
 		if r := ep.m.Arrive(&mpi.Inbound{Src: f.src, Tag: f.tag, Size: f.size, Rndv: inb}); r != nil {
 			inb.req = r
 		} else {
-			inb.kbuf = ep.getBuf(f.size)
+			if f.data != nil {
+				inb.kbuf = ep.bufs.get(f.size)
+			}
 			// The envelope is now visible to probes.
 			ep.hub.Wake()
 		}
@@ -340,7 +332,9 @@ func (ep *portalsEndpoint) rxCopyDone(a any) {
 		}
 		inb.delivered += f.n
 	} else {
-		copy(inb.kbuf[f.off:], f.data)
+		if inb.kbuf != nil {
+			copy(inb.kbuf[f.off:], f.data)
+		}
 		inb.buffered += f.n
 	}
 	msg, last := f.msg, f.last
@@ -348,7 +342,7 @@ func (ep *portalsEndpoint) rxCopyDone(a any) {
 		*f = ptlFrag{}
 		ep.fragFree = append(ep.fragFree, f)
 		if last {
-			ep.bufFree = append(ep.bufFree, msg.data)
+			ep.bufs.put(msg.data)
 			*msg = txMsg{}
 			ep.txFree = append(ep.txFree, msg)
 		}

@@ -97,6 +97,7 @@ func (t *TCP) Build(sys *cluster.System) []mpi.Endpoint {
 			node:      node,
 			fab:       sys.Fabric,
 			hub:       mpi.NewActivityHub(node.Env),
+			bufs:      bufPool{fab: sys.Fabric},
 			inflight:  make(map[msgID]*tcpInbound),
 			unacked:   make(map[msgID]*txMsg),
 			completed: make(map[msgID]bool),
@@ -135,7 +136,7 @@ type tcpInbound struct {
 	src, tag int
 	size     int
 	got      int          // unique bytes landed in the socket buffer
-	data     []byte       // socket buffer contents
+	data     []byte       // socket buffer contents; nil when length-only
 	rcvd     map[int]bool // segment offsets seen (dedup under retransmission)
 }
 
@@ -156,9 +157,9 @@ type tcpEndpoint struct {
 	unacked   map[msgID]*txMsg // sent, awaiting a message-complete ack
 	completed map[msgID]bool   // messages already delivered (re-ack dups)
 
+	bufs    bufPool
 	txFree  []*txMsg
 	segFree []*tcpSeg
-	bufFree [][]byte
 
 	rxKernelFn   func(any) // bound once: post-interrupt protocol stage
 	rxProtoFn    func(any) // bound once: ack handling / copy submission
@@ -194,17 +195,6 @@ func (ep *tcpEndpoint) putSeg(s *tcpSeg) {
 	}
 }
 
-func (ep *tcpEndpoint) getBuf(n int) []byte {
-	if m := len(ep.bufFree); m > 0 && ep.pooling() {
-		buf := ep.bufFree[m-1]
-		ep.bufFree = ep.bufFree[:m-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
 func (ep *tcpEndpoint) rank() int { return ep.node.ID }
 
 // Activity implements mpi.Endpoint.
@@ -225,15 +215,14 @@ func (ep *tcpEndpoint) hostByteCost(n int) sim.Time {
 // the socket buffer; the kernel transmits asynchronously.  The request
 // completes when the syscall returns (buffered send).
 func (ep *tcpEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
-	n := len(r.Data())
+	n := r.Len()
 	ep.node.CPU.Use(p, ep.cfg.TrapCost, cluster.Kernel)
 	ep.node.CPU.Use(p, ep.hostByteCost(n), cluster.Kernel)
 	id := msgID{src: ep.rank(), seq: ep.seq}
 	ep.seq++
 	tx := ep.getTx()
-	tx.id, tx.dst, tx.tag = id, r.Peer(), r.Tag()
-	tx.data = ep.getBuf(n)
-	copy(tx.data, r.Data())
+	tx.id, tx.dst, tx.tag, tx.n = id, r.Peer(), r.Tag(), n
+	tx.data = ep.bufs.copyOf(r.Data())
 	ep.tx.push(tx)
 	r.Complete(ep.rank(), r.Tag(), n)
 }
@@ -266,19 +255,19 @@ func (ep *tcpEndpoint) Progress(p *sim.Proc) {
 func (ep *tcpEndpoint) deliver(p *sim.Proc, r *mpi.Request, in *mpi.Inbound) {
 	ep.node.CPU.Use(p, ep.cfg.LibCopyCost, cluster.User)
 	ep.node.Memcpy(p, in.Size, cluster.User)
-	count := copy(r.Buf(), in.Data)
-	if in.Size == 0 {
-		count = 0
-	}
-	r.Complete(in.Src, in.Tag, count)
+	copy(r.Buf(), in.Data)
+	r.Complete(in.Src, in.Tag, min(in.Size, r.Len()))
 }
 
 // seg builds the wire segment for m's bytes [off, off+n) for the
 // transmit driver.
 func (ep *tcpEndpoint) seg(m *txMsg, off, n int, last bool) any {
 	seg := ep.getSeg()
-	seg.id, seg.src, seg.tag, seg.size = m.id, ep.rank(), m.tag, len(m.data)
-	seg.off, seg.n, seg.data, seg.last = off, n, m.data[off:off+n], last
+	seg.id, seg.src, seg.tag, seg.size = m.id, ep.rank(), m.tag, m.n
+	seg.off, seg.n, seg.last = off, n, last
+	if m.data != nil {
+		seg.data = m.data[off : off+n]
+	}
 	return seg
 }
 
@@ -331,7 +320,7 @@ func (ep *tcpEndpoint) rxProto(a any) {
 				// nothing references the send buffer any more: stop the
 				// retransmit timer and recycle the record.
 				if msg.rto.Stop() && ep.pooling() {
-					ep.bufFree = append(ep.bufFree, msg.data)
+					ep.bufs.put(msg.data)
 					*msg = txMsg{}
 					ep.txFree = append(ep.txFree, msg)
 				}
@@ -376,14 +365,18 @@ func (ep *tcpEndpoint) acceptSegment(seg *tcpSeg) {
 	if inb == nil {
 		inb = &tcpInbound{
 			id: seg.id, src: seg.src, tag: seg.tag, size: seg.size,
-			data: make([]byte, seg.size),
 			rcvd: make(map[int]bool),
+		}
+		if seg.data != nil {
+			inb.data = make([]byte, seg.size)
 		}
 		ep.inflight[seg.id] = inb
 	}
 	if !inb.rcvd[seg.off] {
 		inb.rcvd[seg.off] = true
-		copy(inb.data[seg.off:], seg.data)
+		if inb.data != nil {
+			copy(inb.data[seg.off:], seg.data)
+		}
 		inb.got += seg.n
 	}
 

@@ -12,13 +12,14 @@ type msgID struct {
 	seq int64
 }
 
-// txMsg is one message on a kernel send queue, its payload copied into
-// a kernel send buffer.
+// txMsg is one message on a kernel send queue: its length, and its
+// payload copied into a kernel send buffer unless it is length-only.
 type txMsg struct {
 	id   msgID
 	dst  int
 	tag  int
-	data []byte
+	n    int    // payload length; the driver fragments by it
+	data []byte // kernel send buffer; nil when length-only
 	// rto is TCP's retransmission timer, armed once the last segment has
 	// left; stopping it on the message-complete ack both cancels the
 	// resend and drops the record so it can be recycled.
@@ -105,8 +106,8 @@ func (d *txDriver) charged(any) {
 // for the instant the fragment has left the wire.
 func (d *txDriver) send() bool {
 	m := d.cur
-	n := min(len(m.data)-d.off, d.fab.Config().MTU)
-	d.last = d.off+n == len(m.data)
+	n := min(m.n-d.off, d.fab.Config().MTU)
+	d.last = d.off+n == m.n
 	pkt := d.fab.GetPacketFrom(d.node.ID)
 	pkt.From, pkt.To, pkt.Size = d.node.ID, m.dst, n+d.node.P.PacketHeader
 	pkt.Payload = d.frag(m, d.off, n, d.last)
