@@ -101,13 +101,9 @@ func bisectBenchCurve(eng *runner.Engine, axis []int64) sweep.Curve {
 				Reps:         20,
 			}}
 			p.Seed = sweep.RepSeed(0, rep)
-			res, err := eng.Run(context.Background(), p)
+			r, err := runner.RunAs[*core.PWWResult](context.Background(), eng, p)
 			if err != nil {
 				return 0, 0, err
-			}
-			r, ok := runner.As[*core.PWWResult](res)
-			if !ok {
-				return 0, 0, fmt.Errorf("pww point returned a %T result", res.Value)
 			}
 			return float64(x), r.Availability, nil
 		},

@@ -6,8 +6,8 @@
 //	comb list                         # figures and systems
 //	comb methods                      # registered benchmark methods
 //	comb run -method <name> [flags]   # one measurement (unified entry)
-//	comb polling [flags]              # one polling-method measurement
-//	comb pww [flags]                  # one post-work-wait measurement
+//	comb polling [flags]              # shorthand for run -method polling
+//	comb pww [flags]                  # shorthand for run -method pww
 //	comb trace export [flags]         # export the last run's span timeline
 //	comb metrics [flags]              # print the last run's metrics
 //	comb replay -manifest <file>      # re-run a manifest, verify the hash
@@ -55,8 +55,8 @@ import (
 	"comb/internal/asciichart"
 	"comb/internal/assess"
 	"comb/internal/method"
+	"comb/internal/method/pingpong"
 	"comb/internal/obs"
-	"comb/internal/pingpong"
 	"comb/internal/report"
 	"comb/internal/runner"
 	"comb/internal/scenario"
@@ -81,10 +81,8 @@ func main() {
 		err = cmdMethods()
 	case "run":
 		err = cmdRun(ctx, os.Args[2:])
-	case "polling":
-		err = cmdPolling(ctx, os.Args[2:])
-	case "pww":
-		err = cmdPWW(ctx, os.Args[2:])
+	case "polling", "pww":
+		err = runMethod(ctx, os.Args[1], os.Args[2:])
 	case "trace":
 		err = cmdTrace(os.Args[2:])
 	case "metrics":
@@ -134,8 +132,8 @@ subcommands:
   methods   list registered benchmark methods and their phases
   run       run one measurement (-method <name> plus method flags, or
             -spec <file.json> with a versioned RunSpec)
-  polling   run one polling-method measurement
-  pww       run one post-work-wait measurement
+  polling   shorthand for run -method polling
+  pww       shorthand for run -method pww
   trace     export the last run's span timeline (trace export -format=chrome|text)
   metrics   print the last run's metrics (-format prom|json)
   replay    re-run a saved manifest and verify its result hash
@@ -158,10 +156,12 @@ sweep-shaped subcommands accept -j N (parallel simulations) and cache
 results under results/cache/ (-no-cache to skip, 'comb cache clear' to
 empty); figure and sweep accept -strategy
 (grid|bisect|knee|adaptive-reps) to replace the dense grid with a
-search, see docs/SWEEPS.md; polling and pww accept -seed and -faults '<spec>' for
-deterministic degraded runs (e.g. -faults 'drop=0.01,delay=0.2:50us')
-and write trace/metrics/manifest artifacts into -obs-dir (results/last
-by default) for 'comb trace export', 'comb metrics' and 'comb replay'`)
+search, see docs/SWEEPS.md; run -method, polling and pww accept -seed
+and -faults '<spec>' for deterministic degraded runs (e.g. -faults
+'drop=0.01,delay=0.2:50us'), -stats for the hardware counters and
+-trace N for the last N packet deliveries, and write trace/metrics/
+manifest artifacts into -obs-dir (results/last by default) for
+'comb trace export', 'comb metrics' and 'comb replay'`)
 }
 
 // engineOpts are the execution flags shared by every sweep-shaped
@@ -291,85 +291,6 @@ func cmdMethods() error {
 	return nil
 }
 
-func cmdPolling(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("polling", flag.ExitOnError)
-	system := fs.String("system", "gm", "system to benchmark (gm|portals|ideal)")
-	size := fs.Int("size", 100_000, "message size in bytes")
-	poll := fs.Int64("poll", 100_000, "poll interval (loop iterations)")
-	work := fs.Int64("work", 25_000_000, "total work (loop iterations)")
-	queue := fs.Int("queue", 4, "message queue depth per direction")
-	cpus := fs.Int("cpus", 1, "processors per node (SMP extension, paper s7)")
-	nodes := fs.Int("nodes", 0, "cluster size: concurrent worker/support pairs sharing the switch (0 = the paper's 2 nodes)")
-	simJ := fs.Int("sim-j", 0, "parallel DES partitions (needs -nodes > 2; results are identical)")
-	showStats := fs.Bool("stats", false, "print hardware counters (packets, CPU breakdown)")
-	traceN := fs.Int("trace", 0, "print the last N packet deliveries")
-	seed := fs.Uint64("seed", 0, "wire/fault RNG seed (0 = platform default)")
-	faults := fs.String("faults", "", "fault injection spec, e.g. 'drop=0.01,delay=0.2:50us,jitter=0.1:200us'")
-	strat := fs.String("strategy", "", "measurement-protocol stamp recorded in the spec key and manifest ("+strategyFlagHelp+")")
-	obsDir := fs.String("obs-dir", obs.DefaultRunDir, "directory for trace/metrics/manifest artifacts ('' disables)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fspec, err := parseFaults(*faults)
-	if err != nil {
-		return err
-	}
-	st, err := parseStrategy(*strat)
-	if err != nil {
-		return err
-	}
-	noteSingleRunStrategy(st)
-	warnMaskedFaults(*system, fspec)
-	out, err := comb.Run(ctx, comb.RunSpec{
-		Method:     comb.MethodPolling,
-		System:     *system,
-		CPUs:       *cpus,
-		Nodes:      *nodes,
-		SimWorkers: *simJ,
-		TraceCap:   *traceN,
-		ObsCap:     obsCapFor(*obsDir),
-		Seed:       *seed,
-		Faults:     fspec,
-		Strategy:   st,
-		Polling: &comb.PollingConfig{
-			Config:       comb.Config{MsgSize: *size},
-			PollInterval: *poll,
-			WorkTotal:    *work,
-			QueueDepth:   *queue,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	if err := writeObs(*obsDir, out); err != nil {
-		return err
-	}
-	res := out.Polling
-	fmt.Printf("system          %s\n", *system)
-	fmt.Printf("message size    %d B\n", res.MsgSize)
-	fmt.Printf("poll interval   %d iterations\n", res.PollInterval)
-	fmt.Printf("work total      %d iterations\n", res.WorkTotal)
-	fmt.Printf("queue depth     %d\n", res.QueueDepth)
-	fmt.Printf("dry-run time    %v\n", res.DryTime)
-	fmt.Printf("messaging time  %v\n", res.Elapsed)
-	fmt.Printf("messages        %d (%d bytes)\n", res.MsgsReceived, res.BytesReceived)
-	fmt.Printf("bandwidth       %.2f MB/s\n", res.BandwidthMBs)
-	fmt.Printf("availability    %.3f\n", res.Availability)
-	if res.SystemAvailability > 0 {
-		fmt.Printf("system avail    %.3f (node-wide, SMP-safe)\n", res.SystemAvailability)
-	}
-	if *showStats {
-		printStats(out.Stats)
-	}
-	if out.Trace != nil {
-		fmt.Printf("--- last %d packet deliveries (%s) ---\n", out.Trace.Len(), out.Trace.Summary())
-		if _, err := out.Trace.WriteTo(os.Stdout); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // printStats renders the hardware counters.
 func printStats(st *comb.RunStats) {
 	fmt.Printf("--- hardware counters (whole run incl. setup/drain) ---\n")
@@ -381,84 +302,10 @@ func printStats(st *comb.RunStats) {
 	}
 }
 
-func cmdPWW(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("pww", flag.ExitOnError)
-	system := fs.String("system", "gm", "system to benchmark (gm|portals|ideal)")
-	size := fs.Int("size", 100_000, "message size in bytes")
-	work := fs.Int64("work", 1_000_000, "work interval (loop iterations)")
-	reps := fs.Int("reps", 20, "post-work-wait cycles")
-	batch := fs.Int("batch", 4, "messages per batch per direction")
-	test := fs.Bool("test", false, "plant one MPI_Test early in the work phase (paper §4.3)")
-	interleave := fs.Int("interleave", 1, "batches kept in flight (paper §4.3's earlier variant)")
-	cpus := fs.Int("cpus", 1, "processors per node (SMP extension, paper s7)")
-	nodes := fs.Int("nodes", 0, "cluster size: concurrent worker/support pairs sharing the switch (0 = the paper's 2 nodes)")
-	simJ := fs.Int("sim-j", 0, "parallel DES partitions (needs -nodes > 2; results are identical)")
-	seed := fs.Uint64("seed", 0, "wire/fault RNG seed (0 = platform default)")
-	faults := fs.String("faults", "", "fault injection spec, e.g. 'drop=0.01,delay=0.2:50us,jitter=0.1:200us'")
-	strat := fs.String("strategy", "", "measurement-protocol stamp recorded in the spec key and manifest ("+strategyFlagHelp+")")
-	obsDir := fs.String("obs-dir", obs.DefaultRunDir, "directory for trace/metrics/manifest artifacts ('' disables)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fspec, err := parseFaults(*faults)
-	if err != nil {
-		return err
-	}
-	st, err := parseStrategy(*strat)
-	if err != nil {
-		return err
-	}
-	noteSingleRunStrategy(st)
-	warnMaskedFaults(*system, fspec)
-	out, err := comb.Run(ctx, comb.RunSpec{
-		Method:     comb.MethodPWW,
-		System:     *system,
-		CPUs:       *cpus,
-		Nodes:      *nodes,
-		SimWorkers: *simJ,
-		ObsCap:     obsCapFor(*obsDir),
-		Seed:       *seed,
-		Faults:     fspec,
-		Strategy:   st,
-		PWW: &comb.PWWConfig{
-			Config:       comb.Config{MsgSize: *size},
-			WorkInterval: *work,
-			Reps:         *reps,
-			BatchSize:    *batch,
-			TestInWork:   *test,
-			Interleave:   *interleave,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	if err := writeObs(*obsDir, out); err != nil {
-		return err
-	}
-	res := out.PWW
-	fmt.Printf("system          %s\n", *system)
-	fmt.Printf("message size    %d B\n", res.MsgSize)
-	fmt.Printf("work interval   %d iterations\n", res.WorkInterval)
-	fmt.Printf("reps x batch    %d x %d (test-in-work: %v)\n", res.Reps, res.BatchSize, res.TestInWork)
-	fmt.Printf("work only       %v per phase\n", res.AvgWorkOnly)
-	fmt.Printf("work with MH    %v per phase (overhead %.1f%%)\n", res.AvgWorkMH, res.WorkOverhead*100)
-	fmt.Printf("post (recv)     %v per message\n", res.AvgPostRecv)
-	fmt.Printf("post (send)     %v per message\n", res.AvgPostSend)
-	fmt.Printf("wait            %v per message\n", res.AvgWait)
-	fmt.Printf("bandwidth       %.2f MB/s\n", res.BandwidthMBs)
-	fmt.Printf("availability    %.3f\n", res.Availability)
-	if res.SystemAvailability > 0 {
-		fmt.Printf("system avail    %.3f (node-wide, SMP-safe)\n", res.SystemAvailability)
-	}
-	return nil
-}
-
 // cmdRun is the unified single-measurement entry.  -method <name>
 // picks the registered method and forwards every other flag to the
 // method's own flag set; -spec <file.json> runs a schema-versioned
 // RunSpec document instead — the same JSON the serve API accepts.
-// Polling and PWW keep their dedicated subcommand output; every other
-// registered method runs through the generic registry path.
 func cmdRun(ctx context.Context, args []string) error {
 	var name, specPath string
 	rest := make([]string, 0, len(args))
@@ -495,12 +342,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		}
 		return runSpecFile(ctx, specPath, rest)
 	}
-	switch name {
-	case "polling":
-		return cmdPolling(ctx, rest)
-	case "pww":
-		return cmdPWW(ctx, rest)
-	case "":
+	if name == "" {
 		return fmt.Errorf("run: need -method %s or -spec <file.json>", strings.Join(comb.Methods(), "|"))
 	}
 	return runMethod(ctx, name, rest)
@@ -545,19 +387,13 @@ func runSpecFile(ctx context.Context, path string, args []string) error {
 	if err := writeObs(*obsDir, out); err != nil {
 		return err
 	}
-	fmt.Println(out.Value.String())
-	if out.Trace != nil {
-		fmt.Printf("--- last %d packet deliveries (%s) ---\n", out.Trace.Len(), out.Trace.Summary())
-		if _, err := out.Trace.WriteTo(os.Stdout); err != nil {
-			return err
-		}
-	}
-	return nil
+	return printOutcome(out, false)
 }
 
 // runMethod drives any registered method through the facade: the
 // method's own flags (declared via its FlagBinder) plus the shared run
 // flags, the unified Run pipeline, and the observability artifacts.
+// `comb polling` and `comb pww` are shorthands for it.
 func runMethod(ctx context.Context, name string, args []string) error {
 	m, err := method.Lookup(name)
 	if err != nil {
@@ -572,6 +408,7 @@ func runMethod(ctx context.Context, name string, args []string) error {
 	cpus := fs.Int("cpus", 1, "processors per node (SMP extension, paper s7)")
 	nodes := fs.Int("nodes", 0, "cluster size: concurrent worker/support pairs sharing the switch (0 = the paper's 2 nodes)")
 	simJ := fs.Int("sim-j", 0, "parallel DES partitions (needs -nodes > 2; results are identical)")
+	showStats := fs.Bool("stats", false, "print hardware counters (packets, CPU breakdown)")
 	traceN := fs.Int("trace", 0, "print the last N packet deliveries")
 	seed := fs.Uint64("seed", 0, "wire/fault RNG seed (0 = platform default)")
 	faults := fs.String("faults", "", "fault injection spec, e.g. 'drop=0.01,delay=0.2:50us,jitter=0.1:200us'")
@@ -610,7 +447,51 @@ func runMethod(ctx context.Context, name string, args []string) error {
 	if err := writeObs(*obsDir, out); err != nil {
 		return err
 	}
-	fmt.Println(out.Value.String())
+	return printOutcome(out, *showStats)
+}
+
+// printOutcome renders a finished single run: the paper's multi-line
+// block for polling and PWW, the one-line String() for every other
+// method, then the optional hardware counters and packet trace.
+func printOutcome(out *comb.RunResult, showStats bool) error {
+	switch {
+	case out.Polling != nil:
+		res := out.Polling
+		fmt.Printf("system          %s\n", out.Manifest.System)
+		fmt.Printf("message size    %d B\n", res.MsgSize)
+		fmt.Printf("poll interval   %d iterations\n", res.PollInterval)
+		fmt.Printf("work total      %d iterations\n", res.WorkTotal)
+		fmt.Printf("queue depth     %d\n", res.QueueDepth)
+		fmt.Printf("dry-run time    %v\n", res.DryTime)
+		fmt.Printf("messaging time  %v\n", res.Elapsed)
+		fmt.Printf("messages        %d (%d bytes)\n", res.MsgsReceived, res.BytesReceived)
+		fmt.Printf("bandwidth       %.2f MB/s\n", res.BandwidthMBs)
+		fmt.Printf("availability    %.3f\n", res.Availability)
+		if res.SystemAvailability > 0 {
+			fmt.Printf("system avail    %.3f (node-wide, SMP-safe)\n", res.SystemAvailability)
+		}
+	case out.PWW != nil:
+		res := out.PWW
+		fmt.Printf("system          %s\n", out.Manifest.System)
+		fmt.Printf("message size    %d B\n", res.MsgSize)
+		fmt.Printf("work interval   %d iterations\n", res.WorkInterval)
+		fmt.Printf("reps x batch    %d x %d (test-in-work: %v)\n", res.Reps, res.BatchSize, res.TestInWork)
+		fmt.Printf("work only       %v per phase\n", res.AvgWorkOnly)
+		fmt.Printf("work with MH    %v per phase (overhead %.1f%%)\n", res.AvgWorkMH, res.WorkOverhead*100)
+		fmt.Printf("post (recv)     %v per message\n", res.AvgPostRecv)
+		fmt.Printf("post (send)     %v per message\n", res.AvgPostSend)
+		fmt.Printf("wait            %v per message\n", res.AvgWait)
+		fmt.Printf("bandwidth       %.2f MB/s\n", res.BandwidthMBs)
+		fmt.Printf("availability    %.3f\n", res.Availability)
+		if res.SystemAvailability > 0 {
+			fmt.Printf("system avail    %.3f (node-wide, SMP-safe)\n", res.SystemAvailability)
+		}
+	default:
+		fmt.Println(out.Value.String())
+	}
+	if showStats {
+		printStats(out.Stats)
+	}
 	if out.Trace != nil {
 		fmt.Printf("--- last %d packet deliveries (%s) ---\n", out.Trace.Len(), out.Trace.Summary())
 		if _, err := out.Trace.WriteTo(os.Stdout); err != nil {
@@ -967,21 +848,13 @@ func cmdCompare(ctx context.Context, args []string) error {
 	fmt.Printf("%-10s %14s %14s %14s %14s %10s\n",
 		"system", "poll BW MB/s", "poll avail", "pww wait/msg", "pww overhead", "offload?")
 	for _, sys := range comb.Systems() {
-		pr, err := eng.Run(ctx, pollSpec(sys))
+		p, err := runner.RunAs[*comb.PollingResult](ctx, eng, pollSpec(sys))
 		if err != nil {
 			return err
 		}
-		wr, err := eng.Run(ctx, pwwSpec(sys))
+		w, err := runner.RunAs[*comb.PWWResult](ctx, eng, pwwSpec(sys))
 		if err != nil {
 			return err
-		}
-		p, ok := runner.As[*comb.PollingResult](pr)
-		if !ok {
-			return fmt.Errorf("compare: %s polling point returned a %T result", sys, pr.Value)
-		}
-		w, ok := runner.As[*comb.PWWResult](wr)
-		if !ok {
-			return fmt.Errorf("compare: %s pww point returned a %T result", sys, wr.Value)
 		}
 		// COMB's operational offload test (§4.1): does messaging complete
 		// during a long work phase, leaving (almost) nothing to wait for?
@@ -1080,11 +953,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 				Eval: func(x int64, rep int) (float64, float64, error) {
 					p := sweepPointSpec(*meth, sys, size, *nodes, x)
 					p.Seed = sweep.RepSeed(p.Seed, rep)
-					res, err := sweep.DefaultEngine.Run(ctx, p)
-					if err != nil {
-						return 0, 0, err
-					}
-					y, err := sweepMetric(*meth, *metric, res)
+					y, err := sweepMetric(ctx, sweep.DefaultEngine, *meth, *metric, p)
 					return float64(x), y, err
 				},
 			}
@@ -1125,14 +994,14 @@ func sweepPointSpec(meth, sys string, size, nodes int, x int64) runner.Point {
 	}}
 }
 
-// sweepMetric extracts the requested metric from one engine result of a
-// custom-sweep point.
-func sweepMetric(meth, metric string, res *runner.Result) (float64, error) {
+// sweepMetric runs one custom-sweep point on eng and extracts the
+// requested metric from its result.
+func sweepMetric(ctx context.Context, eng *runner.Engine, meth, metric string, p runner.Point) (float64, error) {
 	switch meth {
 	case "polling":
-		r, ok := runner.As[*comb.PollingResult](res)
-		if !ok {
-			return 0, fmt.Errorf("sweep: polling point returned a %T result", res.Value)
+		r, err := runner.RunAs[*comb.PollingResult](ctx, eng, p)
+		if err != nil {
+			return 0, err
 		}
 		switch metric {
 		case "bandwidth":
@@ -1143,9 +1012,9 @@ func sweepMetric(meth, metric string, res *runner.Result) (float64, error) {
 			return 0, fmt.Errorf("sweep: metric %q not available for polling (bandwidth|availability)", metric)
 		}
 	case "pww":
-		r, ok := runner.As[*comb.PWWResult](res)
-		if !ok {
-			return 0, fmt.Errorf("sweep: pww point returned a %T result", res.Value)
+		r, err := runner.RunAs[*comb.PWWResult](ctx, eng, p)
+		if err != nil {
+			return 0, err
 		}
 		switch metric {
 		case "bandwidth":
@@ -1445,13 +1314,9 @@ func cmdPingpong(ctx context.Context, args []string) error {
 	for _, sys := range sysList {
 		sys = strings.TrimSpace(sys)
 		for _, size := range sizes {
-			res, err := eng.Run(ctx, point(sys, size))
+			r, err := runner.RunAs[*pingpong.Result](ctx, eng, point(sys, size))
 			if err != nil {
 				return err
-			}
-			r, ok := runner.As[*pingpong.Result](res)
-			if !ok {
-				return fmt.Errorf("pingpong: point returned a %T result", res.Value)
 			}
 			fmt.Printf("%-10s %12d %14v %11.2f MB/s\n",
 				sys, size, r.Latency.Round(100*time.Nanosecond), r.BandwidthMBs)

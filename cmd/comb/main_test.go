@@ -19,11 +19,7 @@ import (
 // extracts the metric, mirroring cmdSweep's curve evaluator.
 func sweepMetricAt(t *testing.T, meth, metric, sys string, size int, x int64) (float64, error) {
 	t.Helper()
-	res, err := runner.New(runner.Config{}).Run(context.Background(), sweepPointSpec(meth, sys, size, 0, x))
-	if err != nil {
-		return 0, err
-	}
-	return sweepMetric(meth, metric, res)
+	return sweepMetric(context.Background(), runner.New(runner.Config{}), meth, metric, sweepPointSpec(meth, sys, size, 0, x))
 }
 
 func TestSweepPointMetrics(t *testing.T) {
@@ -54,7 +50,7 @@ func TestSweepPointErrors(t *testing.T) {
 	if _, err := sweepMetricAt(t, "pww", "nosuch", "gm", 1000, 1000); err == nil {
 		t.Error("unknown metric must fail")
 	}
-	if _, err := sweepMetric("nosuch", "bandwidth", &runner.Result{}); err == nil {
+	if _, err := sweepMetric(context.Background(), runner.New(runner.Config{}), "nosuch", "bandwidth", runner.Point{}); err == nil {
 		t.Error("unknown method must fail")
 	}
 	if _, err := sweepMetricAt(t, "polling", "bandwidth", "nosuch", 1000, 1000); err == nil {
@@ -144,11 +140,11 @@ func TestCommandFunctions(t *testing.T) {
 	if err := cmdList(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdPolling(ctx, []string{"-system", "ideal", "-work", "5000000",
+	if err := runMethod(ctx, "polling", []string{"-system", "ideal", "-work", "5000000",
 		"-obs-dir", t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdPWW(ctx, []string{"-system", "ideal", "-reps", "3",
+	if err := runMethod(ctx, "pww", []string{"-system", "ideal", "-reps", "3",
 		"-obs-dir", t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}

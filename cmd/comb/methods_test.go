@@ -1,9 +1,14 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"io"
 	"os"
+	"strings"
 	"testing"
+
+	"comb"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
@@ -50,5 +55,74 @@ pww        x      x      -      x     x      x      post-work-wait cycles timing
 `
 	if got != want {
 		t.Errorf("comb methods output drifted.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRunMethodPollingBlock pins `comb polling`'s output: the paper's
+// multi-line block with the CLI's 25M-iteration work default, printed
+// identically for the same point written as a -spec document.
+func TestRunMethodPollingBlock(t *testing.T) {
+	ctx := context.Background()
+	got := captureStdout(t, func() error {
+		return runMethod(ctx, "polling", []string{"-system", "ideal", "-obs-dir", ""})
+	})
+	for _, want := range []string{
+		"system          ideal\n",
+		"poll interval   100000 iterations\n",
+		"work total      25000000 iterations\n",
+		"queue depth     4\n",
+		"availability    ",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("polling output lacks %q:\n%s", want, got)
+		}
+	}
+	doc, err := json.Marshal(comb.RunSpec{
+		Method:  comb.MethodPolling,
+		System:  "ideal",
+		Polling: &comb.PollingConfig{PollInterval: 100_000, WorkTotal: 25_000_000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSpec := captureStdout(t, func() error {
+		return cmdRun(ctx, []string{"-spec", string(doc), "-obs-dir", ""})
+	})
+	if fromSpec != got {
+		t.Errorf("run -spec output differs from comb polling:\n%s\nwant:\n%s", fromSpec, got)
+	}
+}
+
+// TestRunMethodPWWBlock pins `comb pww`'s per-call timing lines.
+func TestRunMethodPWWBlock(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return runMethod(context.Background(), "pww", []string{"-system", "ideal", "-reps", "3", "-obs-dir", ""})
+	})
+	for _, want := range []string{
+		"reps x batch    3 x 4 (test-in-work: false)\n",
+		"post (recv)     ",
+		"post (send)     ",
+		"wait            ",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("pww output lacks %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestRunMethodStats checks -stats is a shared single-run flag: a
+// method without a dedicated block still prints the hardware counters.
+func TestRunMethodStats(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return runMethod(context.Background(), "pingpong", []string{"-system", "ideal", "-reps", "2", "-stats", "-obs-dir", ""})
+	})
+	for _, want := range []string{
+		"pingpong ideal size=",
+		"--- hardware counters (whole run incl. setup/drain) ---\n",
+		"node0 CPU       user ",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("pingpong -stats output lacks %q:\n%s", want, got)
+		}
 	}
 }

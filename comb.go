@@ -8,9 +8,9 @@ import (
 	"comb/internal/faultinject"
 	"comb/internal/invariant"
 	"comb/internal/method"
-	"comb/internal/netperf"
+	"comb/internal/method/netperf"
+	"comb/internal/method/pingpong"
 	"comb/internal/obs"
-	"comb/internal/pingpong"
 	"comb/internal/runpipe"
 	"comb/internal/spec"
 	"comb/internal/stats"

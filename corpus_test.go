@@ -23,8 +23,8 @@ import (
 	_ "comb/internal/method/all"
 	"comb/internal/method/collov"
 	"comb/internal/method/halo"
+	"comb/internal/method/pingpong"
 	"comb/internal/mpi"
-	"comb/internal/pingpong"
 	"comb/internal/platform"
 	"comb/internal/runpipe"
 	"comb/internal/scenario"

@@ -2,7 +2,8 @@
 // CPU-availability measurement for MPI systems: it runs the netperf
 // two-processes-on-one-node measurement in both waiting modes next to
 // COMB's single-process polling measurement, on identical simulated
-// hardware.
+// hardware.  All three measurements are registered methods run through
+// the same comb.Run pipeline.
 //
 // Run with: go run ./examples/netperfvscomb
 package main
@@ -13,27 +14,33 @@ import (
 	"log"
 
 	"comb"
-	"comb/internal/netperf"
 )
 
+const (
+	size      = 100_000
+	loopIters = 25_000_000
+)
+
+// netperf runs the netperf-style measurement in the given wait mode and
+// returns the availability it reports.
+func netperf(system, mode string) float64 {
+	out, err := comb.Run(context.Background(), comb.RunSpec{
+		Method: comb.MethodNetperf,
+		System: system,
+		Params: comb.NetperfConfig{Mode: mode, MsgSize: size, LoopIters: loopIters},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return out.Value.(*comb.NetperfResult).Availability
+}
+
 func main() {
-	const (
-		size      = 100_000
-		loopIters = 25_000_000
-	)
 	fmt.Println("CPU availability during communication: netperf vs COMB")
 	fmt.Println()
 	fmt.Printf("%-10s %18s %18s %14s\n",
 		"system", "netperf(select)", "netperf(busywait)", "COMB polling")
 	for _, system := range []string{"gm", "portals"} {
-		sel, err := netperf.Run(system, netperf.SelectWait, size, loopIters)
-		if err != nil {
-			log.Fatal(err)
-		}
-		busy, err := netperf.Run(system, netperf.BusyWait, size, loopIters)
-		if err != nil {
-			log.Fatal(err)
-		}
 		out, err := comb.Run(context.Background(), comb.RunSpec{
 			Method: comb.MethodPolling,
 			System: system,
@@ -47,7 +54,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10s %18.3f %18.3f %14.3f\n",
-			system, sel.Availability, busy.Availability, out.Polling.Availability)
+			system, netperf(system, comb.NetperfSelect), netperf(system, comb.NetperfBusyWait),
+			out.Polling.Availability)
 	}
 	fmt.Println()
 	fmt.Println("GM really leaves the host ~fully available (COMB ~1.0), but a")

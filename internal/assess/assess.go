@@ -102,26 +102,10 @@ func RunContext(ctx context.Context, eng *runner.Engine, system string) (*Report
 		return nil, err
 	}
 	getPoll := func(i int) (*core.PollingResult, error) {
-		res, err := eng.Run(ctx, pts[i])
-		if err != nil {
-			return nil, err
-		}
-		r, ok := runner.As[*core.PollingResult](res)
-		if !ok {
-			return nil, fmt.Errorf("assess: battery point %d returned a %T result", i, res.Value)
-		}
-		return r, nil
+		return runner.RunAs[*core.PollingResult](ctx, eng, pts[i])
 	}
 	getPWW := func(i int) (*core.PWWResult, error) {
-		res, err := eng.Run(ctx, pts[i])
-		if err != nil {
-			return nil, err
-		}
-		r, ok := runner.As[*core.PWWResult](res)
-		if !ok {
-			return nil, fmt.Errorf("assess: battery point %d returned a %T result", i, res.Value)
-		}
-		return r, nil
+		return runner.RunAs[*core.PWWResult](ctx, eng, pts[i])
 	}
 
 	r := &Report{System: system}

@@ -200,7 +200,7 @@ type ExecOptions struct {
 // checker (honouring the method's relaxations), runs the method, and
 // applies the end-of-run conservation and result-plausibility checks.
 // Callers fold chk.Err() into their own error handling — the facade
-// wraps it with a replay hint, the runner returns it verbatim.  The
+// wraps it with the method and system, the runner returns it verbatim.  The
 // returned checker is non-nil whenever err is nil.
 func Execute(ctx context.Context, m Method, in *platform.Instance, cfg Config, opts ExecOptions) (Result, *invariant.Checker, error) {
 	var relax []string

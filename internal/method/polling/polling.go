@@ -173,12 +173,13 @@ func (pollingMethod) FuzzParams(crng *sim.Rand) any {
 func (pollingMethod) BindFlags(fs *flag.FlagSet) func() any {
 	size := fs.Int("size", core.DefaultMsgSize, "message size in bytes")
 	poll := fs.Int64("poll", 100_000, "poll interval in work iterations")
-	work := fs.Int64("work", 0, "total work iterations (0 = default)")
+	// The CLI's default point has always run 25M iterations (~50 ms);
+	// zero still selects core.DefaultWorkTotal.
+	work := fs.Int64("work", 25_000_000, "total work iterations (0 = default)")
 	queue := fs.Int("queue", 0, "messages kept in flight each direction (0 = default)")
-	tag := fs.Int("tag", 0, "MPI tag for data messages (0 = default)")
 	return func() any {
 		return core.PollingConfig{
-			Config:       core.Config{MsgSize: *size, Tag: *tag},
+			Config:       core.Config{MsgSize: *size},
 			PollInterval: *poll,
 			WorkTotal:    *work,
 			QueueDepth:   *queue,

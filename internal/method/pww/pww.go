@@ -182,10 +182,9 @@ func (pwwMethod) BindFlags(fs *flag.FlagSet) func() any {
 	batch := fs.Int("batch", 0, "messages posted per cycle each direction (0 = default)")
 	test := fs.Bool("test", false, "plant one MPI_Test early in the work phase (§4.3)")
 	il := fs.Int("interleave", 0, "batches kept in flight (0 = default 1)")
-	tag := fs.Int("tag", 0, "MPI tag for data messages (0 = default)")
 	return func() any {
 		return core.PWWConfig{
-			Config:       core.Config{MsgSize: *size, Tag: *tag},
+			Config:       core.Config{MsgSize: *size},
 			WorkInterval: *work,
 			Reps:         *reps,
 			BatchSize:    *batch,

@@ -1,10 +1,13 @@
 package report
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"comb/internal/stats"
+	"comb/internal/sweep"
 )
 
 func TestWriteQuickReport(t *testing.T) {
@@ -31,6 +34,23 @@ func TestWriteQuickReport(t *testing.T) {
 	}
 	if len(out) < 4000 {
 		t.Errorf("report suspiciously short: %d bytes", len(out))
+	}
+}
+
+func TestWriteHonoursCancelledContext(t *testing.T) {
+	// Every section runs under the report's context: a cancelled one
+	// fails the report before any point is simulated.
+	sweep.ClearCache()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := sweep.DefaultEngine.Stats().Runs
+	var b strings.Builder
+	err := Write(&b, Options{Quick: true, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Write under a cancelled context = %v, want context.Canceled", err)
+	}
+	if ran := sweep.DefaultEngine.Stats().Runs - before; ran != 0 {
+		t.Errorf("cancelled Write simulated %d points", ran)
 	}
 }
 

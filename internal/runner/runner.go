@@ -45,6 +45,21 @@ func As[T method.Result](r *Result) (T, bool) {
 	return v, ok
 }
 
+// RunAs resolves one point on eng and extracts its typed method result,
+// failing when the point's method produced a different result type.
+func RunAs[T method.Result](ctx context.Context, eng *Engine, pt Point) (T, error) {
+	var zero T
+	res, err := eng.Run(ctx, pt)
+	if err != nil {
+		return zero, err
+	}
+	v, ok := As[T](res)
+	if !ok {
+		return zero, fmt.Errorf("runner: %s point returned a %T result, want %T", res.Method, res.Value, zero)
+	}
+	return v, nil
+}
+
 // resultJSON is the serialized shape of a Result envelope.
 type resultJSON struct {
 	Method string          `json:"method"`

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"comb/internal/core"
-	"comb/internal/pingpong"
+	"comb/internal/method/pingpong"
 
 	// The runner resolves methods by name; register the ones the tests
 	// schedule (pingpong registers itself from its package proper).
@@ -111,6 +111,29 @@ func TestRunAndMemoHit(t *testing.T) {
 	st := eng.Stats()
 	if st.Runs != 1 || st.MemHits != 1 {
 		t.Errorf("stats = %+v, want Runs=1 MemHits=1", st)
+	}
+}
+
+func TestRunAs(t *testing.T) {
+	eng := New(Config{Workers: 1})
+	ctx := context.Background()
+	pr, err := RunAs[*core.PollingResult](ctx, eng, quickPoint())
+	if err != nil || pr == nil || pr.BandwidthMBs <= 0 {
+		t.Fatalf("RunAs polling = %+v, %v", pr, err)
+	}
+	// The wrong result type is an error naming both types, and the point
+	// is not simulated again to find out.
+	_, err = RunAs[*core.PWWResult](ctx, eng, quickPoint())
+	if err == nil || !strings.Contains(err.Error(), "*core.PollingResult") || !strings.Contains(err.Error(), "*core.PWWResult") {
+		t.Errorf("mismatched RunAs error = %v", err)
+	}
+	if st := eng.Stats(); st.Runs != 1 {
+		t.Errorf("stats = %+v, want Runs=1", st)
+	}
+	bad := quickPoint()
+	bad.System = "nosuch"
+	if _, err := RunAs[*core.PollingResult](ctx, eng, bad); err == nil {
+		t.Error("unknown system must fail")
 	}
 }
 
@@ -421,38 +444,29 @@ func TestCalibrationSharing(t *testing.T) {
 		p.Params = cfg
 		return p
 	}
-	asPolling := func(t *testing.T, r *Result) *core.PollingResult {
-		t.Helper()
-		pr, ok := As[*core.PollingResult](r)
-		if !ok {
-			t.Fatalf("point returned a %T result", r.Value)
-		}
-		return pr
-	}
 	ctx := context.Background()
 	shared := New(Config{Workers: 1})
-	a1, err := shared.Run(ctx, mk(100_000))
+	a1, err := RunAs[*core.PollingResult](ctx, shared, mk(100_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := shared.Run(ctx, mk(200_000))
+	a2, err := RunAs[*core.PollingResult](ctx, shared, mk(200_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := shared.Stats(); st.CalibHits != 1 {
 		t.Errorf("stats = %+v, want CalibHits=1", st)
 	}
-	if asPolling(t, a1).DryTime != asPolling(t, a2).DryTime {
-		t.Errorf("dry times differ across shared calibration: %v vs %v",
-			asPolling(t, a1).DryTime, asPolling(t, a2).DryTime)
+	if a1.DryTime != a2.DryTime {
+		t.Errorf("dry times differ across shared calibration: %v vs %v", a1.DryTime, a2.DryTime)
 	}
 	// A fresh engine simulating the second point cold must agree exactly.
 	cold := New(Config{Workers: 1})
-	b2, err := cold.Run(ctx, mk(200_000))
+	b2, err := RunAs[*core.PollingResult](ctx, cold, mk(200_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *asPolling(t, a2) != *asPolling(t, b2) {
-		t.Errorf("calibrated result %+v != cold result %+v", a2.Value, b2.Value)
+	if *a2 != *b2 {
+		t.Errorf("calibrated result %+v != cold result %+v", a2, b2)
 	}
 }

@@ -4,10 +4,11 @@
 // span timeline, the metric registry, and the provenance manifest with
 // its result hash.
 //
-// It is the single pipeline behind the comb.Run facade and the serve
-// API's job executor; the sweep runner shares its platform construction
-// (NewPlatform) so seeds and fault injection behave identically on every
-// entry path.
+// It is the pipeline behind the comb.Run facade, `comb run`, the serve
+// API's job executor and the White & Bova probe.  The sweep runner
+// shares its platform construction (NewPlatform) and hands the platform
+// to the same method.Execute, so seeds, fault injection and the
+// invariant checker behave identically on every entry path.
 package runpipe
 
 import (
@@ -156,12 +157,7 @@ func Run(ctx context.Context, s spec.Spec) (*Outcome, error) {
 		return nil, err
 	}
 	if verr := chk.Err(); verr != nil {
-		replay := fmt.Sprintf("-seed %d", s.Seed)
-		if s.Faults != nil && !s.Faults.Zero() {
-			replay += fmt.Sprintf(" -faults %q", s.Faults.String())
-		}
-		return nil, fmt.Errorf("comb: %s/%s run broke the simulator (replay with %s): %w",
-			m.Name(), s.System, replay, verr)
+		return nil, fmt.Errorf("comb: %s/%s run broke the simulator: %w", m.Name(), s.System, verr)
 	}
 	out := &Outcome{Value: res}
 	out.Polling, _ = res.(*core.PollingResult)

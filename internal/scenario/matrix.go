@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -48,22 +47,11 @@ type Cell struct {
 	Err error
 }
 
-// Replay renders the one-command reproduction line for the cell: the
-// cell's full normalized spec as an inline versioned document — the
-// exact argument `comb run -spec` accepts — plus the frozen spec key.
-// Quoting the whole document is lossless: everything the key hashes
-// (method configuration, seed, faults, strategy stamp) survives
-// transcription, where the older -method/-seed/-faults vocabulary
-// silently dropped the method knobs and the strategy.
+// Replay renders the one-command reproduction line for the cell: its
+// full normalized spec as an inline document (spec.ReplayLine) plus the
+// frozen spec key.
 func (c *Cell) Replay() string {
-	b, err := json.Marshal(&c.Spec)
-	if err != nil {
-		// The spec already ran, so it marshals; keep the line usable if
-		// that invariant ever breaks.
-		return fmt.Sprintf("comb run -method %s -system %s -seed %d (spec key %s)",
-			c.Spec.Method, c.System, c.Spec.Seed, c.Key)
-	}
-	return fmt.Sprintf("comb run -spec '%s' (spec key %s)", b, c.Key)
+	return fmt.Sprintf("%s (spec key %s)", spec.ReplayLine(c.Spec), c.Key)
 }
 
 // Matrix is one pack's expanded, executed result grid.

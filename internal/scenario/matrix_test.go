@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"comb/internal/pingpong"
+	"comb/internal/method/pingpong"
 	"comb/internal/spec"
 	"comb/internal/strategy"
 	"comb/internal/transport"

@@ -7,7 +7,7 @@ import (
 
 	"comb/internal/core"
 	"comb/internal/method/collov"
-	"comb/internal/pingpong"
+	"comb/internal/method/pingpong"
 	"comb/internal/runner"
 	"comb/internal/transport"
 )

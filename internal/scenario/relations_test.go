@@ -12,7 +12,7 @@ import (
 
 	"comb/internal/core"
 	"comb/internal/faultinject"
-	"comb/internal/pingpong"
+	"comb/internal/method/pingpong"
 	"comb/internal/runner"
 	"comb/internal/spec"
 )

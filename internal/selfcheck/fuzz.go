@@ -9,6 +9,7 @@ import (
 	"comb/internal/faultinject"
 	"comb/internal/method"
 	"comb/internal/sim"
+	"comb/internal/spec"
 	"comb/internal/transport"
 )
 
@@ -17,21 +18,18 @@ import (
 var FuzzSystems = []string{"gm", "tcp", "emp", "portals"}
 
 // FuzzFailure is one fuzz case that broke an invariant (or the
-// simulator outright).  Seed and Faults are everything needed to replay
-// it: `comb <method> -system <sys> -seed <seed> -faults '<faults>'`.
+// simulator outright).  Spec is the case's whole measurement, fuzzed
+// method parameters included, so its replay line reruns exactly that
+// case: `comb run -spec '<document>'`.
 type FuzzFailure struct {
-	Case   int
-	System string
-	Method comb.Method
-	Seed   uint64
-	Faults string
-	Err    error
+	Case int
+	Spec comb.RunSpec
+	Err  error
 }
 
 // String renders the failure with its replay instructions.
 func (f FuzzFailure) String() string {
-	return fmt.Sprintf("case %d: replay with `comb run -method %s -system %s -seed %d -faults '%s'`: %v",
-		f.Case, f.Method, f.System, f.Seed, f.Faults, f.Err)
+	return fmt.Sprintf("case %d: replay with `%s`: %v", f.Case, spec.ReplayLine(f.Spec), f.Err)
 }
 
 // FuzzResult summarizes one deterministic fuzz sweep.
@@ -87,18 +85,11 @@ func Fuzz(ctx context.Context, n int, seed uint64) *FuzzResult {
 			break
 		}
 		sys := FuzzSystems[i%len(FuzzSystems)]
-		spec := FuzzCase(sys, caseSeed)
+		s := FuzzCase(sys, caseSeed)
 		res.Cases++
 		res.PerSystem[sys]++
-		if _, err := comb.Run(ctx, spec); err != nil && ctx.Err() == nil {
-			res.Failures = append(res.Failures, FuzzFailure{
-				Case:   i,
-				System: sys,
-				Method: spec.Method,
-				Seed:   caseSeed,
-				Faults: spec.Faults.String(),
-				Err:    err,
-			})
+		if _, err := comb.Run(ctx, s); err != nil && ctx.Err() == nil {
+			res.Failures = append(res.Failures, FuzzFailure{Case: i, Spec: s, Err: err})
 		}
 	}
 	return res

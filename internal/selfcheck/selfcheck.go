@@ -7,7 +7,9 @@ import (
 
 	"comb"
 	"comb/internal/assess"
-	"comb/internal/netperf"
+	"comb/internal/method/netperf"
+	"comb/internal/runner"
+	"comb/internal/sweep"
 )
 
 // Check is one verified claim.
@@ -88,20 +90,15 @@ func Run() (*Result, error) {
 	res.add("portals.lowavail (Fig 15)", "peak bandwidth only at low availability",
 		fmt.Sprintf("%.2f", ptl.AvailabilityAtPeak), ptl.AvailabilityAtPeak < 0.3)
 
-	// Drive netperf through the registered-method pipeline (rather than
-	// its legacy entry point) so the headline claim also exercises the
-	// registry dispatch, the invariant checker, and the run manifest.
-	busyRun, err := comb.Run(context.Background(), comb.RunSpec{
+	// netperf runs on the same engine as the battery above, so the claim
+	// passes the registry dispatch and the invariant checker.
+	busy, err := runner.RunAs[*netperf.Result](context.Background(), sweep.DefaultEngine, runner.Point{
 		Method: comb.MethodNetperf,
 		System: "gm",
 		Params: comb.NetperfConfig{Mode: comb.NetperfBusyWait, MsgSize: 100_000, LoopIters: 25_000_000},
 	})
 	if err != nil {
 		return nil, err
-	}
-	busy, ok := busyRun.Value.(*netperf.Result)
-	if !ok {
-		return nil, fmt.Errorf("selfcheck: netperf run returned a %T result", busyRun.Value)
 	}
 	res.add("netperf.misreport (s5)", "busy-wait netperf reports ~0.5 on GM",
 		fmt.Sprintf("%.2f", busy.Availability),

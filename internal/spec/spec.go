@@ -332,6 +332,22 @@ func (s Spec) Key() string {
 	return KeyOf(n, m)
 }
 
+// ReplayLine renders the one-command reproduction line for s: the whole
+// spec as an inline versioned document, the exact argument `comb run
+// -spec` accepts.  Quoting the document is lossless: everything the key
+// hashes (method configuration, seed, faults, strategy stamp) survives
+// transcription, where a -method/-seed/-faults line drops the method
+// knobs and the strategy.
+func ReplayLine(s Spec) string {
+	b, err := json.Marshal(&s)
+	if err != nil {
+		// A spec that ran marshals; keep the line usable if that
+		// invariant ever breaks.
+		return fmt.Sprintf("comb run -method %s -system %s -seed %d", s.Method, s.System, s.Seed)
+	}
+	return fmt.Sprintf("comb run -spec '%s'", b)
+}
+
 // wireSpec is the version-3 JSON document (a superset of version 2:
 // the "nodes" field is the only addition).  Field names are the
 // schema; changing any of them requires a Version bump.  Spec.SimWorkers

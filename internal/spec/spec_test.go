@@ -13,7 +13,7 @@ import (
 	"comb/internal/core"
 	"comb/internal/faultinject"
 	_ "comb/internal/method/all"
-	"comb/internal/pingpong"
+	"comb/internal/method/pingpong"
 	"comb/internal/sim"
 	"comb/internal/strategy"
 )

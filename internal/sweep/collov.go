@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"fmt"
-
 	"comb/internal/method/collov"
 	"comb/internal/runner"
 	"comb/internal/stats"
@@ -73,15 +71,7 @@ func (o Options) collovPoints() []runner.Point {
 // collovPointAt runs (or recalls) repetition rep of one collov sample
 // on the Options engine.
 func collovPointAt(o Options, system, collective string, size, rep int) (*collov.Result, error) {
-	res, err := o.engine().Run(o.ctx(), collovPointSpec(system, collective, size, rep))
-	if err != nil {
-		return nil, err
-	}
-	r, ok := runner.As[*collov.Result](res)
-	if !ok {
-		return nil, fmt.Errorf("sweep: collov point returned a %T result", res.Value)
-	}
-	return r, nil
+	return runner.RunAs[*collov.Result](o.ctx(), o.engine(), collovPointSpec(system, collective, size, rep))
 }
 
 // collovCurve is one Figure 18 series as a searchable curve over the

@@ -139,27 +139,11 @@ func pwwPointRep(system string, size int, work int64, reps int, testInWork bool,
 // pollingPointAt runs (or recalls) repetition rep of one polling-method
 // sample on the Options engine.
 func pollingPointAt(o Options, system string, size int, poll int64, rep int) (*core.PollingResult, error) {
-	res, err := o.engine().Run(o.ctx(), pollingPointRep(system, size, poll, rep))
-	if err != nil {
-		return nil, err
-	}
-	r, ok := runner.As[*core.PollingResult](res)
-	if !ok {
-		return nil, fmt.Errorf("sweep: polling point returned a %T result", res.Value)
-	}
-	return r, nil
+	return runner.RunAs[*core.PollingResult](o.ctx(), o.engine(), pollingPointRep(system, size, poll, rep))
 }
 
 // pwwPointAt runs (or recalls) repetition rep of one PWW sample on the
 // Options engine.
 func pwwPointAt(o Options, system string, size int, work int64, reps int, testInWork bool, rep int) (*core.PWWResult, error) {
-	res, err := o.engine().Run(o.ctx(), pwwPointRep(system, size, work, reps, testInWork, rep))
-	if err != nil {
-		return nil, err
-	}
-	r, ok := runner.As[*core.PWWResult](res)
-	if !ok {
-		return nil, fmt.Errorf("sweep: pww point returned a %T result", res.Value)
-	}
-	return r, nil
+	return runner.RunAs[*core.PWWResult](o.ctx(), o.engine(), pwwPointRep(system, size, work, reps, testInWork, rep))
 }

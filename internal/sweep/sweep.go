@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"comb/internal/core"
-	"comb/internal/machine"
-	"comb/internal/platform"
 	"comb/internal/runner"
 	"comb/internal/stats"
 
@@ -111,7 +109,7 @@ func workTotalFor(poll int64) int64 {
 
 // WorkTotalFor exposes the polling sweep's work-total rule so callers
 // building their own point lists (cmd/comb's custom sweep) hit the same
-// cache keys as PollingPoint.
+// cache keys as the figures' polling points.
 func WorkTotalFor(poll int64) int64 { return workTotalFor(poll) }
 
 // ClearCache drops DefaultEngine's in-memory memo (used by tests).  Disk
@@ -143,69 +141,6 @@ func pwwPointSpec(system string, size int, work int64, reps int, testInWork bool
 			TestInWork:   testInWork,
 		},
 	}
-}
-
-// PollingPoint runs (or recalls) one polling-method measurement of the
-// named system on the default engine.
-func PollingPoint(system string, size int, poll int64) (*core.PollingResult, error) {
-	return pollingPoint(context.Background(), DefaultEngine, system, size, poll)
-}
-
-func pollingPoint(ctx context.Context, eng *runner.Engine, system string, size int, poll int64) (*core.PollingResult, error) {
-	res, err := eng.Run(ctx, pollingPointSpec(system, size, poll))
-	if err != nil {
-		return nil, err
-	}
-	r, ok := runner.As[*core.PollingResult](res)
-	if !ok {
-		return nil, fmt.Errorf("sweep: polling point returned a %T result", res.Value)
-	}
-	return r, nil
-}
-
-// PWWPoint runs (or recalls) one PWW measurement of the named system on
-// the default engine.
-func PWWPoint(system string, size int, work int64, reps int, testInWork bool) (*core.PWWResult, error) {
-	return pwwPoint(context.Background(), DefaultEngine, system, size, work, reps, testInWork)
-}
-
-func pwwPoint(ctx context.Context, eng *runner.Engine, system string, size int, work int64, reps int, testInWork bool) (*core.PWWResult, error) {
-	res, err := eng.Run(ctx, pwwPointSpec(system, size, work, reps, testInWork))
-	if err != nil {
-		return nil, err
-	}
-	r, ok := runner.As[*core.PWWResult](res)
-	if !ok {
-		return nil, fmt.Errorf("sweep: pww point returned a %T result", res.Value)
-	}
-	return r, nil
-}
-
-// RunPWWOnce runs a single, uncached PWW measurement of the named system
-// with exactly the given configuration.
-func RunPWWOnce(system string, cfg core.PWWConfig) (*core.PWWResult, error) {
-	var res *core.PWWResult
-	var ferr error
-	err := machine.Run(platform.Config{Transport: system}, func(m core.Machine) {
-		r, err := core.RunPWW(m, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		if r != nil {
-			res = r
-		}
-	})
-	if err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, fmt.Errorf("sweep: pww produced no worker result")
-	}
-	return res, nil
 }
 
 // sizeLabel renders 10000 as "10 KB" etc., matching the paper's legends.

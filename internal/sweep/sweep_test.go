@@ -56,11 +56,11 @@ func TestWorkTotalForClamps(t *testing.T) {
 
 func TestPollingPointCached(t *testing.T) {
 	ClearCache()
-	a, err := PollingPoint("gm", 100_000, 1_000_000)
+	a, err := pollingPointAt(Options{}, "gm", 100_000, 1_000_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PollingPoint("gm", 100_000, 1_000_000)
+	b, err := pollingPointAt(Options{}, "gm", 100_000, 1_000_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +118,10 @@ func TestSizeLabel(t *testing.T) {
 
 func TestUnknownSystemPropagatesError(t *testing.T) {
 	ClearCache()
-	if _, err := PollingPoint("nosuch", 1000, 1000); err == nil {
+	if _, err := pollingPointAt(Options{}, "nosuch", 1000, 1000, 0); err == nil {
 		t.Fatal("unknown system must error")
 	}
-	if _, err := PWWPoint("nosuch", 1000, 1000, 3, false); err == nil {
+	if _, err := pwwPointAt(Options{}, "nosuch", 1000, 1000, 3, false, 0); err == nil {
 		t.Fatal("unknown system must error")
 	}
 }

@@ -1,11 +1,15 @@
 package whitebova
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"comb/internal/core"
-	"comb/internal/sweep"
+	"comb/internal/runpipe"
+	"comb/internal/spec"
+
+	_ "comb/internal/method/pww" // the probe's two runs are PWW measurements
 )
 
 // Result is the overlap classification for one message size.
@@ -37,16 +41,30 @@ func (r Result) String() string {
 // overlapping.
 const OverlapThreshold = 0.5
 
+// runPWW runs one uncached PWW measurement of the named system through
+// the shared pipeline.
+func runPWW(system string, msgSize int, work int64, reps int) (*core.PWWResult, error) {
+	out, err := runpipe.Run(context.Background(), spec.Spec{
+		Method: spec.MethodPWW,
+		System: system,
+		PWW: &core.PWWConfig{
+			Config:       core.Config{MsgSize: msgSize},
+			WorkInterval: work,
+			Reps:         reps,
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out.PWW, nil
+}
+
 // Classify measures the named system at the given message size, using a
 // work interval sized to roughly match the communication time.
 func Classify(system string, msgSize int) (*Result, error) {
 	const reps = 20
 	// Communication-only time per cycle: a PWW run with negligible work.
-	comm, err := sweep.RunPWWOnce(system, core.PWWConfig{
-		Config:       core.Config{MsgSize: msgSize},
-		WorkInterval: 1,
-		Reps:         reps,
-	})
+	comm, err := runPWW(system, msgSize, 1, reps)
 	if err != nil {
 		return nil, err
 	}
@@ -59,11 +77,7 @@ func Classify(system string, msgSize int) (*Result, error) {
 	if workIters < 1000 {
 		workIters = 1000
 	}
-	combined, err := sweep.RunPWWOnce(system, core.PWWConfig{
-		Config:       core.Config{MsgSize: msgSize},
-		WorkInterval: workIters,
-		Reps:         reps,
-	})
+	combined, err := runPWW(system, msgSize, workIters, reps)
 	if err != nil {
 		return nil, err
 	}

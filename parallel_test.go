@@ -6,8 +6,8 @@ import (
 
 	"comb/internal/method/collov"
 	"comb/internal/method/halo"
-	"comb/internal/netperf"
-	"comb/internal/pingpong"
+	"comb/internal/method/netperf"
+	"comb/internal/method/pingpong"
 )
 
 // parallelCases enumerates every node-scaling method with a small

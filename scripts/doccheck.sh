@@ -5,7 +5,7 @@
 #   2. every package in the module has a package comment,
 #   3. `go doc` renders every package without error,
 #   4. every relative link in the markdown docs points at a file that
-#      exists.
+#      exists, and so does every backticked repository path.
 #
 # Stdlib + POSIX sh only; exits nonzero on the first failing section.
 set -e
@@ -70,15 +70,49 @@ for md in *.md docs/*.md; do
     [ -f "$md" ] || continue
     dir=$(dirname "$md")
     # Inline links only: [text](target). Skip URLs and pure anchors.
-    # Fenced code blocks are stripped first: Go index/generic syntax
-    # (`DecodeJSON[T](b)`) otherwise reads as a link.
-    for target in $(sed '/^```/,/^```/d' "$md" | grep -o '](\([^)]*\))' |
+    # Fenced code blocks and inline code spans are stripped first: Go
+    # index/generic syntax (`DecodeJSON[T](b)`) otherwise reads as a link.
+    for target in $(sed '/^```/,/^```/d; s/`[^`]*`//g' "$md" | grep -o '](\([^)]*\))' |
         sed 's/^](//; s/)$//; s/#.*//' |
         grep -v '^$' | grep -v '^[a-z+]*://' | sort -u); do
         if [ ! -e "$dir/$target" ] && [ ! -e "$target" ]; then
             echo "$md: broken relative link: $target"
             fail=1
         fi
+    done
+done
+
+echo "==> markdown package paths"
+# Every backticked path under internal/, cmd/, examples/, scripts/,
+# perfbench/ or testdata/ must exist, so a package move or deletion that
+# leaves docs behind fails here.  The change log and the work plan name
+# paths from before a move and are skipped.  Before the lookup a ref loses
+# a :line suffix and a trailing .Symbol (internal/sweep.RunCurve names
+# internal/sweep), an ALL-CAPS placeholder element
+# (testdata/scenarios/NAME.json) is checked by its directory, and {a,b}
+# alternatives are checked one by one.
+for md in *.md docs/*.md; do
+    case $md in CHANGES.md | ISSUE.md) continue ;; esac
+    for ref in $(sed '/^```/,/^```/d' "$md" | grep -o '`[^` ]*`' | tr -d '`' |
+        grep -E '^(\./)?(internal|cmd|examples|scripts|perfbench|testdata)/' |
+        sed -E 's#^\./##; s#:[0-9]+$##; s#\.[A-Z][A-Za-z0-9_]*$##; s#/[A-Z][A-Z0-9_]*(\.[a-z]+)?(/.*)?$##' |
+        sort -u); do
+        pre=${ref%%\{*}
+        alts=$ref
+        post=
+        if [ "$pre" != "$ref" ]; then
+            rest=${ref#*\{}
+            alts=$(echo "${rest%%\}*}" | tr ',' ' ')
+            post=${rest#*\}}
+        else
+            pre=
+        fi
+        for alt in $alts; do
+            if [ ! -e "$pre$alt$post" ]; then
+                echo "$md: reference to nonexistent $pre$alt$post"
+                fail=1
+            fi
+        done
     done
 done
 

@@ -25,6 +25,14 @@ GOEXPERIMENT=synctest go test ./internal/runner ./internal/serve
 echo "==> coverage ratchet"
 sh scripts/covercheck.sh
 
+echo "==> examples"
+# Every example must run to completion, not just build: they are the
+# documented entry points into the facade.
+for ex in examples/*/; do
+    echo "$ex"
+    go run "./$ex" >/dev/null
+done
+
 echo "==> comb methods smoke"
 # The CLI must list every built-in method through the registry.
 go build -o /tmp/comb-verify ./cmd/comb
