@@ -74,26 +74,19 @@ func (r Result) String() string {
 		r.OverlapFraction, r.Probes, r.GridPoints)
 }
 
-// xorCombine is the allreduce operator: byte-wise XOR, associative and
-// commutative, content-independent in cost.
-func xorCombine(acc, contribution []byte) {
-	for i := range acc {
-		acc[i] ^= contribution[i]
-	}
-}
-
 // measure runs the max-work-injection protocol on an already-built
 // platform instance.
 func measure(ctx context.Context, in *platform.Instance, system string, p Params, spans *obs.Collector) (*Result, error) {
 	nodes := len(in.Comms)
 	gridPoints := p.WorkGrid + 1
 
-	// startColl posts the configured nonblocking collective.
-	startColl := func(pr *sim.Proc, c *mpi.Comm, data []byte) *mpi.CollReq {
+	// startColl posts the configured nonblocking collective, length-only:
+	// nothing reads the bulk payload, and its costs come from its length.
+	startColl := func(pr *sim.Proc, c *mpi.Comm) *mpi.CollReq {
 		if p.Collective == "bcast" {
-			return c.Ibcast(pr, 0, data)
+			return c.IbcastLen(pr, 0, p.MsgSize)
 		}
-		return c.Iallreduce(pr, data, xorCombine)
+		return c.IallreduceLen(pr, p.MsgSize)
 	}
 
 	// Everything below runs in virtual time, so every rank derives the
@@ -115,7 +108,6 @@ func measure(ctx context.Context, in *platform.Instance, system string, p Params
 	err := in.RunContext(ctx, func(pr *sim.Proc, c *mpi.Comm) {
 		rank := c.Rank()
 		node := in.Sys.Nodes[rank]
-		data := make([]byte, p.MsgSize)
 
 		// round runs one timed measurement at the given injected work
 		// level and returns the mean per-invocation completion time.
@@ -123,7 +115,7 @@ func measure(ctx context.Context, in *platform.Instance, system string, p Params
 			c.Barrier(pr)
 			t0 := pr.Now()
 			for i := 0; i < p.Reps; i++ {
-				r := startColl(pr, c, data)
+				r := startColl(pr, c)
 				if workIters > 0 {
 					node.Work(pr, workIters)
 				}
@@ -134,7 +126,7 @@ func measure(ctx context.Context, in *platform.Instance, system string, p Params
 
 		// Warmup: one untimed collective settles connection state.
 		c.Barrier(pr)
-		c.CollWait(pr, startColl(pr, c, data))
+		c.CollWait(pr, startColl(pr, c))
 
 		// Reference: the collective alone.
 		t0 := pr.Now()

@@ -147,7 +147,7 @@ func (c *Comm) Gather(p *sim.Proc, root int, data, out []byte) {
 		if src == root {
 			continue
 		}
-		reqs = append(reqs, c.postInternalRecv(p, src, tag, out[src*n:(src+1)*n]))
+		reqs = append(reqs, c.postRecv(p, src, tag, n, out[src*n:(src+1)*n]))
 	}
 	c.Waitall(p, reqs)
 }

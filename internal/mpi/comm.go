@@ -79,7 +79,7 @@ func (c *Comm) isend(p *sim.Proc, dst, tag, n int, data []byte) *Request {
 	c.checkRank(dst)
 	c.checkTag(tag)
 	c.checkLen(n)
-	return c.post(p, &Request{kind: KindSend, peer: dst, tag: tag, n: n, data: data})
+	return c.postSend(p, dst, tag, n, data)
 }
 
 func (c *Comm) irecv(p *sim.Proc, src, tag, n int, buf []byte) *Request {
@@ -90,6 +90,17 @@ func (c *Comm) irecv(p *sim.Proc, src, tag, n int, buf []byte) *Request {
 		c.checkTag(tag)
 	}
 	c.checkLen(n)
+	return c.postRecv(p, src, tag, n, buf)
+}
+
+// postSend / postRecv post an n-byte request without validating it, so
+// library-internal traffic can use the reserved tag space.  A nil data or
+// buf makes the request length-only.
+func (c *Comm) postSend(p *sim.Proc, dst, tag, n int, data []byte) *Request {
+	return c.post(p, &Request{kind: KindSend, peer: dst, tag: tag, n: n, data: data})
+}
+
+func (c *Comm) postRecv(p *sim.Proc, src, tag, n int, buf []byte) *Request {
 	return c.post(p, &Request{kind: KindRecv, peer: src, tag: tag, n: n, buf: buf})
 }
 
@@ -226,7 +237,8 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int, buf []byte) Status {
 func (c *Comm) CollStats() (started, done int64) { return c.collStarted, c.collDone }
 
 // Barrier synchronizes all ranks with a linear gather to rank 0 followed
-// by a broadcast, using a reserved tag space.
+// by a broadcast, using a reserved tag space.  Its tokens are length-only
+// 1-byte messages: nothing reads them.
 func (c *Comm) Barrier(p *sim.Proc) {
 	tag := TagUpper + c.barrierSeq%(1<<20)
 	c.barrierSeq++
@@ -236,36 +248,26 @@ func (c *Comm) Barrier(p *sim.Proc) {
 		return
 	}
 	if c.rank == 0 {
-		buf := make([]byte, 1)
 		for src := 1; src < c.size; src++ {
-			c.recvInternal(p, src, tag, buf)
+			c.Wait(p, c.postRecv(p, src, tag, 1, nil))
 		}
 		for dst := 1; dst < c.size; dst++ {
-			c.sendInternal(p, dst, tag, []byte{0})
+			c.Wait(p, c.postSend(p, dst, tag, 1, nil))
 		}
 	} else {
-		c.sendInternal(p, 0, tag, []byte{0})
-		c.recvInternal(p, 0, tag, make([]byte, 1))
+		c.Wait(p, c.postSend(p, 0, tag, 1, nil))
+		c.Wait(p, c.postRecv(p, 0, tag, 1, nil))
 	}
 }
 
-// sendInternal / recvInternal bypass tag validation for reserved tags.
+// sendInternal / recvInternal are the blocking byte forms of postSend /
+// postRecv.
 func (c *Comm) sendInternal(p *sim.Proc, dst, tag int, data []byte) {
-	c.Wait(p, c.postInternalSend(p, dst, tag, data))
+	c.Wait(p, c.postSend(p, dst, tag, len(data), data))
 }
 
 func (c *Comm) recvInternal(p *sim.Proc, src, tag int, buf []byte) {
-	c.Wait(p, c.postInternalRecv(p, src, tag, buf))
-}
-
-// postInternalSend / postInternalRecv post a library-internal request
-// (reserved tag space, no tag validation) without waiting on it.
-func (c *Comm) postInternalSend(p *sim.Proc, dst, tag int, data []byte) *Request {
-	return c.post(p, &Request{kind: KindSend, peer: dst, tag: tag, n: len(data), data: data})
-}
-
-func (c *Comm) postInternalRecv(p *sim.Proc, src, tag int, buf []byte) *Request {
-	return c.post(p, &Request{kind: KindRecv, peer: src, tag: tag, n: len(buf), buf: buf})
+	c.Wait(p, c.postRecv(p, src, tag, len(buf), buf))
 }
 
 func (c *Comm) checkRank(rank int) {

@@ -31,8 +31,10 @@ type collOp struct {
 	send bool
 	peer int
 	tag  int
-	// buf is the payload (send) or destination buffer (recv).  Combining
-	// receives land in a private buffer and fold into CollReq.data.
+	n    int // payload length: a send's size, a receive's capacity
+	// buf is the payload (send) or destination buffer (recv); nil when
+	// length-only.  Combining receives land in a private buffer and fold
+	// into CollReq.data.
 	buf []byte
 	// combine marks a receive whose payload is merged into the
 	// collective's data once its stage completes.
@@ -46,7 +48,7 @@ type CollReq struct {
 	stage   int        // index of the posted stage; len(stages) when done
 	reqs    []*Request // in-flight requests of the posted stage
 	data    []byte
-	combine Combine
+	combine Combine // nil when nothing is folded
 }
 
 // Done reports whether the collective has completed.  It gives the
@@ -58,11 +60,23 @@ func (r *CollReq) Done() bool { return r.stage >= len(r.stages) }
 // root, data is the source; elsewhere it receives the payload.  Drive
 // the request with CollTest or CollWait.
 func (c *Comm) Ibcast(p *sim.Proc, root int, data []byte) *CollReq {
+	return c.ibcast(p, root, len(data), data)
+}
+
+// IbcastLen starts a length-only broadcast of n bytes from root (DESIGN.md
+// §5l): the schedule and the costs of an Ibcast of n bytes, with no bytes
+// moved.
+func (c *Comm) IbcastLen(p *sim.Proc, root, n int) *CollReq {
+	return c.ibcast(p, root, n, nil)
+}
+
+func (c *Comm) ibcast(p *sim.Proc, root, n int, data []byte) *CollReq {
 	c.checkRank(root)
+	c.checkLen(n)
 	tag := c.collTag(collBcast)
 	c.collStarted++
 	r := &CollReq{comm: c, data: data}
-	r.stages = appendBcastStages(r.stages, c, root, tag, data)
+	r.stages = appendBcastStages(r.stages, c, root, tag, n, data)
 	c.startColl(p, r)
 	return r
 }
@@ -75,14 +89,26 @@ func (c *Comm) Iallreduce(p *sim.Proc, data []byte, combine Combine) *CollReq {
 	if combine == nil {
 		panic("mpi: Iallreduce needs a combine function")
 	}
+	return c.iallreduce(p, len(data), data, combine)
+}
+
+// IallreduceLen starts a length-only all-reduce of n bytes: the schedule
+// and the costs of an Iallreduce of n bytes, with no bytes moved and
+// nothing combined.
+func (c *Comm) IallreduceLen(p *sim.Proc, n int) *CollReq {
+	return c.iallreduce(p, n, nil, nil)
+}
+
+func (c *Comm) iallreduce(p *sim.Proc, n int, data []byte, combine Combine) *CollReq {
+	c.checkLen(n)
 	// Two tags, exactly like the blocking Reduce-then-Bcast pair: the
 	// reduce and broadcast phases are distinct matching spaces.
 	rtag := c.collTag(collReduce)
 	btag := c.collTag(collBcast)
 	c.collStarted++
 	r := &CollReq{comm: c, data: data, combine: combine}
-	r.stages = appendReduceStages(r.stages, c, rtag, data)
-	r.stages = appendBcastStages(r.stages, c, 0, btag, data)
+	r.stages = appendReduceStages(r.stages, c, rtag, n, data)
+	r.stages = appendBcastStages(r.stages, c, 0, btag, n, data)
 	c.startColl(p, r)
 	return r
 }
@@ -90,8 +116,9 @@ func (c *Comm) Iallreduce(p *sim.Proc, data []byte, combine Combine) *CollReq {
 // appendReduceStages appends the binomial reduce schedule toward rank 0:
 // a rank receives one contribution from each subtree child (all posted
 // in one stage, combined in mask order), then forwards its accumulated
-// value to its parent.
-func appendReduceStages(stages [][]collOp, c *Comm, tag int, data []byte) [][]collOp {
+// value to its parent.  Every operation is n bytes long; with nil data
+// the schedule is length-only and its receives get no buffer.
+func appendReduceStages(stages [][]collOp, c *Comm, tag, n int, data []byte) [][]collOp {
 	var recvs []collOp
 	mask := 1
 	for mask < c.size {
@@ -99,8 +126,11 @@ func appendReduceStages(stages [][]collOp, c *Comm, tag int, data []byte) [][]co
 			break
 		}
 		if src := c.rank + mask; src < c.size {
-			recvs = append(recvs, collOp{peer: src, tag: tag,
-				buf: make([]byte, len(data)), combine: true})
+			op := collOp{peer: src, tag: tag, n: n, combine: true}
+			if data != nil {
+				op.buf = make([]byte, n)
+			}
+			recvs = append(recvs, op)
 		}
 		mask <<= 1
 	}
@@ -108,21 +138,22 @@ func appendReduceStages(stages [][]collOp, c *Comm, tag int, data []byte) [][]co
 		stages = append(stages, recvs)
 	}
 	if c.rank != 0 {
-		stages = append(stages, []collOp{{send: true, peer: c.rank - mask, tag: tag, buf: data}})
+		stages = append(stages, []collOp{{send: true, peer: c.rank - mask, tag: tag, n: n, buf: data}})
 	}
 	return stages
 }
 
 // appendBcastStages appends the binomial broadcast schedule rooted at
 // root: a receive from the tree parent (absent on the root), then every
-// child send in one stage.
-func appendBcastStages(stages [][]collOp, c *Comm, root, tag int, data []byte) [][]collOp {
+// child send in one stage.  Every operation is n bytes of data, or
+// length-only when data is nil.
+func appendBcastStages(stages [][]collOp, c *Comm, root, tag, n int, data []byte) [][]collOp {
 	vrank := (c.rank - root + c.size) % c.size
 	mask := 1
 	for mask < c.size {
 		if vrank&mask != 0 {
 			src := ((vrank - mask) + root) % c.size
-			stages = append(stages, []collOp{{peer: src, tag: tag, buf: data}})
+			stages = append(stages, []collOp{{peer: src, tag: tag, n: n, buf: data}})
 			break
 		}
 		mask <<= 1
@@ -130,7 +161,7 @@ func appendBcastStages(stages [][]collOp, c *Comm, root, tag int, data []byte) [
 	var sends []collOp
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if child := vrank + mask; child < c.size {
-			sends = append(sends, collOp{send: true, peer: (child + root) % c.size, tag: tag, buf: data})
+			sends = append(sends, collOp{send: true, peer: (child + root) % c.size, tag: tag, n: n, buf: data})
 		}
 	}
 	if len(sends) > 0 {
@@ -155,17 +186,18 @@ func (c *Comm) postStage(p *sim.Proc, r *CollReq) {
 	r.reqs = r.reqs[:0]
 	for _, op := range ops {
 		if op.send {
-			r.reqs = append(r.reqs, c.postInternalSend(p, op.peer, op.tag, op.buf))
+			r.reqs = append(r.reqs, c.postSend(p, op.peer, op.tag, op.n, op.buf))
 		} else {
-			r.reqs = append(r.reqs, c.postInternalRecv(p, op.peer, op.tag, op.buf))
+			r.reqs = append(r.reqs, c.postRecv(p, op.peer, op.tag, op.n, op.buf))
 		}
 	}
 }
 
 // advanceColl retires completed stages: when every request of the posted
 // stage is done it folds combining receives into the data (in operation
-// order) and posts the next stage, repeating while stages keep
-// completing.  It does not call Progress — CollTest/CollWait do.
+// order; a length-only collective folds nothing) and posts the next
+// stage, repeating while stages keep completing.  It does not call
+// Progress — CollTest/CollWait do.
 func (c *Comm) advanceColl(p *sim.Proc, r *CollReq) {
 	for !r.Done() {
 		for _, rq := range r.reqs {
@@ -174,7 +206,7 @@ func (c *Comm) advanceColl(p *sim.Proc, r *CollReq) {
 			}
 		}
 		for _, op := range r.stages[r.stage] {
-			if op.combine {
+			if op.combine && r.combine != nil {
 				r.combine(r.data, op.buf)
 			}
 		}

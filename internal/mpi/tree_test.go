@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -22,7 +23,7 @@ func bcastEdges(size, root int) (edges []edge, recvsPerRank []int) {
 	recvsPerRank = make([]int, size)
 	for rank := 0; rank < size; rank++ {
 		c := &Comm{rank: rank, size: size}
-		stages := appendBcastStages(nil, c, root, 1, make([]byte, 8))
+		stages := appendBcastStages(nil, c, root, 1, 8, make([]byte, 8))
 		for _, ops := range stages {
 			for _, op := range ops {
 				if op.send {
@@ -44,7 +45,7 @@ func reduceEdges(size int) (edges []edge, recvsPerRank []int, allCombine bool) {
 	allCombine = true
 	for rank := 0; rank < size; rank++ {
 		c := &Comm{rank: rank, size: size}
-		stages := appendReduceStages(nil, c, 1, make([]byte, 8))
+		stages := appendReduceStages(nil, c, 1, 8, make([]byte, 8))
 		for _, ops := range stages {
 			for _, op := range ops {
 				if op.send {
@@ -134,9 +135,9 @@ func TestAllreduceTreeShape(t *testing.T) {
 	for _, size := range treeSizes() {
 		for rank := 0; rank < size; rank++ {
 			c := &Comm{rank: rank, size: size}
-			reduceLen := len(appendReduceStages(nil, c, 1, make([]byte, 8)))
-			stages := appendReduceStages(nil, c, 1, make([]byte, 8))
-			stages = appendBcastStages(stages, c, 0, 2, make([]byte, 8))
+			reduceLen := len(appendReduceStages(nil, c, 1, 8, make([]byte, 8)))
+			stages := appendReduceStages(nil, c, 1, 8, make([]byte, 8))
+			stages = appendBcastStages(stages, c, 0, 2, 8, make([]byte, 8))
 			for i, ops := range stages {
 				wantTag := 1
 				if i >= reduceLen {
@@ -159,6 +160,38 @@ func TestAllreduceTreeShape(t *testing.T) {
 					if op.tag == 2 && rank != 0 && !op.send && !sentReduce && i < reduceLen {
 						t.Fatalf("size %d rank %d: broadcast recv inside reduce phase", size, rank)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestLengthOnlyScheduleShape pins the one-builder rule: a length-only
+// schedule (nil data) is the byte schedule operation for operation, with
+// the same peers, tags, lengths and combine marks, and no buffer anywhere.
+func TestLengthOnlyScheduleShape(t *testing.T) {
+	withoutBufs := func(stages [][]collOp) [][]collOp {
+		var out [][]collOp
+		for _, ops := range stages {
+			ops = append([]collOp(nil), ops...)
+			for j := range ops {
+				ops[j].buf = nil
+			}
+			out = append(out, ops)
+		}
+		return out
+	}
+	for _, size := range treeSizes() {
+		for rank := 0; rank < size; rank++ {
+			c := &Comm{rank: rank, size: size}
+			for root := 0; root < size; root++ {
+				withBytes := appendReduceStages(nil, c, 1, 8, make([]byte, 8))
+				withBytes = appendBcastStages(withBytes, c, root, 2, 8, make([]byte, 8))
+				lenOnly := appendReduceStages(nil, c, 1, 8, nil)
+				lenOnly = appendBcastStages(lenOnly, c, root, 2, 8, nil)
+				if want := withoutBufs(withBytes); !reflect.DeepEqual(lenOnly, want) {
+					t.Fatalf("size %d rank %d root %d: length-only schedule %+v, want %+v",
+						size, rank, root, lenOnly, want)
 				}
 			}
 		}

@@ -15,13 +15,13 @@ import (
 const chainPeriod = 10 * sim.Millisecond
 
 // chainRig is two Portals nodes on the reference platform.  Every
-// chainPeriod each node posts one message of size bytes to the other,
-// whose receive is always posted before the first fragment arrives.  A
-// receiver recycles the fragments and kernel buffers it consumes into
-// its own pools, so the exchange must run both ways for every pool to
-// reach a steady state.  Every period then runs the same events, and a
-// warm rig shows each period's steady-state cost.  step advances the rig
-// by one period.
+// chainPeriod each node posts one length-only message of size bytes to
+// the other, as the methods' bulk streams do, whose receive is always
+// posted before the first fragment arrives.  A receiver recycles the
+// fragments and message records it consumes into its own pools, so the
+// exchange must run both ways for every pool to reach a steady state.
+// Every period then runs the same events, and a warm rig shows each
+// period's steady-state cost.  step advances the rig by one period.
 func chainRig(tb testing.TB, size int) (in *platform.Instance, step func()) {
 	tb.Helper()
 	in, err := platform.New(platform.Config{Transport: "portals"})
@@ -32,16 +32,14 @@ func chainRig(tb testing.TB, size int) (in *platform.Instance, step func()) {
 	for rank, c := range in.Comms {
 		c, peer := c, 1-rank
 		env.Spawn("sender", func(p *sim.Proc) {
-			data := make([]byte, size)
 			for k := sim.Time(1); ; k++ {
-				c.Wait(p, c.Isend(p, peer, 0, data))
+				c.Wait(p, c.IsendLen(p, peer, 0, size))
 				p.Sleep(k*chainPeriod - p.Now())
 			}
 		})
 		env.Spawn("receiver", func(p *sim.Proc) {
-			buf := make([]byte, size)
 			for {
-				c.Wait(p, c.Irecv(p, peer, 0, buf))
+				c.Wait(p, c.IrecvLen(p, peer, 0, size))
 			}
 		})
 	}

@@ -19,6 +19,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -113,8 +114,10 @@ type workloadWire struct {
 var packNameRE = regexp.MustCompile(`^[a-z0-9]+(-[a-z0-9]+)*$`)
 
 // UnmarshalJSON decodes a version-1 pack manifest strictly: the version
-// is checked first, workload specs decode through spec.Spec's own
-// versioned strict decoder, and the assembled pack must Validate.
+// is checked first, an unknown key at the top level or in a workload
+// entry is rejected (a misspelt "faults" would otherwise run every cell
+// clean), workload specs decode through spec.Spec's own versioned strict
+// decoder, and the assembled pack must Validate.
 func (p *Pack) UnmarshalJSON(b []byte) error {
 	var probe struct {
 		PackVersion *int `json:"packVersion"`
@@ -128,8 +131,10 @@ func (p *Pack) UnmarshalJSON(b []byte) error {
 	if *probe.PackVersion != PackVersion {
 		return &PackVersionError{Got: *probe.PackVersion}
 	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
 	var w packWire
-	if err := json.Unmarshal(b, &w); err != nil {
+	if err := dec.Decode(&w); err != nil {
 		return fmt.Errorf("scenario: pack manifest: %w", err)
 	}
 	out := Pack{

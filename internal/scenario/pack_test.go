@@ -140,6 +140,35 @@ func TestPackValidateRejects(t *testing.T) {
 	}
 }
 
+// TestPackRejectsUnknownKeys pins the strict decode: an unknown key at
+// the top level (here "fault", a typo for "faults", which would otherwise
+// run every cell clean) or in a workload entry fails, naming the key.
+func TestPackRejectsUnknownKeys(t *testing.T) {
+	const ok = `{
+		"packVersion": 1, "name": "tiny", "seed": 3, "faults": "drop=0.01",
+		"workloads": [{"name": "pp", "spec": {"specVersion": 1, "method": "pingpong", "params": {"msg_size": 1024, "reps": 2}}}]
+	}`
+	for _, tc := range []struct{ name, in, key string }{
+		{"top level", strings.Replace(ok, `"faults"`, `"fault"`, 1), `"fault"`},
+		{"workload entry", strings.Replace(ok, `{"name": "pp",`, `{"name": "pp", "reps": 4,`, 1), `"reps"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var p Pack
+			err := json.Unmarshal([]byte(tc.in), &p)
+			if err == nil {
+				t.Fatalf("manifest with an unknown key accepted:\n%s", tc.in)
+			}
+			if !strings.Contains(err.Error(), "unknown field "+tc.key) {
+				t.Fatalf("err = %q, want it to name the unknown key %s", err, tc.key)
+			}
+		})
+	}
+	var p Pack
+	if err := json.Unmarshal([]byte(ok), &p); err != nil {
+		t.Fatalf("baseline manifest rejected: %v", err)
+	}
+}
+
 func TestPackDuplicateWorkloadRejected(t *testing.T) {
 	const in = `{
 		"packVersion": 1, "name": "tiny", "seed": 3,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -130,9 +131,14 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// One document and nothing after it but whitespace, as `comb run
+	// -spec` reads a file.
 	var sp spec.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	if err := dec.Decode(&sp); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err == nil {
+		err = json.Unmarshal(body, &sp)
+	}
+	if err != nil {
 		var ve *spec.VersionError
 		if errors.As(err, &ve) {
 			writeErr(w, http.StatusBadRequest, "spec_version_unsupported", err)

@@ -414,6 +414,13 @@ func TestServeSubmitErrors(t *testing.T) {
 	if code, body := post(`not json`); code != http.StatusBadRequest || !strings.Contains(body, "bad_spec") {
 		t.Errorf("malformed body: %d %s", code, body)
 	}
+	valid := `{"specVersion":1,"method":"polling","system":"ideal","polling":{"PollInterval":999,"WorkTotal":5000000}}`
+	if code, body := post(valid + ` trailing garbage`); code != http.StatusBadRequest || !strings.Contains(body, "bad_spec") {
+		t.Errorf("trailing data after the document: %d %s", code, body)
+	}
+	if code, body := post(valid + valid); code != http.StatusBadRequest || !strings.Contains(body, "bad_spec") {
+		t.Errorf("two documents: %d %s", code, body)
+	}
 
 	resp, err := http.Get(hs.URL + "/v1/jobs/nosuch")
 	if err != nil {
@@ -429,7 +436,8 @@ func TestServeSubmitErrors(t *testing.T) {
 	specFor := func(i int) string {
 		return fmt.Sprintf(`{"specVersion":1,"method":"polling","system":"ideal","polling":{"PollInterval":%d,"WorkTotal":5000000}}`, 1000+i)
 	}
-	if code, _ := post(specFor(0)); code != http.StatusAccepted {
+	// Trailing whitespace after the document is accepted.
+	if code, _ := post(specFor(0) + "\n\t "); code != http.StatusAccepted {
 		t.Fatalf("first stalled submission: HTTP %d", code)
 	}
 	// Wait for the worker to pick it up so the queue slot is free.

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+
 	"comb/internal/cluster"
 	"comb/internal/mpi"
 	"comb/internal/sim"
@@ -69,7 +71,6 @@ func (t *EMP) Build(sys *cluster.System) []mpi.Endpoint {
 			node: node,
 			fab:  sys.Fabric,
 			hub:  mpi.NewActivityHub(node.Env),
-			bufs: bufPool{fab: sys.Fabric},
 			acc:  make(map[empMsgID]*empAccum),
 		}
 		ep.sendDoneFn = ep.sendDone
@@ -85,10 +86,9 @@ type empMsgID struct {
 	seq int64
 }
 
-// empFrag is one wire frame.  buf is the whole send buffer data slices
-// into (recycled once every byte of the message has landed; both are nil
-// for a length-only message); acc carries the receive accumulator through
-// the deferred firmware-match event.
+// empFrag is one wire frame.  data is nil for a length-only message; acc
+// carries the receive accumulator through the deferred firmware-match
+// event.
 type empFrag struct {
 	id   empMsgID
 	src  int
@@ -98,7 +98,6 @@ type empFrag struct {
 	n    int
 	data []byte
 	last bool
-	buf  []byte
 	acc  *empAccum
 }
 
@@ -123,7 +122,6 @@ type empEndpoint struct {
 	seq  int64
 	acc  map[empMsgID]*empAccum
 
-	bufs       bufPool
 	fragFree   []*empFrag
 	accFree    []*empAccum
 	sendDoneFn func(any) // bound once: completes a finished send
@@ -181,7 +179,7 @@ func (ep *empEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	ep.node.CPU.Use(p, ep.cfg.PostCost, cluster.User)
 	id := empMsgID{src: ep.rank(), seq: ep.seq}
 	ep.seq++
-	size, data := r.Len(), ep.bufs.copyOf(r.Data())
+	size, data := r.Len(), bytes.Clone(r.Data())
 	off := 0
 	sentAt := ep.fab.SendMessage(ep.rank(), r.Peer(), size, ep.node.P.PacketHeader,
 		func(i, n int, last bool) any {
@@ -189,7 +187,7 @@ func (ep *empEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 			f.id, f.src, f.tag, f.size = id, ep.rank(), r.Tag(), size
 			f.off, f.n, f.last = off, n, last
 			if data != nil {
-				f.data, f.buf = data[off:off+n], data
+				f.data = data[off : off+n]
 			}
 			off += n
 			return f
@@ -228,7 +226,6 @@ func (ep *empEndpoint) maybeComplete(a *empAccum) {
 	}
 	copy(a.req.Buf(), a.data)
 	req, src, tag, size := a.req, a.src, a.tag, a.size
-	ep.bufs.put(a.data)
 	if ep.pooling() {
 		*a = empAccum{}
 		ep.accFree = append(ep.accFree, a)
@@ -247,7 +244,7 @@ func (ep *empEndpoint) onPacket(pkt *cluster.Packet) {
 		a = ep.getAccum()
 		a.size, a.src, a.tag = f.size, f.src, f.tag
 		if f.data != nil {
-			a.data = ep.bufs.get(f.size)
+			a.data = make([]byte, f.size)
 		}
 		ep.acc[f.id] = a
 		// Firmware matching happens once per message; model its latency
@@ -276,9 +273,7 @@ func (ep *empEndpoint) match(arg any) {
 }
 
 // landFrag accounts one frame's payload and completes the message when
-// everything (including the match) has happened.  Once every byte has
-// landed, nothing references the sender's buffer any more, so it is
-// recycled here.
+// everything (including the match) has happened.
 func (ep *empEndpoint) landFrag(a *empAccum, f *empFrag) {
 	if a.data != nil {
 		copy(a.data[f.off:], f.data)
@@ -286,7 +281,6 @@ func (ep *empEndpoint) landFrag(a *empAccum, f *empFrag) {
 	a.got += f.n
 	if a.got == a.size {
 		delete(ep.acc, f.id)
-		ep.bufs.put(f.buf)
 		ep.maybeComplete(a)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 
 	"comb/internal/cluster"
@@ -68,7 +69,6 @@ func (g *GM) Build(sys *cluster.System) []mpi.Endpoint {
 			node:     node,
 			fab:      sys.Fabric,
 			hub:      mpi.NewActivityHub(node.Env),
-			bufs:     bufPool{fab: sys.Fabric},
 			eagerAcc: make(map[gmMsgID]*gmAccum),
 			dataAcc:  make(map[gmMsgID]*gmAccum),
 			sendReqs: make(map[gmMsgID]*mpi.Request),
@@ -96,11 +96,8 @@ const (
 	gmDataFrag
 )
 
-// gmFrag is the payload of one GM wire packet.  buf is the whole send
-// buffer data slices into; once the last fragment has been consumed the
-// receiver keeps it in its own pool, not the sender's, so under the
-// parallel engine each pool is touched only by its own partition.  Both
-// are nil for a length-only message.
+// gmFrag is the payload of one GM wire packet.  data is nil for a
+// length-only message.
 type gmFrag struct {
 	kind gmFragKind
 	id   gmMsgID
@@ -111,7 +108,6 @@ type gmFrag struct {
 	n    int
 	data []byte
 	last bool
-	buf  []byte
 }
 
 // gmEvtKind is a NIC event-queue entry type, visible only to the library.
@@ -161,7 +157,6 @@ type gmEndpoint struct {
 	dataAcc  map[gmMsgID]*gmAccum
 	sendReqs map[gmMsgID]*mpi.Request
 
-	bufs       bufPool
 	fragFree   []*gmFrag
 	accFree    []*gmAccum
 	sendDoneFn func(any) // bound once: queues the send-done NIC event
@@ -299,12 +294,9 @@ func (ep *gmEndpoint) Progress(p *sim.Proc) {
 	}
 }
 
-// deliverEager lands a complete eager message in the posted receive.  The
-// landing buffer is dead once copied out, so it goes back to the pool.
+// deliverEager lands a complete eager message in the posted receive.
 func (ep *gmEndpoint) deliverEager(r *mpi.Request, in *mpi.Inbound) {
 	copy(r.Buf(), in.Data)
-	ep.bufs.put(in.Data)
-	in.Data = nil
 	r.Complete(in.Src, in.Tag, min(in.Size, r.Len()))
 }
 
@@ -320,10 +312,10 @@ func (ep *gmEndpoint) sendCTS(p *sim.Proc, r *mpi.Request, in *mpi.Inbound) {
 }
 
 // sendPayload fragments r's message onto the wire, copying its bytes, if
-// it has any, into pooled send tokens, and returns when the final fragment
-// has left the host (NIC DMA complete).
+// it has any, into send tokens, and returns when the final fragment has
+// left the host (NIC DMA complete).
 func (ep *gmEndpoint) sendPayload(r *mpi.Request, id gmMsgID, kind gmFragKind) sim.Time {
-	size, data := r.Len(), ep.bufs.copyOf(r.Data())
+	size, data := r.Len(), bytes.Clone(r.Data())
 	off := 0
 	return ep.fab.SendMessage(ep.rank(), r.Peer(), size, ep.node.P.PacketHeader,
 		func(i, n int, last bool) any {
@@ -331,7 +323,7 @@ func (ep *gmEndpoint) sendPayload(r *mpi.Request, id gmMsgID, kind gmFragKind) s
 			f.kind, f.id, f.src, f.tag = kind, id, ep.rank(), r.Tag()
 			f.size, f.off, f.n, f.last = size, off, n, last
 			if data != nil {
-				f.data, f.buf = data[off:off+n], data
+				f.data = data[off : off+n]
 			}
 			off += n
 			return f
@@ -359,7 +351,7 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 			acc = ep.getAccum()
 			acc.size, acc.src, acc.tag = f.size, f.src, f.tag
 			if f.data != nil {
-				acc.data = ep.bufs.get(f.size)
+				acc.data = make([]byte, f.size)
 			}
 			ep.eagerAcc[f.id] = acc
 		}
@@ -403,13 +395,8 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 			ep.putAccum(acc)
 		}
 	}
-	// The fragment (and, after the last one, the whole send buffer it
-	// slices) has been fully consumed: recycle both.  Fabric FIFO per pair
-	// guarantees the last fragment really is consumed last.
+	// The fragment has been fully consumed: recycle it.
 	if ep.pooling() {
-		if f.last {
-			ep.bufs.put(f.buf)
-		}
 		*f = gmFrag{}
 		ep.fragFree = append(ep.fragFree, f)
 	}

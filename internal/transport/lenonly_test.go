@@ -150,3 +150,82 @@ func TestMixedEnds(t *testing.T) {
 		}
 	}
 }
+
+// TestLengthOnlyCollectivesMatchBytes runs a barrier, a broadcast from
+// rank 0 and from the last rank, and an all-reduce on every transport at
+// 2, 5 and 8 ranks, once with bytes (Ibcast, Iallreduce) and once
+// length-only (IbcastLen, IallreduceLen), eager and (on GM) rendezvous.
+// The two runs must post and complete every request at the same
+// instants, with the same byte counts, and every rank's CollStats must
+// agree: a collective's bytes change nothing simulated.
+func TestLengthOnlyCollectivesMatchBytes(t *testing.T) {
+	xor := func(acc, contribution []byte) {
+		for i := range acc {
+			acc[i] ^= contribution[i]
+		}
+	}
+	type outcome struct {
+		spans []obs.Span
+		stats [][2]int64 // per rank: collectives started, done
+	}
+	for _, name := range Names() {
+		for _, ranks := range []int{2, 5, 8} {
+			for _, size := range []int{1_000, 20_000} {
+				t.Run(fmt.Sprintf("%s/%dranks/%dB", name, ranks, size), func(t *testing.T) {
+					run := func(lenOnly bool) outcome {
+						tr, _ := ByName(name)
+						sys := cluster.NewSystem(ranks, cluster.PlatformPIII500())
+						defer sys.Close()
+						meter := &mpi.Meter{Spans: obs.NewCollector(0, nil)}
+						comms := make([]*mpi.Comm, ranks)
+						finished := 0
+						for i, ep := range tr.Build(sys) {
+							c := mpi.NewComm(sys.Env, i, ranks, ep)
+							c.SetMeter(meter)
+							comms[i] = c
+							sys.Env.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+								data := bytes.Repeat([]byte{byte(i + 1)}, size)
+								c.Barrier(p)
+								for _, root := range []int{0, ranks - 1} {
+									if lenOnly {
+										c.CollWait(p, c.IbcastLen(p, root, size))
+									} else {
+										c.CollWait(p, c.Ibcast(p, root, data))
+									}
+								}
+								if lenOnly {
+									c.CollWait(p, c.IallreduceLen(p, size))
+								} else {
+									c.CollWait(p, c.Iallreduce(p, data, xor))
+								}
+								finished++
+							})
+						}
+						sys.Env.Run()
+						if finished != ranks {
+							t.Fatalf("%d of %d ranks finished", finished, ranks)
+						}
+						out := outcome{spans: meter.Spans.Capture().Spans}
+						for _, c := range comms {
+							started, done := c.CollStats()
+							out.stats = append(out.stats, [2]int64{started, done})
+						}
+						return out
+					}
+					withBytes, lenOnly := run(false), run(true)
+					// A barrier, two broadcasts and an all-reduce move
+					// 6*(ranks-1) messages: a send and a receive span each.
+					if want := 12 * (ranks - 1); len(withBytes.spans) != want {
+						t.Fatalf("%d request spans, want %d", len(withBytes.spans), want)
+					}
+					if !reflect.DeepEqual(lenOnly.spans, withBytes.spans) {
+						t.Errorf("length-only spans differ from the run with bytes:\n got %v\nwant %v", lenOnly.spans, withBytes.spans)
+					}
+					if !reflect.DeepEqual(lenOnly.stats, withBytes.stats) {
+						t.Errorf("length-only CollStats %v, with bytes %v", lenOnly.stats, withBytes.stats)
+					}
+				})
+			}
+		}
+	}
+}

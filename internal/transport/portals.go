@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+
 	"comb/internal/cluster"
 	"comb/internal/mpi"
 	"comb/internal/sim"
@@ -69,7 +71,6 @@ func (t *Portals) Build(sys *cluster.System) []mpi.Endpoint {
 			node:     node,
 			fab:      sys.Fabric,
 			hub:      mpi.NewActivityHub(node.Env),
-			bufs:     bufPool{fab: sys.Fabric},
 			inflight: make(map[msgID]*ptlInbound),
 		}
 		ep.rxKernelFn = ep.rxKernel
@@ -121,19 +122,14 @@ type ptlInbound struct {
 // kernel buffer (Kernel priority, host copy bandwidth).  All of this
 // happens with no MPI calls: application offload.
 //
-// The endpoint recycles its per-message and per-fragment records (and the
-// kernel send buffers) on freelists: the last stage of each fragment's
-// receive chain returns the fragment, and — on the final fragment — the
-// message record and its buffer, to the pool.  Per-message FIFO delivery
-// (fabric order plus FIFO kernel queueing) guarantees the final
-// fragment's copy completes last, so nothing can still reference the
-// buffer at release time.  The kernel receive buffer that holds an
-// unexpected message's head comes from the same pool and returns to it
-// when the late-matching Irecv has copied it out: from then on every
-// fragment lands in the user buffer.  The same FIFO order makes the
-// buffered bytes a prefix of the message, so a recycled buffer's stale
-// tail is never read.  Pooling switches off automatically under fault
-// injection, where duplicated deliveries break that guarantee.
+// The endpoint recycles its per-message and per-fragment records on
+// freelists: the last stage of each fragment's receive chain returns the
+// fragment, and — on the final fragment — the message record, to the
+// pool.  Per-message FIFO delivery (fabric order plus FIFO kernel
+// queueing) guarantees the final fragment's copy completes last, so
+// nothing can still reference the record at release time.  Pooling
+// switches off automatically under fault injection, where duplicated
+// deliveries break that guarantee.
 type portalsEndpoint struct {
 	cfg  PortalsConfig
 	node *cluster.Node
@@ -145,7 +141,6 @@ type portalsEndpoint struct {
 
 	inflight map[msgID]*ptlInbound
 
-	bufs     bufPool
 	txFree   []*txMsg
 	fragFree []*ptlFrag
 	inbFree  []*ptlInbound
@@ -213,7 +208,7 @@ func (ep *portalsEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	ep.seq++
 	tx := ep.getTx()
 	tx.id, tx.dst, tx.tag, tx.n = id, r.Peer(), r.Tag(), n
-	tx.data = ep.bufs.copyOf(r.Data())
+	tx.data = bytes.Clone(r.Data())
 	ep.tx.push(tx)
 	r.Complete(ep.rank(), r.Tag(), n)
 }
@@ -239,7 +234,6 @@ func (ep *portalsEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
 	}
 	// The rest of the message lands in the user buffer, so the kernel
 	// bounce buffer is dead.
-	ep.bufs.put(inb.kbuf)
 	inb.kbuf = nil
 	ep.maybeComplete(inb)
 }
@@ -309,7 +303,7 @@ func (ep *portalsEndpoint) rxCopyStart(a any) {
 			inb.req = r
 		} else {
 			if f.data != nil {
-				inb.kbuf = ep.bufs.get(f.size)
+				inb.kbuf = make([]byte, f.size)
 			}
 			// The envelope is now visible to probes.
 			ep.hub.Wake()
@@ -320,8 +314,8 @@ func (ep *portalsEndpoint) rxCopyStart(a any) {
 }
 
 // rxCopyDone lands the fragment in its destination buffer, then recycles
-// the fragment — and, on the last fragment, the sender's message record
-// and kernel buffer, which nothing can reference past this point.
+// the fragment — and, on the last fragment, the sender's message record,
+// which nothing can reference past this point.
 func (ep *portalsEndpoint) rxCopyDone(a any) {
 	f := a.(*ptlFrag)
 	inb := f.inb
@@ -342,7 +336,6 @@ func (ep *portalsEndpoint) rxCopyDone(a any) {
 		*f = ptlFrag{}
 		ep.fragFree = append(ep.fragFree, f)
 		if last {
-			ep.bufs.put(msg.data)
 			*msg = txMsg{}
 			ep.txFree = append(ep.txFree, msg)
 		}

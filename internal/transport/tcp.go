@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+
 	"comb/internal/cluster"
 	"comb/internal/mpi"
 	"comb/internal/sim"
@@ -97,7 +99,6 @@ func (t *TCP) Build(sys *cluster.System) []mpi.Endpoint {
 			node:      node,
 			fab:       sys.Fabric,
 			hub:       mpi.NewActivityHub(node.Env),
-			bufs:      bufPool{fab: sys.Fabric},
 			inflight:  make(map[msgID]*tcpInbound),
 			unacked:   make(map[msgID]*txMsg),
 			completed: make(map[msgID]bool),
@@ -157,7 +158,6 @@ type tcpEndpoint struct {
 	unacked   map[msgID]*txMsg // sent, awaiting a message-complete ack
 	completed map[msgID]bool   // messages already delivered (re-ack dups)
 
-	bufs    bufPool
 	txFree  []*txMsg
 	segFree []*tcpSeg
 
@@ -222,7 +222,7 @@ func (ep *tcpEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	ep.seq++
 	tx := ep.getTx()
 	tx.id, tx.dst, tx.tag, tx.n = id, r.Peer(), r.Tag(), n
-	tx.data = ep.bufs.copyOf(r.Data())
+	tx.data = bytes.Clone(r.Data())
 	ep.tx.push(tx)
 	r.Complete(ep.rank(), r.Tag(), n)
 }
@@ -320,7 +320,6 @@ func (ep *tcpEndpoint) rxProto(a any) {
 				// nothing references the send buffer any more: stop the
 				// retransmit timer and recycle the record.
 				if msg.rto.Stop() && ep.pooling() {
-					ep.bufs.put(msg.data)
 					*msg = txMsg{}
 					ep.txFree = append(ep.txFree, msg)
 				}
