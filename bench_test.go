@@ -518,9 +518,9 @@ func BenchmarkAblationInterleave(b *testing.B) {
 // benchDESNodes runs one full polling measurement per iteration on an
 // n-node cluster, with the serial or the conservative parallel engine.
 // The 2-node pairs pin "parallel never regresses the classic topology"
-// (SimWorkers falls back to serial there); the 8-node pairs measure the
-// engine's actual speedup, which scripts/benchdiff.sh and the
-// internal/perf speedup test guard.
+// (SimWorkers falls back to serial there); the 8-, 16- and 64-node pairs
+// measure the engine's actual speedup as the partition count grows,
+// which scripts/benchdiff.sh and the internal/perf speedup test guard.
 func benchDESNodes(b *testing.B, nodes, simJ int) {
 	b.Helper()
 	spec := RunSpec{
@@ -542,10 +542,14 @@ func benchDESNodes(b *testing.B, nodes, simJ int) {
 	}
 }
 
-func BenchmarkDESNodes2Serial(b *testing.B)   { benchDESNodes(b, 0, 0) }
-func BenchmarkDESNodes2Parallel(b *testing.B) { benchDESNodes(b, 0, 4) }
-func BenchmarkDESNodes8Serial(b *testing.B)   { benchDESNodes(b, 8, 0) }
-func BenchmarkDESNodes8Parallel(b *testing.B) { benchDESNodes(b, 8, 4) }
+func BenchmarkDESNodes2Serial(b *testing.B)    { benchDESNodes(b, 0, 0) }
+func BenchmarkDESNodes2Parallel(b *testing.B)  { benchDESNodes(b, 0, 4) }
+func BenchmarkDESNodes8Serial(b *testing.B)    { benchDESNodes(b, 8, 0) }
+func BenchmarkDESNodes8Parallel(b *testing.B)  { benchDESNodes(b, 8, 4) }
+func BenchmarkDESNodes16Serial(b *testing.B)   { benchDESNodes(b, 16, 0) }
+func BenchmarkDESNodes16Parallel(b *testing.B) { benchDESNodes(b, 16, 4) }
+func BenchmarkDESNodes64Serial(b *testing.B)   { benchDESNodes(b, 64, 0) }
+func BenchmarkDESNodes64Parallel(b *testing.B) { benchDESNodes(b, 64, 4) }
 
 // runCollov runs one collective-overlap measurement through the facade.
 func runCollov(system string, nodes int, p collov.Params) (*collov.Result, error) {

@@ -62,10 +62,13 @@ func BenchmarkIallreduceLen(b *testing.B) {
 // TestIallreduceLenBytesFlat pins the collective path: a warm length-only
 // all-reduce allocates the same heap bytes per call whether it moves 1 KB
 // or 64 KB, up to the cost of GM's rendezvous protocol, which the 64 KB
-// messages take and the 1 KB ones do not (its RTS and CTS records and
-// events, about 5 KB a call).  One buffer of the payload's size anywhere
-// in a call, a contribution buffer, a send copy or a landing buffer, would
-// add 64 KB; the bound is an eighth of that.
+// messages take and the 1 KB ones do not: an RTS envelope per message
+// and the events of the extra progress rounds, 2,568 B a call on
+// linux/amd64 with Go 1.24.  The bound is that plus room for runtime
+// jitter (up to 160 B seen).  One buffer of the payload's size anywhere
+// in a call, a contribution buffer, a send copy or a landing buffer,
+// would add 64 KB; one more envelope per rendezvous message (14 a call)
+// would add 896 B.
 func TestIallreduceLenBytesFlat(t *testing.T) {
 	perCall := func(size int) float64 {
 		in, step := collRig(t, size)
@@ -81,7 +84,7 @@ func TestIallreduceLenBytesFlat(t *testing.T) {
 	}
 	const small, large = 1 << 10, 64 << 10
 	got1, got64 := perCall(small), perCall(large)
-	if limit := float64(large) / 8; got64-got1 > limit {
+	if limit := 2800.0; got64-got1 > limit {
 		t.Errorf("a 64 KB call allocates %.0f bytes, a 1 KB call %.0f: %.0f more, want < %.0f (no buffer per call that grows with the length)",
 			got64, got1, got64-got1, limit)
 	} else {

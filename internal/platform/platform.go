@@ -33,7 +33,8 @@ type Config struct {
 	// replayable on every transport.
 	Seed uint64
 	// SimWorkers > 1 opts into the parallel engine: one partition per
-	// node advanced concurrently by up to SimWorkers goroutines in
+	// node advanced concurrently by up to SimWorkers goroutines (the
+	// caller's included, and never more than GOMAXPROCS) in
 	// conservative time windows.  Results are bit-identical to the serial
 	// engine, so the choice never affects hashes or cache keys.  The
 	// builder silently falls back to serial whenever parallelism cannot
@@ -153,12 +154,12 @@ const cancelCheckEvery = sim.Millisecond
 // instead of driving the point to completion.  A non-cancellable context
 // (e.g. context.Background()) adds no watcher and no overhead.
 //
-// On the parallel engine, fn runs concurrently across partitions: one
-// goroutine per window worker, each owning a subset of ranks.  fn must
-// therefore synchronize any state it shares across ranks (the simulation
-// itself — comms, machines, per-rank state — is already
-// partition-private); cancellation is checked once per window instead of
-// via a watcher event.
+// On the parallel engine, fn runs concurrently across partitions: the
+// calling goroutine and each other window party own a subset of ranks.
+// fn must therefore synchronize any state it shares across ranks (the
+// simulation itself — comms, machines, per-rank state — is already
+// partition-private); cancellation is checked once per window instead
+// of via a watcher event.
 func (in *Instance) RunContext(ctx context.Context, fn func(p *sim.Proc, c *mpi.Comm)) error {
 	if err := ctx.Err(); err != nil {
 		return err

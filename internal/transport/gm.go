@@ -121,16 +121,23 @@ const (
 	gmEvtDataDone                  // rendezvous data fully landed in user buffer
 )
 
-// gmEvent is one NIC event-queue entry.
+// gmEvent is one NIC event-queue entry.  A data-done event carries the
+// landed message's envelope in src, tag and size.
 type gmEvent struct {
 	kind gmEvtKind
 	in   *mpi.Inbound
 	req  *mpi.Request
 	id   gmMsgID
+	src  int
+	tag  int
+	size int
 }
 
-// gmAccum assembles a fragmented message on the receive side.
+// gmAccum assembles a fragmented message on the receive side.  A
+// rendezvous message's record is taken when its RTS arrives and rides in
+// the announcement's Inbound.Rndv until the CTS registers it for data.
 type gmAccum struct {
+	id   gmMsgID
 	size int
 	got  int
 	data []byte       // eager assembly buffer (GM receive ring); nil when length-only
@@ -153,6 +160,7 @@ type gmEndpoint struct {
 	seq  int64
 
 	nicQ     []gmEvent
+	nicHead  int // next unread nicQ entry; the queue rewinds when drained
 	eagerAcc map[gmMsgID]*gmAccum
 	dataAcc  map[gmMsgID]*gmAccum
 	sendReqs map[gmMsgID]*mpi.Request
@@ -265,9 +273,12 @@ func (ep *gmEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
 // stalls whenever the application stays out of the MPI library.
 func (ep *gmEndpoint) Progress(p *sim.Proc) {
 	ep.node.CPU.Use(p, ep.cfg.PollCost, cluster.User)
-	for len(ep.nicQ) > 0 {
-		ev := ep.nicQ[0]
-		ep.nicQ = ep.nicQ[1:]
+	for ep.nicHead < len(ep.nicQ) {
+		// Take the entry before the CPU charge below can park p: another
+		// process of this rank may drain the queue meanwhile.
+		ev := ep.nicQ[ep.nicHead]
+		ep.nicQ[ep.nicHead] = gmEvent{}
+		ep.nicHead++
 		ep.node.CPU.Use(p, ep.cfg.EventCost, cluster.User)
 		switch ev.kind {
 		case gmEvtMsg:
@@ -289,9 +300,10 @@ func (ep *gmEndpoint) Progress(p *sim.Proc) {
 		case gmEvtSendDone:
 			ev.req.Complete(ep.rank(), ev.req.Tag(), ev.req.Len())
 		case gmEvtDataDone:
-			ev.req.Complete(ev.in.Src, ev.in.Tag, min(ev.in.Size, ev.req.Len()))
+			ev.req.Complete(ev.src, ev.tag, min(ev.size, ev.req.Len()))
 		}
 	}
+	ep.nicQ, ep.nicHead = ep.nicQ[:0], 0
 }
 
 // deliverEager lands a complete eager message in the posted receive.
@@ -303,12 +315,11 @@ func (ep *gmEndpoint) deliverEager(r *mpi.Request, in *mpi.Inbound) {
 // sendCTS registers the receive buffer for incoming rendezvous data and
 // answers the RTS.
 func (ep *gmEndpoint) sendCTS(p *sim.Proc, r *mpi.Request, in *mpi.Inbound) {
-	id := in.Rndv.(gmMsgID)
-	acc := ep.getAccum()
-	acc.size, acc.req, acc.src, acc.tag = in.Size, r, in.Src, in.Tag
-	ep.dataAcc[id] = acc
+	acc := in.Rndv.(*gmAccum)
+	acc.req = r
+	ep.dataAcc[acc.id] = acc
 	ep.node.CPU.Use(p, ep.cfg.CtsCost, cluster.User)
-	ep.sendCtrl(in.Src, gmCTS, id, 0, 0)
+	ep.sendCtrl(in.Src, gmCTS, acc.id, 0, 0)
 }
 
 // sendPayload fragments r's message onto the wire, copying its bytes, if
@@ -370,8 +381,10 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 			ep.putAccum(acc) // acc.data escaped into the Inbound; the record is done
 		}
 	case gmRTS:
+		acc := ep.getAccum()
+		acc.id, acc.size, acc.src, acc.tag = f.id, f.size, f.src, f.tag
 		ep.pushEvent(gmEvent{kind: gmEvtRTS, in: &mpi.Inbound{
-			Src: f.src, Tag: f.tag, Size: f.size, Rndv: f.id,
+			Src: f.src, Tag: f.tag, Size: f.size, Rndv: acc,
 		}})
 	case gmCTS:
 		ep.pushEvent(gmEvent{kind: gmEvtCTS, id: f.id})
@@ -389,9 +402,8 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 				panic("transport: gm rendezvous fragments lost")
 			}
 			delete(ep.dataAcc, f.id)
-			ep.pushEvent(gmEvent{kind: gmEvtDataDone, req: acc.req, in: &mpi.Inbound{
-				Src: acc.src, Tag: acc.tag, Size: acc.size,
-			}})
+			ep.pushEvent(gmEvent{kind: gmEvtDataDone, req: acc.req,
+				src: acc.src, tag: acc.tag, size: acc.size})
 			ep.putAccum(acc)
 		}
 	}
