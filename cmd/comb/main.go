@@ -61,6 +61,7 @@ import (
 	"comb/internal/runner"
 	"comb/internal/scenario"
 	"comb/internal/selfcheck"
+	"comb/internal/sim"
 	"comb/internal/stats"
 	"comb/internal/sweep"
 	"comb/internal/transport"
@@ -387,7 +388,8 @@ func runSpecFile(ctx context.Context, path string, args []string) error {
 	if err := writeObs(*obsDir, out); err != nil {
 		return err
 	}
-	return printOutcome(out, false)
+	printOutcome(out, false)
+	return nil
 }
 
 // runMethod drives any registered method through the facade: the
@@ -447,13 +449,14 @@ func runMethod(ctx context.Context, name string, args []string) error {
 	if err := writeObs(*obsDir, out); err != nil {
 		return err
 	}
-	return printOutcome(out, *showStats)
+	printOutcome(out, *showStats)
+	return nil
 }
 
 // printOutcome renders a finished single run: the paper's multi-line
 // block for polling and PWW, the one-line String() for every other
 // method, then the optional hardware counters and packet trace.
-func printOutcome(out *comb.RunResult, showStats bool) error {
+func printOutcome(out *comb.RunResult, showStats bool) {
 	switch {
 	case out.Polling != nil:
 		res := out.Polling
@@ -493,12 +496,19 @@ func printOutcome(out *comb.RunResult, showStats bool) error {
 		printStats(out.Stats)
 	}
 	if out.Trace != nil {
-		fmt.Printf("--- last %d packet deliveries (%s) ---\n", out.Trace.Len(), out.Trace.Summary())
-		if _, err := out.Trace.WriteTo(os.Stdout); err != nil {
-			return err
+		// Oldest delivery first, times in the simulator's own format.
+		count := ""
+		if n := out.Trace.Len(); n > 0 {
+			count = fmt.Sprintf("%s=%d", obs.CatPacket, n)
+		}
+		fmt.Printf("--- last %d packet deliveries (%s) ---\n", out.Trace.Len(), count)
+		if d := out.Trace.Dropped(); d > 0 {
+			fmt.Printf("(%d earlier events dropped)\n", d)
+		}
+		for _, e := range out.Trace.Items() {
+			fmt.Printf("%12v node%d %-10s %s\n", sim.Time(e.At), e.Node, e.Cat, e.Detail)
 		}
 	}
-	return nil
 }
 
 // obsCapFor maps an -obs-dir value to a RunSpec.ObsCap: default span

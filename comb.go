@@ -16,7 +16,6 @@ import (
 	"comb/internal/stats"
 	"comb/internal/strategy"
 	"comb/internal/sweep"
-	"comb/internal/trace"
 	"comb/internal/transport"
 
 	// Register the full built-in method catalogue: every facade entry
@@ -54,8 +53,6 @@ type (
 	Table = stats.Table
 	// FigureSpec describes one reproducible paper figure.
 	FigureSpec = sweep.Figure
-	// Trace is a packet-level recording of the last fabric deliveries.
-	Trace = trace.Recorder
 	// FaultSpec configures deterministic wire/CPU fault injection; see
 	// internal/faultinject.
 	FaultSpec = faultinject.Spec

@@ -206,8 +206,8 @@ func (pl *pool) putTrain(t *train) {
 
 // Observe registers a delivery observer.  Observers run in registration
 // order on every delivery and must not send packets of their own or
-// retain the packet.  Used by the trace package, the invariant checker
-// and the fault injector.
+// retain the packet.  Used by runpipe's packet trace, the invariant
+// checker and the fault injector.
 func (f *Fabric) Observe(fn func(pkt *Packet, at sim.Time)) {
 	f.observers = append(f.observers, fn)
 }

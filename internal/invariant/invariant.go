@@ -10,7 +10,6 @@ import (
 	"comb/internal/mpi"
 	"comb/internal/obs"
 	"comb/internal/sim"
-	"comb/internal/trace"
 )
 
 // DefaultMaxPending bounds the event queue when Options.MaxPending is
@@ -43,9 +42,6 @@ type Options struct {
 	// MaxPending bounds the event queue depth; 0 means
 	// DefaultMaxPending.
 	MaxPending int
-	// Trace, when non-nil, receives every violation as a "violation"
-	// event in the ring.
-	Trace *trace.Recorder
 	// Spans, when non-nil, is handed to the message meter so every
 	// completed send and receive records a per-message span (see
 	// mpi.Meter.Spans).
@@ -333,9 +329,6 @@ func (c *Checker) add(at sim.Time, rule, detail string) {
 	c.mu.Lock()
 	c.violations = append(c.violations, Violation{At: at, Rule: rule, Detail: detail})
 	c.mu.Unlock()
-	if c.opts.Trace != nil {
-		c.opts.Trace.Recordf(at, trace.CatViolation, 0, "%s: %s", rule, detail)
-	}
 }
 
 // Violations returns everything found so far.

@@ -11,7 +11,6 @@ import (
 	"comb/internal/mpi"
 	"comb/internal/platform"
 	"comb/internal/sim"
-	"comb/internal/trace"
 	"comb/internal/transport"
 )
 
@@ -110,8 +109,7 @@ func TestBrokenTransportCaught(t *testing.T) {
 	// worker's FIN.
 	c0 := in.Comms[0]
 	in.Comms[0] = mpi.NewComm(in.Sys.Env, c0.Rank(), c0.Size(), brokenEndpoint{c0.Endpoint()})
-	rec := trace.NewRecorder(64)
-	chk := invariant.Attach(in.Sys, in.Comms, invariant.Options{Trace: rec})
+	chk := invariant.Attach(in.Sys, in.Comms, invariant.Options{})
 	err = in.Run(func(p *sim.Proc, c *mpi.Comm) {
 		_, _ = core.RunPolling(machine.NewSim(p, c, in.Sys.Nodes[c.Rank()]), pollCfg)
 	})
@@ -133,16 +131,6 @@ func TestBrokenTransportCaught(t *testing.T) {
 		if !strings.Contains(verr.Error(), want) {
 			t.Errorf("expected a %s violation, got: %v", want, verr)
 		}
-	}
-	// Violations must also have reached the trace ring.
-	var traced bool
-	for _, e := range rec.Events() {
-		if e.Cat == "violation" {
-			traced = true
-		}
-	}
-	if !traced {
-		t.Error("violations were not recorded in the trace ring")
 	}
 	t.Logf("caught: %s", msg)
 }

@@ -13,7 +13,6 @@ import (
 	"comb/internal/obs"
 	"comb/internal/platform"
 	"comb/internal/sim"
-	"comb/internal/trace"
 )
 
 // Result is the typed outcome of one method run.  Concrete types are
@@ -189,8 +188,6 @@ func Names() []string {
 // ExecOptions carries the optional observability hooks Execute wires
 // into the invariant checker.
 type ExecOptions struct {
-	// Trace, when non-nil, receives violations as trace-ring events.
-	Trace *trace.Recorder
 	// Spans, when non-nil, is handed to the message meter for
 	// per-message spans (and should normally also be cfg.Spans).
 	Spans *obs.Collector
@@ -208,7 +205,6 @@ func Execute(ctx context.Context, m Method, in *platform.Instance, cfg Config, o
 		relax = rx.RelaxedInvariants()
 	}
 	chk := invariant.Attach(in.Sys, in.Comms, invariant.Options{
-		Trace: opts.Trace,
 		Spans: opts.Spans,
 		Relax: relax,
 	})

@@ -10,8 +10,8 @@
 //
 // A Span is one named, timed interval on a rank's virtual-time
 // timeline, collected into a bounded-ring Collector (recording the most
-// recent spans, like the packet trace ring).  Span categories form a
-// small fixed taxonomy:
+// recent spans in a Ring, the same ring a run's packet instants use).
+// Span categories form a small fixed taxonomy:
 //
 //   - CatPhase ("phase") — the benchmark engines' own phases, emitted by
 //     the worker rank of internal/core: "dry" (the no-communication
@@ -28,11 +28,11 @@
 //     one span per resolved point, with "source" (memory/disk/run) and
 //     "attempt" arguments.
 //
-// A Collector's Capture — spans plus optional Instants converted from
-// the packet-trace ring — serializes to JSON (Capture.Save) and exports
-// as Chrome trace-event JSON (WriteChromeTrace), so `comb trace export
-// -format=chrome` produces a file that chrome://tracing and Perfetto
-// open directly.  The simulation is deterministic, so two runs of the
+// A Collector's Capture — spans plus optional CatPacket Instants, one
+// per fabric delivery when a run sets a trace capacity — serializes to
+// JSON (Capture.Save) and exports as Chrome trace-event JSON
+// (WriteChromeTrace), so `comb trace export -format=chrome` produces a
+// file that chrome://tracing and Perfetto open directly.  The simulation is deterministic, so two runs of the
 // same spec produce byte-identical exports (the golden trace test
 // asserts this).
 //

@@ -9,7 +9,8 @@ import (
 	"time"
 )
 
-// Span categories; see the package documentation for the taxonomy.
+// Span and instant categories; see the package documentation for the
+// taxonomy.
 const (
 	// CatPhase marks benchmark-engine phases (dry/post/work/wait/poll/
 	// drain) on the worker rank's virtual timeline.
@@ -20,6 +21,9 @@ const (
 	// spans are wall-clock, not virtual time, and export on their own
 	// process track.
 	CatRunner = "runner"
+	// CatPacket marks one fabric packet delivery, an Instant at the
+	// receiving node.
+	CatPacket = "pkt"
 )
 
 // KV is one ordered span argument.  Arguments are a slice, not a map,
@@ -50,13 +54,9 @@ const DefaultSpanCap = 1 << 16
 // safe for concurrent use (the simulator is cooperative, but runner
 // spans arrive from pool workers).
 type Collector struct {
-	mu      sync.Mutex
-	cap     int
-	spans   []Span
-	next    int
-	wrapped bool
-	dropped int64
-	reg     *Registry
+	mu    sync.Mutex
+	spans *Ring[Span]
+	reg   *Registry
 }
 
 // NewCollector returns a collector keeping the last capacity spans
@@ -67,10 +67,7 @@ func NewCollector(capacity int, reg *Registry) *Collector {
 	if capacity == 0 {
 		capacity = DefaultSpanCap
 	}
-	if capacity < 1 {
-		panic(fmt.Sprintf("obs: collector capacity %d", capacity))
-	}
-	return &Collector{cap: capacity, spans: make([]Span, 0, capacity), reg: reg}
+	return &Collector{spans: NewRing[Span](capacity), reg: reg}
 }
 
 // Registry returns the metrics registry attached at construction (may
@@ -97,36 +94,31 @@ func (c *Collector) Add(s Span) {
 			Observe(s.Dur.Seconds())
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.spans) < c.cap {
-		c.spans = append(c.spans, s)
-		return
-	}
-	c.spans[c.next] = s
-	c.next = (c.next + 1) % c.cap
-	c.wrapped = true
-	c.dropped++
+	c.spans.Add(s)
+	c.mu.Unlock()
 }
 
 // Len reports how many spans are retained.
 func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.spans)
+	return c.spans.Len()
 }
 
 // Dropped reports how many spans were evicted from the ring.
 func (c *Collector) Dropped() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dropped
+	return c.spans.Dropped()
 }
 
 // CaptureSchemaVersion versions the serialized Capture layout.
 const CaptureSchemaVersion = 1
 
-// Instant is one point-in-time event, converted from the packet-trace
-// ring so wire activity lands on the same exported timeline as spans.
+// Instant is one point-in-time event on a node's virtual timeline: a
+// packet delivery (CatPacket) recorded when a run sets a trace
+// capacity, so wire activity lands on the same exported timeline as
+// spans.
 type Instant struct {
 	At     time.Duration `json:"at_ns"`
 	Cat    string        `json:"cat"`
@@ -148,14 +140,7 @@ type Capture struct {
 // (by start time, then node, category, name).
 func (c *Collector) Capture() *Capture {
 	c.mu.Lock()
-	spans := make([]Span, 0, len(c.spans))
-	if c.wrapped {
-		spans = append(spans, c.spans[c.next:]...)
-		spans = append(spans, c.spans[:c.next]...)
-	} else {
-		spans = append(spans, c.spans...)
-	}
-	dropped := c.dropped
+	spans, dropped := c.spans.Items(), c.spans.Dropped()
 	c.mu.Unlock()
 	sort.SliceStable(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]

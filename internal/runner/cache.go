@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"comb/internal/obs"
 )
 
 // SchemaVersion is stamped into every cache file.  Entries written by a
@@ -92,27 +94,11 @@ func (c *Cache) Load(key string) (*Result, bool) {
 
 // Store writes the result for key, creating the cache directory if needed.
 func (c *Cache) Store(key string, r *Result) error {
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
 	b, err := json.MarshalIndent(entry{Schema: SchemaVersion, Key: key, Result: *r}, "", "\t")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.path(key))
+	return obs.WriteFileAtomic(c.path(key), append(b, '\n'), 0o644)
 }
 
 // Clear removes every cache entry and reports how many were deleted.  A

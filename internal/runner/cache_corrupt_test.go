@@ -130,3 +130,26 @@ func TestStrayFilesDoNotBreakCacheOps(t *testing.T) {
 		t.Errorf("Clear removed %d entries, want 2", n)
 	}
 }
+
+// TestStoreFailureLeavesNoTempFile: when the final rename fails (here a
+// directory squats on the entry's path), Store reports the error and
+// leaves no half-written temp file behind in the cache directory.
+func TestStoreFailureLeavesNoTempFile(t *testing.T) {
+	cache := Open(filepath.Join(t.TempDir(), "cache"))
+	const key = "polling/ideal/squatted"
+	if err := os.MkdirAll(filepath.Join(cache.path(key), "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Store(key, &Result{Method: "polling", Value: &core.PollingResult{}}); err == nil {
+		t.Fatal("Store over a directory succeeded")
+	}
+	ents, err := os.ReadDir(cache.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range ents {
+		if strings.HasPrefix(de.Name(), ".tmp-") {
+			t.Errorf("Store left %s behind", de.Name())
+		}
+	}
+}

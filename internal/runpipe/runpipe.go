@@ -24,9 +24,9 @@ import (
 	"comb/internal/mpi"
 	"comb/internal/obs"
 	"comb/internal/platform"
+	"comb/internal/sim"
 	"comb/internal/spec"
 	"comb/internal/strategy"
-	"comb/internal/trace"
 	"comb/internal/transport"
 )
 
@@ -62,9 +62,9 @@ type Outcome struct {
 	PWW *core.PWWResult
 	// Stats holds the run's hardware counters (always present).
 	Stats *RunStats
-	// Trace holds the last Spec.TraceCap packet deliveries, or nil when
-	// tracing was off.
-	Trace *trace.Recorder
+	// Trace holds the last Spec.TraceCap packet deliveries as CatPacket
+	// instants, or nil when tracing was off.
+	Trace *obs.Ring[obs.Instant]
 	// Obs holds the span timeline (plus packet instants when TraceCap
 	// was also set), or nil when Spec.ObsCap was zero.  Export it with
 	// obs.WriteChromeTrace or Capture.Save.
@@ -77,12 +77,14 @@ type Outcome struct {
 	Manifest *obs.Manifest
 }
 
-// NewPlatform builds the simulation instance a spec describes: the named
-// transport system, the CPU override, the RNG seed, and — when the spec
-// injects faults — the fault-wrapped transport (with the fault seed
-// defaulted from Spec.Seed, so one knob makes a degraded run replayable).
-// Every entry path (facade, sweep runner, serve) builds platforms here,
-// so seeds and faults behave identically everywhere.
+// NewPlatform builds the simulation instance a normalized spec (see
+// spec.Spec.Normalized) describes: the named transport system, the CPU
+// override, the RNG seed, and — when the spec injects faults — the
+// fault-wrapped transport.  It uses s.Faults as given: Normalized has
+// already folded a zero fault spec to nil, defaulted its seed from
+// Spec.Seed and validated it.  Every entry path (facade, sweep runner,
+// serve) builds platforms here, so seeds and faults behave identically
+// everywhere.
 func NewPlatform(s spec.Spec) (*platform.Instance, error) {
 	cfg := platform.Config{
 		Transport:  s.System,
@@ -97,19 +99,12 @@ func NewPlatform(s spec.Spec) (*platform.Instance, error) {
 		// are identical either way; only wall-clock differs).
 		cfg.SimWorkers = 0
 	}
-	if s.Faults != nil && !s.Faults.Zero() {
-		fs := *s.Faults
-		if fs.Seed == 0 {
-			fs.Seed = s.Seed
-		}
-		if err := fs.Validate(); err != nil {
-			return nil, err
-		}
+	if s.Faults != nil {
 		inner, err := transport.ByName(s.System)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Custom = faultinject.Wrap(inner, fs)
+		cfg.Custom = faultinject.Wrap(inner, *s.Faults)
 	}
 	return platform.New(cfg)
 }
@@ -133,10 +128,13 @@ func Run(ctx context.Context, s spec.Spec) (*Outcome, error) {
 		return nil, err
 	}
 	defer in.Close()
-	var rec *trace.Recorder
+	var rec *obs.Ring[obs.Instant]
 	if s.TraceCap > 0 {
-		rec = trace.NewRecorder(s.TraceCap)
-		trace.AttachFabric(rec, in.Sys)
+		rec = obs.NewRing[obs.Instant](s.TraceCap)
+		in.Sys.Fabric.Observe(func(pkt *cluster.Packet, at sim.Time) {
+			rec.Add(obs.Instant{At: time.Duration(at), Cat: obs.CatPacket, Node: pkt.To,
+				Detail: fmt.Sprintf("from node%d, %dB", pkt.From, pkt.Size)})
+		})
 	}
 	reg := obs.NewRegistry()
 	var col *obs.Collector
@@ -152,7 +150,7 @@ func Run(ctx context.Context, s spec.Spec) (*Outcome, error) {
 		CPUs:   s.CPUs,
 		Params: params,
 		Spans:  col,
-	}, method.ExecOptions{Trace: rec, Spans: col})
+	}, method.ExecOptions{Spans: col})
 	if err != nil {
 		return nil, err
 	}
@@ -169,11 +167,7 @@ func Run(ctx context.Context, s spec.Spec) (*Outcome, error) {
 	if col != nil {
 		out.Obs = col.Capture()
 		if rec != nil {
-			for _, e := range rec.Events() {
-				out.Obs.Instants = append(out.Obs.Instants, obs.Instant{
-					At: time.Duration(e.At), Cat: string(e.Cat), Node: e.Node, Detail: e.Detail,
-				})
-			}
+			out.Obs.Instants = rec.Items()
 		}
 	}
 	out.Manifest, err = buildManifest(s, m, params, out)
@@ -237,13 +231,9 @@ func buildManifest(s spec.Spec, m method.Method, params any, out *Outcome) (*obs
 	mf.CPUs = s.CPUs
 	mf.Nodes = s.Nodes
 	mf.Seed = s.Seed
-	if s.Faults != nil && !s.Faults.Zero() {
-		fs := *s.Faults
-		if fs.Seed == 0 {
-			fs.Seed = s.Seed
-		}
-		mf.Faults = fs.String()
-		_, mf.MaskedFaults = fs.Masked(transport.ToleranceOf(s.System))
+	if s.Faults != nil {
+		mf.Faults = s.Faults.String()
+		_, mf.MaskedFaults = s.Faults.Masked(transport.ToleranceOf(s.System))
 	}
 	mf.Tolerance = toleranceNames(transport.ToleranceOf(s.System))
 	if !s.Strategy.IsGrid() {

@@ -14,6 +14,11 @@ go vet ./...
 echo "==> go test ./..."
 go test ./...
 
+echo "==> perfbench module: vet + test"
+# perfbench/ is its own module (replace comb => ../), so ./... above
+# skips it, although it builds on runpipe, method, obs and platform.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> go test -race ./..."
 go test -race ./...
 
