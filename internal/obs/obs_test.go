@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +161,37 @@ func TestRingBelowCapacity(t *testing.T) {
 	}
 	if r.Dropped() != 0 {
 		t.Errorf("dropped = %d below capacity", r.Dropped())
+	}
+}
+
+// TestRingGrowsAsItFills: a ring sized for DefaultSpanCap spans that
+// keeps three has allocated for about three, not for its capacity, and
+// one that fills still stops at its capacity.
+func TestRingGrowsAsItFills(t *testing.T) {
+	const rings = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rings {
+		r := NewRing[Span](DefaultSpanCap)
+		for i := range 3 {
+			r.Add(Span{Name: "s", Start: time.Duration(i)})
+		}
+		if r.Len() != 3 {
+			t.Fatalf("len %d, want 3", r.Len())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rings; per >= 4096 {
+		t.Errorf("a %d-slot ring holding 3 spans allocated %d B, want < 4096", DefaultSpanCap, per)
+	}
+
+	r := NewRing[int](100)
+	for i := range 250 {
+		r.Add(i)
+	}
+	if got := r.Items(); len(got) != 100 || got[0] != 150 || got[99] != 249 || r.Dropped() != 150 || cap(r.buf) != 100 {
+		t.Errorf("full ring: %d items from %d to %d, dropped %d, buffer cap %d; want 100 from 150 to 249, 150, 100",
+			len(got), got[0], got[len(got)-1], r.Dropped(), cap(r.buf))
 	}
 }
 

@@ -4,12 +4,15 @@ import "fmt"
 
 // Ring keeps the most recent values in a fixed-capacity buffer, evicting
 // the oldest when full.  It is the one bounded recorder behind both the
-// span Collector and a run's packet instants.  A Ring is not safe for
-// concurrent use; Collector guards its ring with a mutex.
+// span Collector and a run's packet instants.  Its buffer grows as
+// values arrive, up to the capacity, so a large ring that keeps a few
+// values costs only what they take.  A Ring is not safe for concurrent
+// use; Collector guards its ring with a mutex.
 type Ring[T any] struct {
-	buf     []T
-	next    int // slot the next Add overwrites once the ring is full
-	dropped int64
+	buf      []T
+	capacity int
+	next     int // slot the next Add overwrites once the ring is full
+	dropped  int64
 }
 
 // NewRing returns a ring keeping the last capacity values.
@@ -17,12 +20,17 @@ func NewRing[T any](capacity int) *Ring[T] {
 	if capacity < 1 {
 		panic(fmt.Sprintf("obs: ring capacity %d", capacity))
 	}
-	return &Ring[T]{buf: make([]T, 0, capacity)}
+	return &Ring[T]{capacity: capacity}
 }
 
 // Add appends v, evicting the oldest value when the ring is full.
 func (r *Ring[T]) Add(v T) {
-	if len(r.buf) < cap(r.buf) {
+	if n := len(r.buf); n < r.capacity {
+		if n == cap(r.buf) {
+			grown := make([]T, n, min(r.capacity, max(16, 2*n)))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
 		r.buf = append(r.buf, v)
 		return
 	}

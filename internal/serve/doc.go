@@ -16,7 +16,8 @@
 // submitting the same point concurrently cost one run and all observe
 // the same result hash.  The optional Store extends deduplication
 // across time by layering provenance sidecars over the runner's
-// schema-2 disk cache.
+// schema-2 disk cache, with the entries it has read kept decoded in a
+// bounded memory tier.
 //
 // Progress is observable three ways: plain GET (snapshot), ?wait=
 // long-polling on the job's version counter, and an SSE event stream.

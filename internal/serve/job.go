@@ -127,6 +127,13 @@ func (j *Job) finishErr(err error, persist func(View)) {
 	}, persist)
 }
 
+// terminal reports whether the job has reached a final state.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.Terminal()
+}
+
 // View snapshots the job for serialization.
 func (j *Job) View() View {
 	j.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"log"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -103,10 +104,15 @@ type Server struct {
 	queue  chan *Job
 	wg     sync.WaitGroup
 
+	// mu guards the in-memory job index.  live and held count its jobs
+	// by state, so no request has to walk the index: live are queued or
+	// running, held are terminal (RetainJobs caps them).
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string
+	order  []*Job // oldest-submitted first
 	nextID int64
+	live   int
+	held   int
 
 	fmu     sync.Mutex
 	flights map[string]*flight
@@ -122,6 +128,17 @@ var jobSecondsBuckets = []float64{0.001, 0.01, 0.1, 1, 10, 60}
 
 // New builds a server and starts its worker fleet; Close stops it.
 func New(cfg Config) *Server {
+	s := newServer(cfg)
+	for i := 0; i < s.cfg.Workers; i++ {
+		s.wg.Add(1)
+		go s.worker()
+	}
+	return s
+}
+
+// newServer builds a server with no workers: New starts them, and a
+// test can drive jobs from its own goroutine instead.
+func newServer(cfg Config) *Server {
 	if cfg.Run == nil {
 		cfg.Run = runpipe.Run
 	}
@@ -172,10 +189,6 @@ func New(cfg Config) *Server {
 	s.mJobSec = reg.Histogram("comb_serve_job_seconds", "job wall-clock duration from start to finish", jobSecondsBuckets)
 	s.mEvicted = reg.Counter("comb_serve_jobs_evicted_total", "terminal jobs evicted from the in-memory index by the retention cap")
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -195,7 +208,6 @@ func (s *Server) Close() {
 		case j := <-s.queue:
 			s.finishErr(j, context.Canceled)
 		default:
-			s.mInflight.Set(int64(s.inflight()))
 			return
 		}
 	}
@@ -229,9 +241,10 @@ func (s *Server) Submit(sp spec.Spec) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	s.jobs[id] = j
-	s.order = append(s.order, id)
+	s.order = append(s.order, j)
+	s.live++
+	s.mInflight.Set(int64(s.live))
 	s.mu.Unlock()
-	s.mInflight.Set(int64(s.inflight()))
 	s.log.Printf("serve: job %s queued key=%s", id, key)
 	return j, nil
 }
@@ -247,64 +260,59 @@ func (s *Server) Job(id string) (*Job, bool) {
 // Jobs lists every job's view in submission order.
 func (s *Server) Jobs() []View {
 	s.mu.Lock()
-	order := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(order))
-	for _, id := range order {
-		if j := s.jobs[id]; j != nil {
-			jobs = append(jobs, j)
-		}
-	}
+	jobs := slices.Clone(s.order)
 	s.mu.Unlock()
-	views := make([]View, 0, len(jobs))
-	for _, j := range jobs {
-		views = append(views, j.View())
+	views := make([]View, len(jobs))
+	for i, j := range jobs {
+		views[i] = j.View()
 	}
 	sort.Slice(views, func(i, k int) bool { return views[i].ID < views[k].ID })
 	return views
 }
 
-func (s *Server) inflight() int {
+// retire moves a job that has just published its terminal state from
+// the live count to the held count, then enforces RetainJobs.
+func (s *Server) retire() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		if !j.View().State.Terminal() {
-			n++
-		}
-	}
-	return n
+	s.live--
+	s.held++
+	s.mInflight.Set(int64(s.live))
+	s.evictTerminal()
 }
 
-// evictTerminal enforces RetainJobs: once more than that many jobs are
-// terminal, the oldest terminal ones are dropped from the in-memory
-// index (queued/running jobs are always kept).  Evicted jobs' artifacts
-// remain under JobsDir; their IDs answer 404 afterwards.
+// evictTerminal enforces RetainJobs for a caller holding s.mu: while
+// more than that many jobs are held, the oldest-submitted terminal job
+// is dropped from the in-memory index (queued and running jobs are
+// always kept).  The walk stops once the count is back at the cap, so
+// it passes only the live jobs ahead of the evicted ones, however many
+// are held.  Evicted jobs' artifacts remain under JobsDir; their IDs
+// answer 404 afterwards.
+//
+// A job is terminal here as soon as it has published that state, which
+// can be just before its own retire runs.  Evicting it then takes held
+// one below the resident terminal jobs, and that retire restores it.
 func (s *Server) evictTerminal() {
 	if s.cfg.RetainJobs < 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	terminal := 0
-	for _, id := range s.order {
-		if s.jobs[id].View().State.Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= s.cfg.RetainJobs {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if terminal > s.cfg.RetainJobs && s.jobs[id].View().State.Terminal() {
-			delete(s.jobs, id)
-			terminal--
-			s.mEvicted.Inc()
+	kept, i := 0, 0
+	for ; s.held > s.cfg.RetainJobs && i < len(s.order); i++ {
+		j := s.order[i]
+		if !j.terminal() {
+			s.order[kept] = j
+			kept++
 			continue
 		}
-		kept = append(kept, id)
+		delete(s.jobs, j.id)
+		s.held--
+		s.mEvicted.Inc()
 	}
-	s.order = kept
+	// order[:kept] holds the live jobs walked past: move them up against
+	// the unvisited rest, and drop the evicted slots from the front.
+	copy(s.order[i-kept:i], s.order[:kept])
+	clear(s.order[:i-kept])
+	s.order = s.order[i-kept:]
 }
 
 func (s *Server) worker() {
@@ -324,10 +332,7 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *Job) {
 	j.setRunning()
 	start := time.Now()
-	defer func() {
-		s.mJobSec.Observe(time.Since(start).Seconds())
-		s.mInflight.Set(int64(s.inflight()))
-	}()
+	defer func() { s.mJobSec.Observe(time.Since(start).Seconds()) }()
 
 	if s.store != nil {
 		if e, ok := s.store.Get(j.key); ok {
@@ -396,14 +401,14 @@ func (s *Server) finishOK(j *Job, source string, res *runner.Result, mf *obs.Man
 	s.reg.Counter(fmt.Sprintf("comb_serve_job_source_total{source=%q}", source), "done jobs by result source (run, shared, cache)").Inc()
 	j.finishOK(source, res, mf, stats, func(v View) { s.writeArtifacts(v, mf) })
 	s.log.Printf("serve: job %s done source=%s hash=%s", j.id, source, mf.ResultHash)
-	s.evictTerminal()
+	s.retire()
 }
 
 func (s *Server) finishErr(j *Job, err error) {
 	s.reg.Counter(fmt.Sprintf("comb_serve_jobs_total{state=%q}", "failed"), "finished jobs by terminal state").Inc()
 	j.finishErr(err, func(v View) { s.writeArtifacts(v, nil) })
 	s.log.Printf("serve: job %s failed: %v", j.id, err)
-	s.evictTerminal()
+	s.retire()
 }
 
 // writeArtifacts records a finished job under JobsDir/<id>/ — its view

@@ -157,6 +157,26 @@ func TestRecvBuffersRecycled(t *testing.T) {
 	}
 }
 
+// TestTCPDedupBytesFlat pins TCP's receive-side deduplication at a cost
+// that does not grow with a message's segment count: a round of two
+// 1 MB length-only messages (about 685 segments each at the 1460-byte
+// MTU) allocates at most 512 bytes more than a round of two 100 KB ones
+// (69 segments each).  A set of segment offsets that gains an entry per
+// segment costs kilobytes more.
+func TestTCPDedupBytesFlat(t *testing.T) {
+	perRound := func(size int) float64 {
+		return bytesPerRound(func(rounds int) {
+			exchange(t, NewTCP(), exchangeOpts{size: size, rounds: rounds, lenOnly: true})
+		})
+	}
+	small, large := perRound(100_000), perRound(1_000_000)
+	if large > small+512 {
+		t.Errorf("%.0f bytes allocated per round of 1 MB messages, %.0f per round of 100 KB ones; want at most 512 more", large, small)
+	} else {
+		t.Logf("%.0f bytes per round at 1 MB, %.0f at 100 KB", large, small)
+	}
+}
+
 // TestRecycledBufferShortMessage sends a short message after a long one,
 // the short one arriving unexpected, into a receive buffer sized for the
 // long one.  It must complete with its own byte count and payload, and

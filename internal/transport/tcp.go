@@ -136,9 +136,9 @@ type tcpInbound struct {
 	id       msgID
 	src, tag int
 	size     int
-	got      int          // unique bytes landed in the socket buffer
-	data     []byte       // socket buffer contents; nil when length-only
-	rcvd     map[int]bool // segment offsets seen (dedup under retransmission)
+	got      int      // unique bytes landed in the socket buffer
+	data     []byte   // socket buffer contents; nil when length-only
+	rcvd     []uint64 // segments seen, bit off/MTU (dedup under retransmission)
 }
 
 // tcpEndpoint models the socket API, the kernel TCP/IP stack and the MPI
@@ -360,19 +360,22 @@ func (ep *tcpEndpoint) acceptSegment(seg *tcpSeg) {
 		return
 	}
 
+	// The transmit driver cuts every send of a message, retransmissions
+	// included, at multiples of the MTU, so off/MTU numbers a segment.
+	mtu := ep.fab.Config().MTU
 	inb := ep.inflight[seg.id]
 	if inb == nil {
 		inb = &tcpInbound{
 			id: seg.id, src: seg.src, tag: seg.tag, size: seg.size,
-			rcvd: make(map[int]bool),
+			rcvd: make([]uint64, seg.size/mtu/64+1),
 		}
 		if seg.data != nil {
 			inb.data = make([]byte, seg.size)
 		}
 		ep.inflight[seg.id] = inb
 	}
-	if !inb.rcvd[seg.off] {
-		inb.rcvd[seg.off] = true
+	if i, bit := seg.off/mtu/64, uint64(1)<<(seg.off/mtu%64); inb.rcvd[i]&bit == 0 {
+		inb.rcvd[i] |= bit
 		if inb.data != nil {
 			copy(inb.data[seg.off:], seg.data)
 		}

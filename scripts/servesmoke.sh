@@ -1,8 +1,9 @@
 #!/bin/sh
 # Serve smoke test: boot `comb serve` on a loopback port, push one spec
 # document through `comb submit`, prove the result hash is stable across
-# a resubmission (persistent-store hit), and scrape /metrics.  POSIX sh
-# + stdlib only; run by scripts/verify.sh and the CI serve job.
+# a resubmission (persistent-store hit), and scrape /metrics, where
+# `-retain 1` must have evicted the first job and left none in flight.
+# POSIX sh + stdlib only; run by scripts/verify.sh and the CI serve job.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -25,7 +26,7 @@ cat > "$tmp/point.json" <<'EOF'
 EOF
 
 "$BIN" serve -addr "127.0.0.1:$port" -cache-dir "$tmp/cache" \
-    -jobs-dir "$tmp/jobs" -quiet &
+    -jobs-dir "$tmp/jobs" -retain 1 -quiet &
 pid=$!
 
 # Wait for the listener.
@@ -76,9 +77,31 @@ for want in 'comb_serve_requests_total' \
     fi
 done
 
-# Per-job artifacts landed on disk.
-if ! ls "$tmp"/jobs/*/job.json >/dev/null 2>&1; then
-    echo "servesmoke: no per-job artifacts under $tmp/jobs"
+# Eviction runs just after a job's terminal state is published, so poll
+# briefly for the bookkeeping to settle: the second job is held, the
+# first evicted, and nothing is queued or running.
+settled=0
+i=0
+while [ "$i" -lt 50 ]; do
+    metrics=$("$BIN" metrics -addr "$addr")
+    if echo "$metrics" | grep -qx 'comb_serve_jobs_evicted_total 1' &&
+        echo "$metrics" | grep -qx 'comb_serve_inflight_jobs 0'; then
+        settled=1
+        break
+    fi
+    sleep 0.1
+    i=$((i + 1))
+done
+if [ "$settled" -ne 1 ]; then
+    echo "servesmoke: /metrics never showed 1 eviction and 0 inflight jobs:"
+    echo "$metrics" | grep -E '^comb_serve_(jobs_evicted_total|inflight_jobs) '
+    exit 1
+fi
+
+# Per-job artifacts landed on disk, the evicted job's included.
+if [ "$(ls "$tmp"/jobs/*/job.json 2>/dev/null | wc -l)" -ne 2 ]; then
+    echo "servesmoke: want 2 per-job artifacts under $tmp/jobs:"
+    ls -R "$tmp/jobs"
     exit 1
 fi
 
