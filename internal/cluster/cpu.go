@@ -48,12 +48,14 @@ func (p Priority) String() string {
 // multi-core case exists to reproduce the paper's §7 observation that the
 // metric breaks on SMP nodes.
 //
-// Grants are pooled: every demand is served by a recycled cpuGrant record
-// and a cancellable pooled timer, so the per-interrupt scheduling cost is
-// allocation-free on the Use and SubmitCall paths.  Submit still mints a
-// fresh Event per call — callers hold fired events indefinitely, which
-// makes Events unpoolable by construction — so hot paths should prefer
-// Use (process-blocking) or SubmitCall (callback).
+// Grants are pooled: every demand is served by a recycled cpuGrant record,
+// and a running grant's completion waits in its core's completion slot
+// (sim.Slot), which a preemption moves in place instead of stopping a
+// timer and scheduling another.  The per-interrupt scheduling cost is
+// therefore allocation-free on the Use and SubmitCall paths.  Submit
+// still mints a fresh Event per call — callers hold fired events
+// indefinitely, which makes Events unpoolable by construction — so hot
+// paths should prefer Use (process-blocking) or SubmitCall (callback).
 type CPU struct {
 	env        *sim.Env
 	name       string
@@ -64,10 +66,14 @@ type CPU struct {
 	completeFn func(any) // bound once; receives the finished *cpuGrant
 }
 
-// coreState is one core's current assignment.
+// coreState is one core's current assignment.  A running grant's
+// completion is armed in slot, or, when the grant has no time left, in
+// timer: a zero-length completion runs from the ring, behind what the
+// instant has already queued there.
 type coreState struct {
 	running   *cpuGrant
 	startedAt sim.Time
+	slot      sim.Slot
 	timer     sim.Timer
 }
 
@@ -127,6 +133,10 @@ func NewSMP(env *sim.Env, name string, cores int) *CPU {
 		panic(fmt.Sprintf("cluster: CPU %q needs at least one core, got %d", name, cores))
 	}
 	c := &CPU{env: env, name: name, cores: make([]coreState, cores)}
+	first := env.NewSlots(cores)
+	for i := range c.cores {
+		c.cores[i].slot = first + sim.Slot(i)
+	}
 	c.completeFn = c.complete
 	return c
 }
@@ -304,17 +314,26 @@ func (c *CPU) dispatch() {
 	}
 }
 
-// start runs g on core i.
+// start runs g on core i and arms its completion.  After a preemption
+// the core's slot is still armed, and arming it again moves it in place.
 func (c *CPU) start(i int, g *cpuGrant) {
 	core := &c.cores[i]
 	core.running = g
 	core.startedAt = c.env.Now()
 	g.core = int32(i)
-	core.timer = c.env.ScheduleTimerCall(g.remaining, c.completeFn, g)
+	if g.remaining > 0 {
+		c.env.Arm(core.slot, g.remaining, c.completeFn, g)
+		return
+	}
+	c.env.Disarm(core.slot)
+	core.timer = c.env.ScheduleTimerCall(0, c.completeFn, g)
 }
 
 // preempt pulls core i's grant off the core and puts it back at the front
-// of its priority queue with its residual demand.
+// of its priority queue with its residual demand.  It leaves the core's
+// slot armed: dispatch starts the preempting grant on the same core at
+// once, and start moves the slot to that grant's completion.  A
+// zero-length completion on the ring is stopped here.
 func (c *CPU) preempt(i int) {
 	core := &c.cores[i]
 	g := core.running
@@ -327,8 +346,8 @@ func (c *CPU) preempt(i int) {
 	c.queues[g.prio].pushFront(g)
 }
 
-// complete retires the finished grant (passed as the timer argument),
-// notifies its completion channel and dispatches further work.
+// complete retires the finished grant (passed as the slot's or timer's
+// argument), notifies its completion channel and dispatches further work.
 //
 // A waiting process or callback is handed the grant in place when its
 // zero-delay wake-up would be the very next event anyway

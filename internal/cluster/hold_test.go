@@ -8,6 +8,11 @@ import (
 	"comb/internal/sim"
 )
 
+// The reference grant path is the CPU as it was before quiet holds,
+// in-place hand-offs and completion slots: every demand parks, every
+// completion wakes its waiter with a scheduled event, and every started
+// grant arms a cancellable timer, which a preemption stops.
+
 // useRef is Use without the quiet hold: every demand takes the
 // grant-and-park path, as Use did before holds existed.
 func (c *CPU) useRef(p *sim.Proc, d sim.Time, prio Priority) {
@@ -16,13 +21,81 @@ func (c *CPU) useRef(p *sim.Proc, d sim.Time, prio Priority) {
 	}
 	g := c.grant(d, prio)
 	g.waiter = p
-	c.enqueue(g)
+	c.enqueueRef(g)
 	p.Park()
+}
+
+// submitRef is SubmitCall of a positive fire-and-forget demand on the
+// reference path.
+func (c *CPU) submitRef(d sim.Time, prio Priority) {
+	c.enqueueRef(c.grant(d, prio))
+}
+
+func (c *CPU) enqueueRef(g *cpuGrant) {
+	c.queues[g.prio].pushBack(g)
+	c.dispatchRef()
+}
+
+// dispatchRef is dispatch with startRef and preemptRef.
+func (c *CPU) dispatchRef() {
+	for {
+		want := c.highestWaitingPrio()
+		if want < 0 {
+			return
+		}
+		if idle := c.idleCore(); idle >= 0 {
+			c.startRef(idle, c.nextWaiting())
+			continue
+		}
+		victim := -1
+		for i := range c.cores {
+			g := c.cores[i].running
+			if g.prio >= want {
+				continue
+			}
+			if victim < 0 || g.prio < c.cores[victim].running.prio ||
+				(g.prio == c.cores[victim].running.prio && c.cores[i].startedAt >= c.cores[victim].startedAt) {
+				victim = i
+			}
+		}
+		if victim < 0 {
+			return
+		}
+		c.preemptRef(victim)
+		c.startRef(victim, c.nextWaiting())
+	}
+}
+
+// startRef is start on a completion timer: a grant's completion is a
+// heap entry, or a ring entry when no time is left.
+func (c *CPU) startRef(i int, g *cpuGrant) {
+	core := &c.cores[i]
+	core.running = g
+	core.startedAt = c.env.Now()
+	g.core = int32(i)
+	core.timer = c.env.ScheduleTimerCall(g.remaining, c.completeFn, g)
+}
+
+// preemptRef is preempt on a completion timer: it stops the timer.  A
+// grant that start put on the core has its slot disarmed instead, so the
+// two paths can share a run.
+func (c *CPU) preemptRef(i int) {
+	core := &c.cores[i]
+	g := core.running
+	elapsed := c.env.Now() - core.startedAt
+	g.remaining -= elapsed
+	c.usage[g.prio] += elapsed
+	core.timer.Stop()
+	c.env.Disarm(core.slot)
+	core.running = nil
+	g.core = -1
+	c.queues[g.prio].pushFront(g)
 }
 
 // completeRef is complete without the in-place hand-off: every waiting
 // process or callback is woken by a scheduled zero-delay event, as
-// complete did before hand-offs existed.
+// complete did before hand-offs existed.  It dispatches on the reference
+// path.
 func (c *CPU) completeRef(a any) {
 	g := a.(*cpuGrant)
 	core := &c.cores[g.core]
@@ -37,7 +110,7 @@ func (c *CPU) completeRef(a any) {
 		c.env.ScheduleCall(0, g.fn, g.arg)
 	}
 	c.release(g)
-	c.dispatch()
+	c.dispatchRef()
 }
 
 // cpuOp is one step of a process in a CPU plan: a Use of d at prio, or,
@@ -70,6 +143,7 @@ type cpuOutcome struct {
 	held    int        // steps observed from inside a process: held ones
 	handed  int        // Use returns handed off in place by a completion
 	woken   int        // completions with a process or callback to wake
+	queue   sim.QueueStats
 }
 
 func genCPUPlan(rng *sim.Rand) cpuPlan {
@@ -102,6 +176,10 @@ type cpuRun struct {
 	use func(*CPU, *sim.Proc, sim.Time, Priority)
 	// refComplete retires grants with completeRef instead of complete.
 	refComplete bool
+	// refBursts submits the interrupt bursts with submitRef instead of
+	// SubmitCall.  With useRef and refComplete, every dispatch of the run
+	// takes the reference path and no slot is armed.
+	refBursts bool
 }
 
 // runCPUPlan executes pl on the paths r selects.
@@ -140,7 +218,11 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 		b := b
 		env.Schedule(b.at, func() {
 			for _, d := range b.ds {
-				cpu.SubmitCall(d, Interrupt, nil, nil)
+				if r.refBursts {
+					cpu.submitRef(d, Interrupt)
+				} else {
+					cpu.SubmitCall(d, Interrupt, nil, nil)
+				}
 			}
 		})
 	}
@@ -166,6 +248,7 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 		out.usage[prio] = cpu.Usage(Priority(prio))
 	}
 	out.steps = env.Steps()
+	out.queue = env.QueueStats()
 	return out
 }
 
@@ -194,38 +277,48 @@ func useChain(cpu *CPU, ops []cpuOp, ret func()) {
 	env.ScheduleCall(0, step, nil)
 }
 
-// compareToRef runs pl with Use and complete and with useRef and
-// completeRef, requires identical outcomes apart from the counts of held
-// steps, hand-offs and grant wake-ups, and returns Use's outcome.
-func compareToRef(t *testing.T, pl cpuPlan) cpuOutcome {
+// compareToRef runs pl with Use and complete and on the reference path
+// (useRef, completeRef, submitRef), requires identical outcomes apart
+// from the counts of held steps, hand-offs, grant wake-ups and queue
+// work, and returns both outcomes.
+func compareToRef(t *testing.T, pl cpuPlan) (got, want cpuOutcome) {
 	t.Helper()
-	got := runCPUPlan(pl, cpuRun{use: (*CPU).Use})
-	want := runCPUPlan(pl, cpuRun{use: (*CPU).useRef, refComplete: true})
-	if want.held != 0 || want.handed != 0 {
-		t.Fatalf("reference path held %d steps and handed off %d", want.held, want.handed)
+	got = runCPUPlan(pl, cpuRun{use: (*CPU).Use})
+	want = runCPUPlan(pl, cpuRun{use: (*CPU).useRef, refComplete: true, refBursts: true})
+	if want.held != 0 || want.handed != 0 || want.queue.Arms != 0 {
+		t.Fatalf("reference path held %d steps, handed off %d and armed %d slots", want.held, want.handed, want.queue.Arms)
 	}
-	want.held, want.handed, want.woken = got.held, got.handed, got.woken
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Use diverges from the grant path:\n got  %+v\n want %+v", got, want)
+	g, w := got, want
+	w.held, w.handed, w.woken, w.queue = g.held, g.handed, g.woken, g.queue
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("Use diverges from the grant path:\n got  %+v\n want %+v", g, w)
 	}
-	return got
+	return got, want
 }
 
 // TestPropertyQuietHoldMatchesGrantPath drives random plans on one and
 // two cores, with processes using the CPU at every priority, sleeping in
-// between, and interrupt bursts arriving at random times.
+// between, and interrupt bursts arriving at random times.  The reference
+// runs every grant on a completion timer, so the plans also compare the
+// core slots, re-keyed in place on preemption, with stopped timers.
 func TestPropertyQuietHoldMatchesGrantPath(t *testing.T) {
 	const plans = 300
 	ran, held, steps := 0, 0, uint64(0)
+	var rekeys, stops uint64
 	for seed := uint64(1); seed <= plans; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			out := compareToRef(t, genCPUPlan(sim.NewRand(seed*0x9e3779b97f4a7c15)))
-			ran, held, steps = ran+1, held+out.held, steps+out.steps
+			got, want := compareToRef(t, genCPUPlan(sim.NewRand(seed*0x9e3779b97f4a7c15)))
+			ran, held, steps = ran+1, held+got.held, steps+got.steps
+			rekeys, stops = rekeys+got.queue.Rekeys, stops+want.queue.Removals
 		})
 	}
 	// Both paths must be exercised: some demands hold, others park.
 	if ran == plans && (held == 0 || uint64(held) >= steps) {
 		t.Errorf("held %d of %d steps; the plans must exercise both paths", held, steps)
+	}
+	// Preemption must be exercised on both sides.
+	if ran == plans && (rekeys == 0 || stops == 0) {
+		t.Errorf("slots re-keyed %d times, reference timers stopped %d times; the plans must preempt", rekeys, stops)
 	}
 }
 
@@ -238,7 +331,7 @@ func TestQuietHoldRefusedWhenEventDueAtEnd(t *testing.T) {
 		procs:  [][]cpuOp{{{d: 10, prio: User}}},
 		bursts: []cpuBurst{{at: 10, ds: []sim.Time{5}}},
 	}
-	out := compareToRef(t, pl)
+	out, _ := compareToRef(t, pl)
 	if out.held != 0 {
 		t.Errorf("held %d steps with an event due at now+d", out.held)
 	}
@@ -255,7 +348,7 @@ func TestQuietHoldRefusedWhenGrantQueued(t *testing.T) {
 		procs:  [][]cpuOp{{{d: 10, prio: Interrupt}}},
 		bursts: []cpuBurst{{at: 0, ds: []sim.Time{5, 7}}},
 	}
-	out := compareToRef(t, pl)
+	out, _ := compareToRef(t, pl)
 	if out.held != 0 {
 		t.Errorf("held %d steps with a grant queued", out.held)
 	}
@@ -274,6 +367,7 @@ func TestPropertyCallbackUseMatchesProcessUse(t *testing.T) {
 			got := runCPUPlan(pl, cpuRun{})
 			want := runCPUPlan(pl, cpuRun{use: (*CPU).Use})
 			got.held, got.handed, want.held, want.handed = 0, 0, 0, 0
+			got.queue, want.queue = sim.QueueStats{}, sim.QueueStats{}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("UseCall chains diverge from Use:\n got  %+v\n want %+v", got, want)
 			}
@@ -284,7 +378,9 @@ func TestPropertyCallbackUseMatchesProcessUse(t *testing.T) {
 // TestPropertyInPlaceCompleteMatchesScheduled runs every plan with
 // complete and with completeRef, for processes and for callback chains:
 // returns, usage, steps and OnStep timestamps must be identical, and
-// some but not all wake-ups must have been handed off in place.
+// some but not all wake-ups must have been handed off in place.  On the
+// completeRef side, grants that a completion dispatches run on timers
+// and the others on slots, so each core mixes both.
 func TestPropertyInPlaceCompleteMatchesScheduled(t *testing.T) {
 	const plans = 300
 	for _, paths := range []struct {
@@ -301,7 +397,7 @@ func TestPropertyInPlaceCompleteMatchesScheduled(t *testing.T) {
 					t.Fatalf("completeRef handed off %d returns in place", want.handed)
 				}
 				ran, handed, woken = ran+1, handed+got.handed, woken+got.woken
-				want.handed = got.handed
+				want.handed, want.queue = got.handed, got.queue
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("in-place hand-offs diverge from scheduled ones:\n got  %+v\n want %+v", got, want)
 				}

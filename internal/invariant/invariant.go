@@ -3,7 +3,6 @@ package invariant
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"comb/internal/cluster"
 	"comb/internal/core"
@@ -56,32 +55,23 @@ type Options struct {
 
 // Checker watches one simulated system for invariant violations.
 //
-// On a partitioned system (parallel engine) each partition gets its own
-// meter and per-environment step watcher, so the hot counters stay
-// unsynchronized single-writer state; only the violation list itself
-// takes a mutex, since partition goroutines can report concurrently.
+// It runs no code per event.  Each environment keeps its own pending
+// peak and notes the first step at which its queue went over the bound
+// (sim.Env.PendingLimit); the checker reads them when asked.  On a
+// partitioned system (parallel engine) each partition also gets its own
+// meter, so the hot counters stay unsynchronized single-writer state.
+// Every violation is recorded after the run, from one goroutine.
 type Checker struct {
 	sys    *cluster.System
 	comms  []*mpi.Comm
 	meters []*mpi.Meter // one (serial) or one per comm (partitioned)
 	opts   Options
 
-	watches    []envWatch // one per environment
-	mu         sync.Mutex // guards violations (and queueTrip)
-	queueTrip  bool       // queue-bound violation reported (once)
 	violations []Violation
 }
 
-// envWatch is one environment's step-observer state, written only by the
-// goroutine driving that environment.
-type envWatch struct {
-	env         *sim.Env
-	lastAt      sim.Time
-	peakPending int
-}
-
 // Attach wires a checker into sys: a message meter on every
-// communicator and a per-event observer on each environment.  It must be
+// communicator and the queue bound on each environment.  It must be
 // called before the run starts.
 func Attach(sys *cluster.System, comms []*mpi.Comm, opts Options) *Checker {
 	if opts.MaxPending <= 0 {
@@ -101,11 +91,8 @@ func Attach(sys *cluster.System, comms []*mpi.Comm, opts Options) *Checker {
 			cm.SetMeter(m)
 		}
 	}
-	c.watches = make([]envWatch, len(sys.Envs))
-	for i, env := range sys.Envs {
-		w := &c.watches[i]
-		w.env = env
-		env.OnStep(func(at sim.Time) { c.step(w, at) })
+	for _, env := range sys.Envs {
+		env.PendingLimit = opts.MaxPending
 	}
 	return c
 }
@@ -129,39 +116,30 @@ func (c *Checker) Meter() *mpi.Meter {
 	return agg
 }
 
-// PeakPending reports the deepest event queue observed (summed across
-// partition peaks on a partitioned system).
+// PeakPending reports the deepest event queue observed at a step (summed
+// across partition peaks on a partitioned system).
 func (c *Checker) PeakPending() int {
 	total := 0
-	for i := range c.watches {
-		total += c.watches[i].peakPending
+	for _, env := range c.sys.Envs {
+		total += env.PeakPending()
 	}
 	return total
 }
 
-// step runs once per executed event on w's environment.
-func (c *Checker) step(w *envWatch, at sim.Time) {
-	if at < w.lastAt {
-		c.add(at, "time/monotonic", fmt.Sprintf("clock went backwards: %v after %v", at, w.lastAt))
-	}
-	w.lastAt = at
-	if p := w.env.Pending(); p > w.peakPending {
-		w.peakPending = p
-		if p > c.opts.MaxPending {
-			c.tripQueue(at, p)
+// queueBound returns the queue/bound violation, if an environment's
+// queue went over MaxPending: the one that did so first in virtual time
+// (the lowest-numbered partition among equals), reported once.
+func (c *Checker) queueBound() (Violation, bool) {
+	var v Violation
+	found := false
+	for _, env := range c.sys.Envs {
+		if at, depth, ok := env.PendingOver(); ok && (!found || at < v.At) {
+			v = Violation{At: at, Rule: "queue/bound",
+				Detail: fmt.Sprintf("event queue depth %d exceeds bound %d (livelock?)", depth, c.opts.MaxPending)}
+			found = true
 		}
 	}
-}
-
-// tripQueue reports the queue-bound violation at most once.
-func (c *Checker) tripQueue(at sim.Time, p int) {
-	c.mu.Lock()
-	tripped := c.queueTrip
-	c.queueTrip = true
-	c.mu.Unlock()
-	if !tripped {
-		c.add(at, "queue/bound", fmt.Sprintf("event queue depth %d exceeds bound %d (livelock?)", p, c.opts.MaxPending))
-	}
+	return v, found && !c.relaxed(v.Rule)
 }
 
 // Finish runs the end-of-run conservation checks.  Call it only after
@@ -321,20 +299,28 @@ func (c *Checker) CheckPositiveTime(what string, v float64) {
 }
 
 func (c *Checker) add(at sim.Time, rule, detail string) {
-	for _, r := range c.opts.Relax {
-		if r == rule {
-			return
-		}
+	if !c.relaxed(rule) {
+		c.violations = append(c.violations, Violation{At: at, Rule: rule, Detail: detail})
 	}
-	c.mu.Lock()
-	c.violations = append(c.violations, Violation{At: at, Rule: rule, Detail: detail})
-	c.mu.Unlock()
 }
 
-// Violations returns everything found so far.
+// relaxed reports whether Options.Relax suppresses rule.
+func (c *Checker) relaxed(rule string) bool {
+	for _, r := range c.opts.Relax {
+		if r == rule {
+			return true
+		}
+	}
+	return false
+}
+
+// Violations returns everything found so far.  A queue/bound violation
+// comes first: it happened during the run, before any end-of-run or
+// result check.
 func (c *Checker) Violations() []Violation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	if v, ok := c.queueBound(); ok {
+		return append([]Violation{v}, c.violations...)
+	}
 	return c.violations
 }
 

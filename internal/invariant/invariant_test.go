@@ -28,16 +28,23 @@ var pollCfg = core.PollingConfig{
 // runs one polling measurement, and returns the checker.
 func runPolling(t *testing.T, tr transport.Transport) (*invariant.Checker, *core.PollingResult) {
 	t.Helper()
+	return runPollingWith(t, tr, invariant.Options{}, pollCfg)
+}
+
+// runPollingWith is runPolling with the checker options and the polling
+// configuration given.
+func runPollingWith(t *testing.T, tr transport.Transport, opts invariant.Options, cfg core.PollingConfig) (*invariant.Checker, *core.PollingResult) {
+	t.Helper()
 	in, err := platform.New(platform.Config{Custom: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	chk := invariant.Attach(in.Sys, in.Comms, invariant.Options{})
+	chk := invariant.Attach(in.Sys, in.Comms, opts)
 	var res *core.PollingResult
 	err = in.Run(func(p *sim.Proc, c *mpi.Comm) {
 		m := machine.NewSim(p, c, in.Sys.Nodes[c.Rank()])
-		r, err := core.RunPolling(m, pollCfg)
+		r, err := core.RunPolling(m, cfg)
 		if err != nil {
 			t.Errorf("run: %v", err)
 			return
@@ -94,30 +101,7 @@ func (b brokenEndpoint) MatchState() *mpi.Matcher {
 
 func TestBrokenTransportCaught(t *testing.T) {
 	const seed = 42
-	inner, err := transport.ByName("gm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := platform.New(platform.Config{Custom: inner, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	// Swap the worker's endpoint (rank 0 only) for the lying double
-	// after the real transport attached to the fabric.  The support
-	// rank stays honest so its echo loop still terminates on the
-	// worker's FIN.
-	c0 := in.Comms[0]
-	in.Comms[0] = mpi.NewComm(in.Sys.Env, c0.Rank(), c0.Size(), brokenEndpoint{c0.Endpoint()})
-	chk := invariant.Attach(in.Sys, in.Comms, invariant.Options{})
-	err = in.Run(func(p *sim.Proc, c *mpi.Comm) {
-		_, _ = core.RunPolling(machine.NewSim(p, c, in.Sys.Nodes[c.Rank()]), pollCfg)
-	})
-	if err != nil {
-		t.Fatalf("simulation did not complete (the double must not deadlock): %v", err)
-	}
-	chk.Finish()
-	verr := chk.Err()
+	verr := runBroken(t, seed, invariant.Options{}).Err()
 	if verr == nil {
 		t.Fatal("checker did not catch the broken transport")
 	}
@@ -133,6 +117,36 @@ func TestBrokenTransportCaught(t *testing.T) {
 		}
 	}
 	t.Logf("caught: %s", msg)
+}
+
+// runBroken runs one polling measurement on gm with rank 0's endpoint
+// swapped for the lying double, and returns the checker after Finish.
+func runBroken(t *testing.T, seed uint64, opts invariant.Options) *invariant.Checker {
+	t.Helper()
+	inner, err := transport.ByName("gm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := platform.New(platform.Config{Custom: inner, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	// Swap the worker's endpoint (rank 0 only) for the lying double
+	// after the real transport attached to the fabric.  The support
+	// rank stays honest so its echo loop still terminates on the
+	// worker's FIN.
+	c0 := in.Comms[0]
+	in.Comms[0] = mpi.NewComm(in.Sys.Env, c0.Rank(), c0.Size(), brokenEndpoint{c0.Endpoint()})
+	chk := invariant.Attach(in.Sys, in.Comms, opts)
+	err = in.Run(func(p *sim.Proc, c *mpi.Comm) {
+		_, _ = core.RunPolling(machine.NewSim(p, c, in.Sys.Nodes[c.Rank()]), pollCfg)
+	})
+	if err != nil {
+		t.Fatalf("simulation did not complete (the double must not deadlock): %v", err)
+	}
+	chk.Finish()
+	return chk
 }
 
 func TestResultPlausibilityChecks(t *testing.T) {

@@ -117,6 +117,18 @@ func TestEvictionKeepsRunningHead(t *testing.T) {
 	}
 }
 
+// TestJobsListSubmissionOrderPastSixDigits: job IDs grow a seventh
+// digit after j999999, and the listing stays in submission order there,
+// where sorting the IDs as strings would put j1000000 first.
+func TestJobsListSubmissionOrderPastSixDigits(t *testing.T) {
+	s := manualServer(t, Config{}, fakeOutcome("sha256:ids"))
+	s.nextID = 999_998
+	for i := range 3 {
+		submitSpec(t, s, i)
+	}
+	assertOrder(t, s, "j999999", "j1000000", "j1000001")
+}
+
 func assertOrder(t *testing.T, s *Server, ids ...string) {
 	t.Helper()
 	views := s.Jobs()

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -266,7 +265,6 @@ func (s *Server) Jobs() []View {
 	for i, j := range jobs {
 		views[i] = j.View()
 	}
-	sort.Slice(views, func(i, k int) bool { return views[i].ID < views[k].ID })
 	return views
 }
 

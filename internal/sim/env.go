@@ -19,24 +19,41 @@ import "fmt"
 //   - cancellable timers borrow slots from a freelist and are addressed
 //     by generation-checked value handles, so stale handles are inert,
 //     and a stopped timer leaves the heap at once;
+//   - CPU core completions wait in re-keyable slots (Slot) outside the
+//     heap, in a small indexed queue of their own, so a preempted
+//     completion moves in place instead of leaving the heap and
+//     re-entering it;
 //   - process wake-ups ride pooled records through ScheduleCall instead
 //     of fresh closures.
 //
 // Event order is identical to the classic heap-of-pointers
 // implementation: earliest timestamp first, FIFO by insertion sequence
-// within a timestamp (TestHeapMatchesReferenceOrdering proves this
-// against a container/heap reference).
+// within a timestamp (TestHeapMatchesReferenceOrdering and
+// TestHeapSlotsMatchReferenceOrdering prove this against a
+// container/heap reference).
 type Env struct {
 	now     Time
 	seq     uint64
-	heap    []queued // future events, 4-ary min-heap by (at, seq, sub)
-	ring    []queued // zero-delay events at the current instant, FIFO
-	ringPop int      // consumed prefix of ring
-	pending int      // scheduled and not yet executed or cancelled
+	heap    []queued  // future events, 4-ary min-heap by (at, seq, sub)
+	cslots  []cslot   // completion slots, addressed by Slot
+	cq      []slotKey // armed slots' keys, binary min-heap
+	ring    []queued  // zero-delay events at the current instant, FIFO
+	ringPop int       // consumed prefix of ring
+	pending int       // scheduled and not yet executed or cancelled
 	procs   []*Proc
 	cur     *Proc
 	steps   uint64
 	stopped bool
+
+	// Queue work counters (QueueStats).
+	pushes, removals, arms, rekeys uint64
+
+	// peak is the most events pending at any step; overAt and overDepth
+	// record the first step at which pending exceeded PendingLimit
+	// (overDepth is 0 until then).
+	peak      int
+	overAt    Time
+	overDepth int
 
 	// deadline is the running loop's last executable timestamp, or -1
 	// when it runs until the queue drains.  A hold must not carry the
@@ -54,9 +71,14 @@ type Env struct {
 	// that re-schedules itself at zero delay forever); exceeding it panics.
 	MaxSteps uint64
 
+	// PendingLimit, when non-zero, makes the environment record the first
+	// step at which Pending exceeds it (PendingOver).  Unlike MaxSteps it
+	// does not stop the run: the invariant checker reports it afterwards.
+	PendingLimit int
+
 	// onStep observers run after the clock advances to each executed
 	// or held event's timestamp, before the event body.  They must only
-	// read state (the invariant checker hooks here).
+	// read state.
 	onStep []func(at Time)
 
 	// instEnd holds one-shot callbacks that fire when the dispatch loop
@@ -71,15 +93,33 @@ type Env struct {
 	wakeFn func(any)  // bound once: runs a wakeRec and recycles it
 }
 
+// key orders pending events: by timestamp, FIFO within a timestamp.  sub
+// breaks ties below seq; the serial engine never sets it, so for it the
+// order is exactly the historic (at, seq) one, while partition
+// environments use (at, birth seq, partition sub) so that events merged
+// from other partitions sort deterministically among local ones.
+type key struct {
+	at       Time
+	seq, sub uint64
+}
+
+func (a *key) less(b *key) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return a.sub < b.sub
+}
+
 // queued is one pending event-queue entry.  Exactly one of fn and fn1 is
 // set; fn1 receives arg, which lets hot callers schedule a pre-bound
 // method value plus argument instead of allocating a fresh closure per
 // event.  tidx is the entry's timer slot, or -1 for the (common)
 // non-cancellable case.
 type queued struct {
-	at   Time
-	seq  uint64
-	sub  uint64 // tie-break below seq; always 0 in the serial engine
+	key
 	fn   func()
 	fn1  func(any)
 	arg  any
@@ -128,6 +168,23 @@ func NewPartitionEnv(part int) *Env {
 // Partitioned reports whether this environment uses partition stamping.
 func (e *Env) Partitioned() bool { return e.partStamp != 0 }
 
+// stamp draws the key of an event due after delay, as every scheduling
+// path does: heap entries, ring entries and slot arms share one sequence
+// counter, so their keys order across all three.
+func (e *Env) stamp(delay Time) key {
+	e.seq++
+	if e.partStamp != 0 {
+		// Partition stamping: order by birth instant first, then by
+		// (partition, local sequence).  Within one environment this is
+		// the same relative order as the serial global sequence — birth
+		// times and local sequence numbers are both monotone in
+		// scheduling order — but it gives cross-partition merges a
+		// deterministic total order that no single global counter could.
+		return key{e.now + delay, uint64(e.now), e.partStamp | e.seq}
+	}
+	return key{at: e.now + delay, seq: e.seq}
+}
+
 // MailStamp draws a (seq, sub) stamp for an outbound cross-partition
 // message.  The stamp comes from the same counter as local events, so a
 // merged delivery sorts against the destination's local events exactly
@@ -150,21 +207,23 @@ func (e *Env) ScheduleStamped(at Time, seq, sub uint64, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: stamped event at t=%v is before now=%v", at, e.now))
 	}
 	e.pending++
-	e.heap = append(e.heap, queued{at: at, seq: seq, sub: sub, fn1: fn, arg: arg, tidx: -1})
+	e.pushes++
+	e.heap = append(e.heap, queued{key: key{at, seq, sub}, fn1: fn, arg: arg, tidx: -1})
 	e.siftUp(len(e.heap) - 1)
 }
 
 // PeekTime returns the timestamp of the earliest queued event and whether
 // one exists.  Between windows the ring is always empty, so this is the
-// heap minimum, and the heap holds only live events (Timer.Stop removes
-// its entry); it is what the window scheduler folds across partitions to
-// pick the next window's base time.
+// earlier of the heap's and the slot queue's heads, and both hold only
+// live events (Timer.Stop and Disarm remove their entries); it is what
+// the window scheduler folds across partitions to pick the next window's
+// base time.
 func (e *Env) PeekTime() (Time, bool) {
 	if e.ringPop < len(e.ring) {
 		return e.now, true
 	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
+	if at, src := e.next(); src != fromNone {
+		return at, true
 	}
 	return 0, false
 }
@@ -195,6 +254,32 @@ func (e *Env) Cur() *Proc { return e.cur }
 // cancelled.
 func (e *Env) Pending() int { return e.pending }
 
+// PeakPending reports the largest Pending seen at an executed step: after
+// the clock advanced to the step's instant, before its body ran.  Held
+// and in-place steps count, as the loop's do.
+func (e *Env) PeakPending() int { return e.peak }
+
+// PendingOver reports the first step at which Pending exceeded
+// PendingLimit: its instant and the depth then.  ok is false if that has
+// not happened, or no limit is set.
+func (e *Env) PendingOver() (at Time, depth int, ok bool) {
+	return e.overAt, e.overDepth, e.overDepth > 0
+}
+
+// QueueStats counts the event queue's work since the environment was
+// made.  Zero-delay events take the ring and appear in none of them.
+type QueueStats struct {
+	Pushes   uint64 // entries pushed onto the heap
+	Removals uint64 // heap entries removed by Timer.Stop
+	Arms     uint64 // slot arms, re-keys included
+	Rekeys   uint64 // arms of a slot that was already armed
+}
+
+// QueueStats reports the queue work counters.
+func (e *Env) QueueStats() QueueStats {
+	return QueueStats{Pushes: e.pushes, Removals: e.removals, Arms: e.arms, Rekeys: e.rekeys}
+}
+
 // Stop makes the event loop return before dispatching the next event.
 // Queued events stay queued and parked processes stay parked; Close still
 // tears everything down.  Stop is the cancellation hook for callers that
@@ -212,8 +297,10 @@ func (e *Env) Stopped() bool { return e.stopped }
 // called from inside the holding process or callback.  So does an event
 // run in place (NextInPlace), seen from inside the callback that hands
 // it off.  Observers must not schedule, spawn, or otherwise mutate the
-// simulation: they exist for passive monitoring (the invariant checker).
-// Multiple observers run in registration order.
+// simulation: they exist for passive monitoring in tests.  The invariant
+// checker needs none, since the environment keeps the pending peak
+// itself (PeakPending, PendingOver).  Multiple observers run in
+// registration order.
 func (e *Env) OnStep(fn func(at Time)) { e.onStep = append(e.onStep, fn) }
 
 // AtInstantEnd registers a one-shot callback that runs after every event
@@ -244,7 +331,7 @@ func (e *Env) runInstEnd() {
 	if e.instEnd == nil {
 		e.instEnd = fns[:0]
 	}
-	if e.ringPop < len(e.ring) || (len(e.heap) > 0 && e.heap[0].at <= mark) {
+	if e.ringPop < len(e.ring) || e.dueBy(mark) {
 		panic("sim: instant-end callback scheduled an event at the closed instant")
 	}
 }
@@ -291,18 +378,8 @@ func (e *Env) push(delay Time, fn func(), fn1 func(any), arg any, tidx int32) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	e.seq++
 	e.pending++
-	q := queued{at: e.now + delay, seq: e.seq, fn: fn, fn1: fn1, arg: arg, tidx: tidx}
-	if e.partStamp != 0 {
-		// Partition stamping: order by birth instant first, then by
-		// (partition, local sequence).  Within one environment this is
-		// the same relative order as the serial global sequence — birth
-		// times and local sequence numbers are both monotone in
-		// scheduling order — but it gives cross-partition merges a
-		// deterministic total order that no single global counter could.
-		q.seq, q.sub = uint64(e.now), e.partStamp|e.seq
-	}
+	q := queued{key: e.stamp(delay), fn: fn, fn1: fn1, arg: arg, tidx: tidx}
 	if delay == 0 {
 		if tidx >= 0 {
 			s := &e.slots[tidx]
@@ -311,6 +388,7 @@ func (e *Env) push(delay Time, fn func(), fn1 func(any), arg any, tidx int32) {
 		e.ring = append(e.ring, q)
 		return
 	}
+	e.pushes++
 	e.heap = append(e.heap, q)
 	if tidx >= 0 {
 		s := &e.slots[tidx]
@@ -340,21 +418,6 @@ func (e *Env) freeSlot(idx int32) {
 	e.freeSlots = append(e.freeSlots, idx)
 }
 
-// less orders entries by timestamp, FIFO within a timestamp.  The serial
-// engine never sets sub, so for it the comparison is exactly the historic
-// (at, seq) order; partition environments use (at, birth seq, partition
-// sub) so that events merged from other partitions sort deterministically
-// among local ones.
-func (a *queued) less(b *queued) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.sub < b.sub
-}
-
 // movedTo records entry i's new heap position in its timer slot, if any.
 func (e *Env) movedTo(i int) {
 	if t := e.heap[i].tidx; t >= 0 {
@@ -368,7 +431,7 @@ func (e *Env) siftUp(i int) {
 	q := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !q.less(&h[parent]) {
+		if !q.less(&h[parent].key) {
 			break
 		}
 		h[i] = h[parent]
@@ -395,11 +458,11 @@ func (e *Env) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if h[c].less(&h[best]) {
+			if h[c].less(&h[best].key) {
 				best = c
 			}
 		}
-		if !h[best].less(&q) {
+		if !h[best].less(&q.key) {
 			break
 		}
 		h[i] = h[best]
@@ -428,7 +491,7 @@ func (e *Env) removeHeap(i int) {
 	if i == n {
 		return
 	}
-	if i > 0 && h[i].less(&h[(i-1)>>2]) {
+	if i > 0 && h[i].less(&h[(i-1)>>2].key) {
 		e.siftUp(i)
 	} else {
 		e.siftDown(i)
@@ -461,40 +524,77 @@ func (e *Env) RunUntil(deadline Time) {
 	}
 }
 
-// run is the dispatch loop.  Invariant: a heap entry can share the
-// current instant's timestamp only if it was scheduled before the clock
-// reached that instant (a positive delay lands strictly in the future,
-// and zero delays go to the ring) — so such an entry's sequence number is
-// strictly smaller than every ring entry's and it must run first.  The
-// ring otherwise drains completely before the clock may advance.
+// Where the loop takes its next event from.
+const (
+	fromNone = iota
+	fromRing
+	fromHeap
+	fromSlot
+)
+
+// next reports which of the heap's and the slot queue's first entries
+// sorts first, and its timestamp; fromNone means both are empty.
+func (e *Env) next() (Time, int) {
+	if len(e.cq) > 0 {
+		if k := &e.cq[0]; len(e.heap) == 0 || k.less(&e.heap[0].key) {
+			return k.at, fromSlot
+		}
+	}
+	if len(e.heap) > 0 {
+		return e.heap[0].at, fromHeap
+	}
+	return 0, fromNone
+}
+
+// dueBy reports whether a heap entry or an armed slot is due at or
+// before t.
+func (e *Env) dueBy(t Time) bool {
+	return len(e.heap) > 0 && e.heap[0].at <= t || len(e.cq) > 0 && e.cq[0].at <= t
+}
+
+// run is the dispatch loop.  Invariant: a heap entry or an armed slot
+// can share the current instant's timestamp only if it was scheduled
+// before the clock reached that instant (a positive delay lands strictly
+// in the future, zero delays go to the ring, and a slot is never armed
+// for the current instant) — so its sequence number is strictly smaller
+// than every ring entry's and it must run first.  The ring otherwise
+// drains completely before the clock may advance.
 func (e *Env) run(deadline Time) {
 	e.deadline = deadline
 	for !e.stopped {
-		var q queued
-		if e.ringPop < len(e.ring) {
+		at, src := e.next()
+		switch {
+		case e.ringPop < len(e.ring):
 			if deadline >= 0 && e.now > deadline {
 				return
 			}
-			if len(e.heap) > 0 && e.heap[0].at == e.now {
-				q = e.popHeap()
-			} else {
-				q = e.popRing()
+			if src == fromNone || at != e.now {
+				src = fromRing
 			}
-		} else if len(e.heap) > 0 {
-			if len(e.instEnd) > 0 && e.heap[0].at > e.now {
+		case src != fromNone:
+			if len(e.instEnd) > 0 && at > e.now {
 				e.runInstEnd()
 				continue
 			}
-			if deadline >= 0 && e.heap[0].at > deadline {
+			if deadline >= 0 && at > deadline {
 				return
 			}
-			q = e.popHeap()
-		} else {
+		default:
 			if len(e.instEnd) > 0 {
 				e.runInstEnd()
 				continue
 			}
 			return
+		}
+		if src == fromSlot {
+			e.fireSlot()
+			continue
+		}
+		var q queued
+		if src == fromHeap {
+			q = e.popHeap()
+		} else {
+			q = e.popRing()
 		}
 		if q.fn == nil && q.fn1 == nil {
 			continue // a ring entry cancelled in place by Timer.Stop
@@ -517,12 +617,19 @@ func (e *Env) run(deadline Time) {
 }
 
 // step counts one event executed at the current instant, enforces
-// MaxSteps and runs the OnStep observers.  A hold calls it once per
-// event it stands in for, and an in-place hand-off once.
+// MaxSteps, tracks the pending peak and runs the OnStep observers.  A
+// hold calls it once per event it stands in for, and an in-place
+// hand-off once.
 func (e *Env) step() {
 	e.steps++
 	if e.MaxSteps != 0 && e.steps > e.MaxSteps {
 		panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v (livelock?)", e.MaxSteps, e.now))
+	}
+	if e.pending > e.peak {
+		e.peak = e.pending
+		if e.PendingLimit > 0 && e.pending > e.PendingLimit && e.overDepth == 0 {
+			e.overAt, e.overDepth = e.now, e.pending
+		}
 	}
 	for _, obs := range e.onStep {
 		obs(e.now)
@@ -548,7 +655,7 @@ func (e *Env) hold(caller *Proc, d Time, n int) bool {
 	}
 	at := e.now + d
 	if e.cur != caller || e.stopped || e.ringPop < len(e.ring) || len(e.instEnd) > 0 ||
-		(len(e.heap) > 0 && e.heap[0].at <= at) || (e.deadline >= 0 && at > e.deadline) {
+		e.dueBy(at) || (e.deadline >= 0 && at > e.deadline) {
 		return false
 	}
 	e.now = at
@@ -573,7 +680,8 @@ func (e *Env) hold(caller *Proc, d Time, n int) bool {
 //     loop, whose next action would be to pick the next event);
 //   - the environment is not stopped (the loop would run nothing more);
 //   - the ring is empty (a zero-delay event already queued runs first);
-//   - no heap entry is due now (one due now was scheduled earlier).
+//   - no heap entry or armed slot is due now (one due now was scheduled
+//     earlier).
 //
 // Events the caller schedules between NextInPlace and the hand-off draw
 // later sequence numbers, so they run after it either way.  A pending
@@ -581,7 +689,7 @@ func (e *Env) hold(caller *Proc, d Time, n int) bool {
 // events are done, after the hand-off either way.  When NextInPlace
 // returns false nothing has changed, and the caller schedules the event.
 func (e *Env) NextInPlace() bool {
-	if e.cur != nil || e.stopped || e.ringPop < len(e.ring) || (len(e.heap) > 0 && e.heap[0].at <= e.now) {
+	if e.cur != nil || e.stopped || e.ringPop < len(e.ring) || e.dueBy(e.now) {
 		return false
 	}
 	e.seq++
@@ -616,6 +724,8 @@ func (e *Env) Close() {
 	}
 	e.procs = nil
 	e.heap = nil
+	e.cslots = nil
+	e.cq = nil
 	e.ring = nil
 	e.ringPop = 0
 	e.pending = 0
@@ -699,6 +809,7 @@ func (t Timer) Stop() bool {
 	}
 	switch s.where {
 	case qHeap:
+		e.removals++
 		e.removeHeap(int(s.pos))
 	case qRing:
 		q := &e.ring[s.pos]

@@ -231,6 +231,42 @@ func TestTimerStopPeekTimeExact(t *testing.T) {
 	}
 }
 
+// TestPeekTimeSeesSlots: PeekTime reports the earlier of the heap's and
+// the slot queue's heads, on serial and partition environments alike:
+// a slot due at now+d ahead of a later heap entry, a heap entry ahead of
+// a slot, a slot due at the current instant, and nothing once the slot
+// is disarmed and the heap is empty.
+func TestPeekTimeSeesSlots(t *testing.T) {
+	nop := func(any) {}
+	for _, mk := range []func() *Env{NewEnv, func() *Env { return NewPartitionEnv(2) }} {
+		e := mk()
+		s := e.NewSlots(1)
+		peek := func(want Time, wantOK bool, what string) {
+			t.Helper()
+			if at, ok := e.PeekTime(); at != want || ok != wantOK {
+				t.Errorf("partitioned=%v, %s: PeekTime = %v, %v; want %v, %v", e.Partitioned(), what, at, ok, want, wantOK)
+			}
+		}
+		peek(0, false, "empty")
+		heapTimer := e.ScheduleTimer(20, func() {})
+		e.Arm(s, 10, nop, nil)
+		peek(10, true, "slot due before the heap head")
+		e.Arm(s, 30, nop, nil)
+		peek(20, true, "slot re-keyed past the heap head")
+		heapTimer.Stop()
+		peek(30, true, "slot alone")
+		e.Disarm(s)
+		peek(0, false, "slot disarmed")
+		// A slot due at the current instant: the loop stops at t=5 with
+		// the slot still queued, armed for t=5 before the instant began.
+		e.Schedule(5, func() { e.Stop() })
+		e.Arm(s, 5, nop, nil)
+		e.Run()
+		peek(5, true, "slot due now")
+		e.Close()
+	}
+}
+
 func TestCloseAfterStopReleasesQueue(t *testing.T) {
 	// Stopping the loop mid-run leaves events queued; Close must release
 	// them all so a dead environment retains no callbacks or captures.
@@ -238,6 +274,7 @@ func TestCloseAfterStopReleasesQueue(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e.Schedule(Time(10+i), func() {})
 	}
+	e.Arm(e.NewSlots(1), 50, func(any) {}, nil) // and a slot
 	e.Schedule(5, func() {
 		e.Schedule(0, func() {}) // occupy the ring too
 		e.Stop()
@@ -250,7 +287,7 @@ func TestCloseAfterStopReleasesQueue(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Errorf("pending = %d after Close, want 0", e.Pending())
 	}
-	if e.heap != nil || e.ring != nil || e.slots != nil {
+	if e.heap != nil || e.ring != nil || e.slots != nil || e.cslots != nil || e.cq != nil {
 		t.Error("Close must release the queue arenas")
 	}
 }

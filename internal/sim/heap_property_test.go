@@ -106,7 +106,7 @@ func (sc *stopCases) classify(e *Env, tm Timer) {
 	switch {
 	case pos == last:
 		sc.last++
-	case pos > 0 && e.heap[last].less(&e.heap[(pos-1)>>2]):
+	case pos > 0 && e.heap[last].less(&e.heap[(pos-1)>>2].key):
 		sc.up++
 	}
 }
@@ -280,6 +280,273 @@ func TestHeapStableFIFOAtSameInstant(t *testing.T) {
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("position %d fired event %d; want strict scheduling order", i, v)
+		}
+	}
+}
+
+// --- completion slots: re-keyable entries beside the heap -----------------
+//
+// A slot arm draws its key as a timer would, and a re-key is the same as
+// stopping the slot's timer and scheduling a new one.  The oracle models
+// exactly that: every arm pushes a fresh entry, and a re-key or a disarm
+// cancels the slot's current one.
+
+// slotOp is one slot operation a plan node performs when it fires: arm
+// slot (re-keying it if armed) to fire after delay, scheduling children
+// when it fires; or, with disarm set, cancel the slot's callback.
+type slotOp struct {
+	slot     int
+	delay    Time
+	disarm   bool
+	children []int
+	id       int // trace id of this arm's firing
+}
+
+// slotPlan is a propPlan whose nodes also operate on a few slots.
+type slotPlan struct {
+	nodes []propNode
+	roots []int
+	ops   [][]slotOp // per node
+	slots int
+}
+
+func genSlotPlan(rng *Rand, n int) slotPlan {
+	nodes, roots := genPlan(rng, n)
+	pl := slotPlan{nodes: nodes, roots: roots, ops: make([][]slotOp, n), slots: 1 + rng.Intn(4)}
+	next := n
+	for i := range pl.ops {
+		for k := rng.Intn(3); k > 0; k-- {
+			op := slotOp{slot: rng.Intn(pl.slots)}
+			if rng.Intn(4) == 0 {
+				op.disarm = true
+				pl.ops[i] = append(pl.ops[i], op)
+				continue
+			}
+			// Same delay classes as genPlan's, minus zero: collisions
+			// with heap and ring entries are the interesting regime.
+			switch rng.Intn(4) {
+			case 0:
+				op.delay = Time(1 + rng.Intn(2))
+			case 1:
+				op.delay = Time(100 + rng.Intn(400))
+			default:
+				op.delay = Time(1 + rng.Intn(50))
+			}
+			if rng.Intn(2) == 0 {
+				op.children = append(op.children, rng.Intn(n))
+			}
+			op.id = next
+			next++
+			pl.ops[i] = append(pl.ops[i], op)
+		}
+	}
+	return pl
+}
+
+// slotRun is what runEnvSlotPlan saw: the fire trace, and how often a
+// slot fired at an instant where a heap or ring entry also fired.
+type slotRun struct {
+	trace []int
+	ties  int
+}
+
+// runEnvSlotPlan executes the plan on e with real slots and timers.
+func runEnvSlotPlan(e *Env, pl slotPlan) slotRun {
+	var out slotRun
+	n := len(pl.nodes)
+	timers := make([]Timer, n)
+	scheduled := make([]bool, n)
+	first := e.NewSlots(pl.slots)
+	slotAt, otherAt := Time(-1), Time(-2)
+	note := func(slot bool) {
+		if slot {
+			slotAt = e.Now()
+		} else {
+			otherAt = e.Now()
+		}
+		if slotAt == otherAt {
+			out.ties++
+		}
+	}
+	var schedule func(id int)
+	fire := func(a any) {
+		op := a.(*slotOp)
+		note(true)
+		out.trace = append(out.trace, op.id)
+		for _, c := range op.children {
+			schedule(c)
+		}
+	}
+	schedule = func(id int) {
+		if scheduled[id] {
+			return
+		}
+		scheduled[id] = true
+		nd := &pl.nodes[id]
+		timers[id] = e.ScheduleTimer(nd.delay, func() {
+			note(false)
+			out.trace = append(out.trace, id)
+			for _, c := range nd.children {
+				schedule(c)
+			}
+			for _, c := range nd.cancels {
+				if scheduled[c] {
+					timers[c].Stop()
+				}
+			}
+			for k := range pl.ops[id] {
+				op := &pl.ops[id][k]
+				if op.disarm {
+					e.Disarm(first + Slot(op.slot))
+				} else {
+					e.Arm(first+Slot(op.slot), op.delay, fire, op)
+				}
+			}
+		})
+	}
+	for _, r := range pl.roots {
+		schedule(r)
+	}
+	e.Run()
+	return out
+}
+
+// runRefSlotPlan executes the same plan on the container/heap oracle.
+func runRefSlotPlan(pl slotPlan) []int {
+	var (
+		trace     []int
+		h         refHeap
+		now       Time
+		seq       uint64
+		n         = len(pl.nodes)
+		scheduled = make([]bool, n)
+		cancelled = map[int]bool{}
+		armed     = make([]int, pl.slots) // trace id of each slot's entry, or -1
+		opOf      = map[int]*slotOp{}
+	)
+	for i := range armed {
+		armed[i] = -1
+	}
+	push := func(at Time, id int) {
+		heap.Push(&h, &refEvent{at: at, seq: seq, id: id})
+		seq++
+	}
+	schedule := func(id int) {
+		if !scheduled[id] {
+			scheduled[id] = true
+			push(now+pl.nodes[id].delay, id)
+		}
+	}
+	for _, r := range pl.roots {
+		schedule(r)
+	}
+	for h.Len() > 0 {
+		ev := heap.Pop(&h).(*refEvent)
+		if ev.at < now {
+			panic("oracle: time went backwards")
+		}
+		now = ev.at
+		if cancelled[ev.id] {
+			continue
+		}
+		trace = append(trace, ev.id)
+		if op := opOf[ev.id]; op != nil {
+			armed[op.slot] = -1
+			for _, c := range op.children {
+				schedule(c)
+			}
+			continue
+		}
+		nd := &pl.nodes[ev.id]
+		for _, c := range nd.children {
+			schedule(c)
+		}
+		for _, c := range nd.cancels {
+			if scheduled[c] {
+				cancelled[c] = true
+			}
+		}
+		for k := range pl.ops[ev.id] {
+			op := &pl.ops[ev.id][k]
+			if cur := armed[op.slot]; cur >= 0 {
+				cancelled[cur] = true
+				armed[op.slot] = -1
+			}
+			if !op.disarm {
+				opOf[op.id] = op
+				armed[op.slot] = op.id
+				push(now+op.delay, op.id)
+			}
+		}
+	}
+	return trace
+}
+
+// TestHeapSlotsMatchReferenceOrdering drives random plans that mix heap
+// events, timers (some stopped) and slot arms, re-keys and disarms
+// through the event core and the container/heap oracle, on a serial and
+// on a partition environment, and requires identical fire traces.  The
+// plans must re-key, disarm and fire slots at instants shared with heap
+// or ring entries.
+func TestHeapSlotsMatchReferenceOrdering(t *testing.T) {
+	envs := []struct {
+		name string
+		make func() *Env
+	}{{"serial", NewEnv}, {"partition", func() *Env { return NewPartitionEnv(1) }}}
+	var q QueueStats
+	ties := 0
+	for _, env := range envs {
+		for seed := uint64(1); seed <= 60; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", env.name, seed), func(t *testing.T) {
+				pl := genSlotPlan(NewRand(seed*0x9e3779b97f4a7c15), 40+int(seed)%100)
+				e := env.make()
+				got := runEnvSlotPlan(e, pl)
+				want := runRefSlotPlan(pl)
+				if fmt.Sprint(got.trace) != fmt.Sprint(want) {
+					t.Fatalf("traces differ:\n env    %v\n oracle %v", got.trace, want)
+				}
+				if e.Pending() != 0 {
+					t.Errorf("%d events pending after the run", e.Pending())
+				}
+				s := e.QueueStats()
+				q.Arms, q.Rekeys, ties = q.Arms+s.Arms, q.Rekeys+s.Rekeys, ties+got.ties
+			})
+		}
+	}
+	if q.Arms == 0 || q.Rekeys == 0 || ties == 0 {
+		t.Errorf("plans armed %d slots, re-keyed %d and fired %d at a shared instant; want all three", q.Arms, q.Rekeys, ties)
+	}
+}
+
+// TestHeapSlotTiesAtOneInstant pins same-instant order by hand.  Heap
+// entries A and B and slot S are all due at t=10, scheduled A, S, B; at
+// t=5, C re-keys S to t=10 again, which puts it behind B.  At t=10, A
+// schedules a zero-delay R, which runs after every entry scheduled
+// before the instant.  A second slot T, armed for t=10 after the re-key,
+// runs after S.
+func TestHeapSlotTiesAtOneInstant(t *testing.T) {
+	for _, e := range []*Env{NewEnv(), NewPartitionEnv(3)} {
+		var got []string
+		rec := func(name string) func(any) { return func(any) { got = append(got, name) } }
+		slots := e.NewSlots(2)
+		s, tt := slots, slots+1
+		e.Schedule(10, func() {
+			got = append(got, "A")
+			e.Schedule(0, func() { got = append(got, "R") })
+		})
+		e.Arm(s, 10, rec("S-old"), nil)
+		e.Schedule(10, func() { got = append(got, "B") })
+		e.Schedule(5, func() {
+			got = append(got, "C")
+			e.Arm(s, 5, rec("S"), nil)
+			e.Arm(tt, 5, rec("T"), nil)
+		})
+		e.Run()
+		if want := "[C A B S T R]"; fmt.Sprint(got) != want {
+			t.Errorf("partitioned=%v: order %v, want %s", e.Partitioned(), got, want)
+		}
+		if q := e.QueueStats(); q.Arms != 3 || q.Rekeys != 1 || e.Pending() != 0 {
+			t.Errorf("partitioned=%v: %+v, pending %d; want 3 arms, 1 re-key, none pending", e.Partitioned(), q, e.Pending())
 		}
 	}
 }

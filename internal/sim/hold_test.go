@@ -27,7 +27,12 @@ var holdCallers = []string{"process", "callback"}
 // step count or the queue.
 func tryHold(t *testing.T, caller string, setup func(e *Env), drive func(e *Env)) bool {
 	t.Helper()
-	e := NewEnv()
+	return tryHoldOn(t, NewEnv(), caller, setup, drive)
+}
+
+// tryHoldOn is tryHold on the environment e.
+func tryHoldOn(t *testing.T, e *Env, caller string, setup func(e *Env), drive func(e *Env)) bool {
+	t.Helper()
 	defer e.Close()
 	var held, ran bool
 	try := func(hold func() bool) {
@@ -51,6 +56,11 @@ func tryHold(t *testing.T, caller string, setup func(e *Env), drive func(e *Env)
 	return held
 }
 
+// armAt returns a setup that arms a new slot due after d.
+func armAt(d Time) func(e *Env) {
+	return func(e *Env) { e.Arm(e.NewSlots(1), d, func(any) {}, nil) }
+}
+
 func TestHoldRefusals(t *testing.T) {
 	nop := func() {}
 	run := func(e *Env) { e.Run() }
@@ -60,6 +70,7 @@ func TestHoldRefusals(t *testing.T) {
 		drive func(e *Env)
 	}{
 		{"event due at now+d", func(e *Env) { e.Schedule(10, nop) }, run},
+		{"slot due at now+d", armAt(10), run},
 		{"ring entry at the current instant", func(e *Env) { e.Schedule(0, nop) }, run},
 		{"pending instant-end callback", func(e *Env) { e.AtInstantEnd(nop) }, run},
 		{"stopped env", func(e *Env) { e.Stop() }, run},
@@ -78,6 +89,51 @@ func TestHoldRefusals(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHoldSlots: a slot counts as any queued event.  One due at the
+// current instant, armed before the instant began, refuses a hold; so
+// does one due at now+d on a partition environment, whose slots carry
+// partition stamps, while one due after now+d does not.
+func TestHoldSlots(t *testing.T) {
+	for _, caller := range holdCallers {
+		t.Run(caller+"/slot due at now", func(t *testing.T) {
+			e := NewEnv()
+			defer e.Close()
+			var held, ran bool
+			try := func(hold func() bool) {
+				before := stateOf(e)
+				held, ran = hold(), true
+				if after := stateOf(e); !held && after != before {
+					t.Errorf("refused hold changed the env: %+v -> %+v", before, after)
+				}
+			}
+			// The caller's wake-up at t=5 is scheduled before the slot is
+			// armed for t=5, so the caller runs first, with the slot due.
+			if caller == "process" {
+				e.Spawn("holder", func(p *Proc) {
+					p.Sleep(5)
+					try(func() bool { return p.Hold(10, 2) })
+				})
+			} else {
+				e.Schedule(5, func() { try(func() bool { return e.Hold(10, 2) }) })
+			}
+			e.Schedule(0, func() { armAt(5)(e) })
+			e.Run()
+			if !ran || held {
+				t.Errorf("ran %v, held %v; want a refusal", ran, held)
+			}
+		})
+		t.Run(caller+"/partition env", func(t *testing.T) {
+			run := func(e *Env) { e.Run() }
+			if tryHoldOn(t, NewPartitionEnv(1), caller, armAt(10), run) {
+				t.Error("Hold succeeded with a slot due at now+d")
+			}
+			if !tryHoldOn(t, NewPartitionEnv(1), caller, armAt(11), run) {
+				t.Error("Hold refused with the only slot due after now+d")
+			}
+		})
 	}
 }
 

@@ -12,7 +12,12 @@ import (
 // counter.
 func tryInPlace(t *testing.T, queued, inside func(e *Env)) bool {
 	t.Helper()
-	e := NewEnv()
+	return tryInPlaceOn(t, NewEnv(), queued, inside)
+}
+
+// tryInPlaceOn is tryInPlace on the environment e.
+func tryInPlaceOn(t *testing.T, e *Env, queued, inside func(e *Env)) bool {
+	t.Helper()
 	defer e.Close()
 	var ok, ran bool
 	e.Schedule(5, func() {
@@ -44,6 +49,7 @@ func TestNextInPlaceRefusals(t *testing.T) {
 	}{
 		{"ring entry pending", none, func(e *Env) { e.Schedule(0, nop) }},
 		{"heap entry due now", func(e *Env) { e.Schedule(5, nop) }, none},
+		{"slot due now", armAt(5), none},
 		{"stopped env", none, func(e *Env) { e.Stop() }},
 	}
 	for _, c := range cases {
@@ -53,9 +59,19 @@ func TestNextInPlaceRefusals(t *testing.T) {
 			}
 		})
 	}
+	t.Run("partition env/slot due now", func(t *testing.T) {
+		if tryInPlaceOn(t, NewPartitionEnv(1), armAt(5), none) {
+			t.Error("NextInPlace accepted; want refusal")
+		}
+	})
 	t.Run("quiet", func(t *testing.T) {
 		if !tryInPlace(t, func(e *Env) { e.Schedule(6, nop) }, func(e *Env) { e.Schedule(1, nop) }) {
 			t.Error("NextInPlace refused with nothing due now")
+		}
+	})
+	t.Run("slot due at now+d", func(t *testing.T) {
+		if !tryInPlace(t, none, armAt(1)) {
+			t.Error("NextInPlace refused with the only slot due later")
 		}
 	})
 }

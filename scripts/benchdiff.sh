@@ -31,6 +31,13 @@
 # re-record on the target host, single-core runners make parallel look
 # slower than serial and that is expected, the gate only guards drift
 # against each benchmark's own committed number).
+#
+# PERF_FILTER (default: the Portals packet chains) selects benchmarks of
+# internal/perf to gate as well; empty skips them.  Their op is one
+# packet, so they run a fixed PERF_BENCHTIME of packets (default 100000x,
+# about 400 messages): a single op would time a fraction of a message.
+# At that count a message's own allocations round to 0 allocs/op, so the
+# gate fails on any allocation per packet.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -39,9 +46,14 @@ TOLERANCE="${BENCH_TOLERANCE:-20}"
 FILTER="${BENCH_FILTER:-^Benchmark(Fig|Serve|DESNodes|Collov|Halo)}"
 BENCHTIME="${BENCH_TIME:-1x}"
 COUNT="${BENCH_COUNT:-5}"
+PERF_FILTER="${PERF_FILTER-^BenchmarkPortalsPacketChain}"
+PERF_BENCHTIME="${PERF_BENCHTIME:-100000x}"
 
 run_benches() {
     go test -run '^$' -bench "$FILTER" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . 2>&1
+    if [ -n "$PERF_FILTER" ]; then
+        go test -run '^$' -bench "$PERF_FILTER" -benchmem -benchtime "$PERF_BENCHTIME" -count "$COUNT" ./internal/perf 2>&1
+    fi
 }
 
 # bench_to_json <raw `go test -bench -benchmem` output>
