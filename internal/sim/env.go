@@ -586,14 +586,13 @@ func (e *Env) run(deadline Time) {
 			}
 			return
 		}
-		if src == fromSlot {
-			e.fireSlot()
-			continue
-		}
 		var q queued
-		if src == fromHeap {
+		switch src {
+		case fromHeap:
 			q = e.popHeap()
-		} else {
+		case fromSlot:
+			q = e.popSlot()
+		default:
 			q = e.popRing()
 		}
 		if q.fn == nil && q.fn1 == nil {

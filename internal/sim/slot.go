@@ -90,22 +90,14 @@ func (e *Env) Disarm(s Slot) {
 	e.pending--
 }
 
-// fireSlot runs the earliest armed slot as the loop runs a heap entry:
-// it disarms the slot, advances the clock, counts the step and calls the
-// callback, which may arm the slot again.
-func (e *Env) fireSlot() {
-	at := e.cq[0].at
+// popSlot disarms the earliest armed slot and returns its event, as
+// popHeap and popRing return theirs; the callback may arm the slot again.
+func (e *Env) popSlot() queued {
 	c := &e.cslots[e.cq[0].slot]
-	fn, arg := c.fn, c.arg
+	q := queued{key: e.cq[0].key, fn1: c.fn, arg: c.arg, tidx: -1}
 	c.fn, c.arg = nil, nil
 	e.removeSlot(0)
-	if at < e.now {
-		panic("sim: event queue went backwards")
-	}
-	e.now = at
-	e.pending--
-	e.step()
-	fn(arg)
+	return q
 }
 
 // removeSlot takes entry i out of the slot queue: the last entry takes
