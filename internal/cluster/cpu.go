@@ -50,8 +50,8 @@ func (p Priority) String() string {
 //
 // Grants are pooled: every demand is served by a recycled cpuGrant record,
 // and a running grant's completion waits in its core's completion slot
-// (sim.Slot), which a preemption moves in place instead of stopping a
-// timer and scheduling another.  The per-interrupt scheduling cost is
+// (sim.Slot), which a preemption moves in place instead of cancelling
+// one event and scheduling another.  The per-interrupt scheduling cost is
 // therefore allocation-free on the Use and SubmitCall paths.  Submit
 // still mints a fresh Event per call — callers hold fired events
 // indefinitely, which makes Events unpoolable by construction — so hot
@@ -67,14 +67,11 @@ type CPU struct {
 }
 
 // coreState is one core's current assignment.  A running grant's
-// completion is armed in slot, or, when the grant has no time left, in
-// timer: a zero-length completion runs from the ring, behind what the
-// instant has already queued there.
+// completion is armed in slot.
 type coreState struct {
 	running   *cpuGrant
 	startedAt sim.Time
 	slot      sim.Slot
-	timer     sim.Timer
 }
 
 // cpuGrant is one outstanding CPU demand.  Exactly one completion channel
@@ -151,8 +148,8 @@ func (c *CPU) Cores() int { return len(c.cores) }
 // A quiet demand runs in place: when a core is idle (so no grant waits:
 // dispatch fills idle cores first) and nothing else is due before the
 // demand ends, the process holds the clock forward by d (sim.Proc.Hold)
-// instead of scheduling the grant's completion timer and wake-up, two
-// events that would run back to back.
+// instead of arming the grant's completion and scheduling its wake-up,
+// two events that would run back to back.
 func (c *CPU) Use(p *sim.Proc, d sim.Time, prio Priority) {
 	if d <= 0 {
 		return
@@ -316,38 +313,34 @@ func (c *CPU) dispatch() {
 
 // start runs g on core i and arms its completion.  After a preemption
 // the core's slot is still armed, and arming it again moves it in place.
+// A grant preempted with no time left is armed with zero delay: it
+// completes at the current instant, behind what the instant has already
+// queued.
 func (c *CPU) start(i int, g *cpuGrant) {
 	core := &c.cores[i]
 	core.running = g
 	core.startedAt = c.env.Now()
 	g.core = int32(i)
-	if g.remaining > 0 {
-		c.env.Arm(core.slot, g.remaining, c.completeFn, g)
-		return
-	}
-	c.env.Disarm(core.slot)
-	core.timer = c.env.ScheduleTimerCall(0, c.completeFn, g)
+	c.env.Arm(core.slot, g.remaining, c.completeFn, g)
 }
 
 // preempt pulls core i's grant off the core and puts it back at the front
 // of its priority queue with its residual demand.  It leaves the core's
 // slot armed: dispatch starts the preempting grant on the same core at
-// once, and start moves the slot to that grant's completion.  A
-// zero-length completion on the ring is stopped here.
+// once, and start moves the slot to that grant's completion.
 func (c *CPU) preempt(i int) {
 	core := &c.cores[i]
 	g := core.running
 	elapsed := c.env.Now() - core.startedAt
 	g.remaining -= elapsed
 	c.usage[g.prio] += elapsed
-	core.timer.Stop()
 	core.running = nil
 	g.core = -1
 	c.queues[g.prio].pushFront(g)
 }
 
-// complete retires the finished grant (passed as the slot's or timer's
-// argument), notifies its completion channel and dispatches further work.
+// complete retires the finished grant (passed as the slot's argument),
+// notifies its completion channel and dispatches further work.
 //
 // A waiting process or callback is handed the grant in place when its
 // zero-delay wake-up would be the very next event anyway

@@ -9,42 +9,62 @@ import (
 )
 
 // The reference grant path is the CPU as it was before quiet holds,
-// in-place hand-offs and completion slots: every demand parks, every
+// in-place hand-offs and re-keyed core slots: every demand parks, every
 // completion wakes its waiter with a scheduled event, and every started
-// grant arms a cancellable timer, which a preemption stops.
+// grant arms a completion afresh, which a preemption cancels.  It runs
+// on slots of its own, one per core, which it disarms on preemption and
+// arms again on start: the cancel-and-push order of a timer.
 
-// useRef is Use without the quiet hold: every demand takes the
+// cpuRef is the reference path for one CPU.
+type cpuRef struct {
+	c     *CPU
+	slots sim.Slot // the first of one slot per core
+	// dispatch makes completions dispatch on the reference path too;
+	// otherwise complete differs from CPU.complete only in waking
+	// every waiter with a scheduled event.
+	dispatch bool
+	// preempts counts preemptions, and zeroLength those of a grant
+	// started with no time left, whose completion was armed at zero
+	// delay.
+	preempts, zeroLength int
+}
+
+func newCPURef(c *CPU, dispatch bool) *cpuRef {
+	return &cpuRef{c: c, slots: c.env.NewSlots(len(c.cores)), dispatch: dispatch}
+}
+
+// use is Use without the quiet hold: every demand takes the
 // grant-and-park path, as Use did before holds existed.
-func (c *CPU) useRef(p *sim.Proc, d sim.Time, prio Priority) {
+func (r *cpuRef) use(p *sim.Proc, d sim.Time, prio Priority) {
 	if d <= 0 {
 		return
 	}
-	g := c.grant(d, prio)
+	g := r.c.grant(d, prio)
 	g.waiter = p
-	c.enqueueRef(g)
+	r.enqueue(g)
 	p.Park()
 }
 
-// submitRef is SubmitCall of a positive fire-and-forget demand on the
-// reference path.
-func (c *CPU) submitRef(d sim.Time, prio Priority) {
-	c.enqueueRef(c.grant(d, prio))
+// submit is SubmitCall of a positive fire-and-forget demand.
+func (r *cpuRef) submit(d sim.Time, prio Priority) {
+	r.enqueue(r.c.grant(d, prio))
 }
 
-func (c *CPU) enqueueRef(g *cpuGrant) {
-	c.queues[g.prio].pushBack(g)
-	c.dispatchRef()
+func (r *cpuRef) enqueue(g *cpuGrant) {
+	r.c.queues[g.prio].pushBack(g)
+	r.dispatchAll()
 }
 
-// dispatchRef is dispatch with startRef and preemptRef.
-func (c *CPU) dispatchRef() {
+// dispatchAll is CPU.dispatch with start and preempt.
+func (r *cpuRef) dispatchAll() {
+	c := r.c
 	for {
 		want := c.highestWaitingPrio()
 		if want < 0 {
 			return
 		}
 		if idle := c.idleCore(); idle >= 0 {
-			c.startRef(idle, c.nextWaiting())
+			r.start(idle, c.nextWaiting())
 			continue
 		}
 		victim := -1
@@ -61,42 +81,45 @@ func (c *CPU) dispatchRef() {
 		if victim < 0 {
 			return
 		}
-		c.preemptRef(victim)
-		c.startRef(victim, c.nextWaiting())
+		r.preempt(victim)
+		r.start(victim, c.nextWaiting())
 	}
 }
 
-// startRef is start on a completion timer: a grant's completion is a
-// heap entry, or a ring entry when no time is left.
-func (c *CPU) startRef(i int, g *cpuGrant) {
-	core := &c.cores[i]
+// start runs g on core i and arms its completion in the core's
+// reference slot, which is disarmed: a grant with no time left is armed
+// at zero delay.
+func (r *cpuRef) start(i int, g *cpuGrant) {
+	core := &r.c.cores[i]
 	core.running = g
-	core.startedAt = c.env.Now()
+	core.startedAt = r.c.env.Now()
 	g.core = int32(i)
-	core.timer = c.env.ScheduleTimerCall(g.remaining, c.completeFn, g)
+	r.c.env.Arm(r.slots+sim.Slot(i), g.remaining, r.c.completeFn, g)
 }
 
-// preemptRef is preempt on a completion timer: it stops the timer.  A
-// grant that start put on the core has its slot disarmed instead, so the
-// two paths can share a run.
-func (c *CPU) preemptRef(i int) {
+// preempt is CPU.preempt that disarms the core's reference slot.
+func (r *cpuRef) preempt(i int) {
+	c := r.c
 	core := &c.cores[i]
 	g := core.running
+	r.preempts++
+	if g.remaining == 0 {
+		r.zeroLength++
+	}
 	elapsed := c.env.Now() - core.startedAt
 	g.remaining -= elapsed
 	c.usage[g.prio] += elapsed
-	core.timer.Stop()
-	c.env.Disarm(core.slot)
+	c.env.Disarm(r.slots + sim.Slot(i))
 	core.running = nil
 	g.core = -1
 	c.queues[g.prio].pushFront(g)
 }
 
-// completeRef is complete without the in-place hand-off: every waiting
+// complete is CPU.complete without the in-place hand-off: every waiting
 // process or callback is woken by a scheduled zero-delay event, as
-// complete did before hand-offs existed.  It dispatches on the reference
-// path.
-func (c *CPU) completeRef(a any) {
+// complete did before hand-offs existed.
+func (r *cpuRef) complete(a any) {
+	c := r.c
 	g := a.(*cpuGrant)
 	core := &c.cores[g.core]
 	c.usage[g.prio] += c.env.Now() - core.startedAt
@@ -110,7 +133,11 @@ func (c *CPU) completeRef(a any) {
 		c.env.ScheduleCall(0, g.fn, g.arg)
 	}
 	c.release(g)
-	c.dispatchRef()
+	if r.dispatch {
+		r.dispatchAll()
+	} else {
+		c.dispatch()
+	}
 }
 
 // cpuOp is one step of a process in a CPU plan: a Use of d at prio, or,
@@ -144,6 +171,9 @@ type cpuOutcome struct {
 	handed  int        // Use returns handed off in place by a completion
 	woken   int        // completions with a process or callback to wake
 	queue   sim.QueueStats
+	// The reference path's preemptions, and those of a zero-length
+	// completion (cpuRef.preempts, zeroLength); 0 on the program path.
+	preempts, zeroLength int
 }
 
 func genCPUPlan(rng *sim.Rand) cpuPlan {
@@ -174,12 +204,13 @@ type cpuRun struct {
 	// use stands in for CPU.Use; nil runs every process's ops as a
 	// callback chain through CPU.UseCall instead (useChain).
 	use func(*CPU, *sim.Proc, sim.Time, Priority)
-	// refComplete retires grants with completeRef instead of complete.
+	// ref runs the whole plan on the reference path: processes use
+	// cpuRef.use, the interrupt bursts cpuRef.submit, and completions
+	// dispatch on it, so no core slot of the CPU is armed.
+	ref bool
+	// refComplete retires grants with cpuRef.complete, which dispatches
+	// on the program path, instead of CPU.complete.
 	refComplete bool
-	// refBursts submits the interrupt bursts with submitRef instead of
-	// SubmitCall.  With useRef and refComplete, every dispatch of the run
-	// takes the reference path and no slot is armed.
-	refBursts bool
 }
 
 // runCPUPlan executes pl on the paths r selects.
@@ -187,6 +218,10 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 	env := sim.NewEnv()
 	defer env.Close()
 	cpu := NewSMP(env, "cpu", pl.cores)
+	ref := newCPURef(cpu, r.ref)
+	if r.ref {
+		r.use = func(_ *CPU, p *sim.Proc, d sim.Time, prio Priority) { ref.use(p, d, prio) }
+	}
 	out := cpuOutcome{returns: make([][]sim.Time, len(pl.procs))}
 	completing := false
 	cpu.completeFn = func(a any) {
@@ -194,8 +229,8 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 			out.woken++
 		}
 		completing = true
-		if r.refComplete {
-			cpu.completeRef(a)
+		if r.ref || r.refComplete {
+			ref.complete(a)
 		} else {
 			cpu.complete(a)
 		}
@@ -218,8 +253,8 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 		b := b
 		env.Schedule(b.at, func() {
 			for _, d := range b.ds {
-				if r.refBursts {
-					cpu.submitRef(d, Interrupt)
+				if r.ref {
+					ref.submit(d, Interrupt)
 				} else {
 					cpu.SubmitCall(d, Interrupt, nil, nil)
 				}
@@ -249,6 +284,7 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 	}
 	out.steps = env.Steps()
 	out.queue = env.QueueStats()
+	out.preempts, out.zeroLength = ref.preempts, ref.zeroLength
 	return out
 }
 
@@ -277,19 +313,20 @@ func useChain(cpu *CPU, ops []cpuOp, ret func()) {
 	env.ScheduleCall(0, step, nil)
 }
 
-// compareToRef runs pl with Use and complete and on the reference path
-// (useRef, completeRef, submitRef), requires identical outcomes apart
-// from the counts of held steps, hand-offs, grant wake-ups and queue
-// work, and returns both outcomes.
+// compareToRef runs pl with Use and complete and on the reference path,
+// requires identical outcomes apart from the counts of held steps,
+// hand-offs, grant wake-ups, preemptions and queue work, and returns
+// both outcomes.
 func compareToRef(t *testing.T, pl cpuPlan) (got, want cpuOutcome) {
 	t.Helper()
 	got = runCPUPlan(pl, cpuRun{use: (*CPU).Use})
-	want = runCPUPlan(pl, cpuRun{use: (*CPU).useRef, refComplete: true, refBursts: true})
-	if want.held != 0 || want.handed != 0 || want.queue.Arms != 0 {
-		t.Fatalf("reference path held %d steps, handed off %d and armed %d slots", want.held, want.handed, want.queue.Arms)
+	want = runCPUPlan(pl, cpuRun{ref: true})
+	if want.held != 0 || want.handed != 0 || want.queue.Rekeys != 0 {
+		t.Fatalf("reference path held %d steps, handed off %d and re-keyed %d slots", want.held, want.handed, want.queue.Rekeys)
 	}
 	g, w := got, want
 	w.held, w.handed, w.woken, w.queue = g.held, g.handed, g.woken, g.queue
+	w.preempts, w.zeroLength = g.preempts, g.zeroLength
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("Use diverges from the grant path:\n got  %+v\n want %+v", g, w)
 	}
@@ -299,17 +336,19 @@ func compareToRef(t *testing.T, pl cpuPlan) (got, want cpuOutcome) {
 // TestPropertyQuietHoldMatchesGrantPath drives random plans on one and
 // two cores, with processes using the CPU at every priority, sleeping in
 // between, and interrupt bursts arriving at random times.  The reference
-// runs every grant on a completion timer, so the plans also compare the
-// core slots, re-keyed in place on preemption, with stopped timers.
+// disarms a preempted grant's completion and arms the next one afresh,
+// so the plans also compare the core slots, re-keyed in place on
+// preemption, with the cancel-and-push order.
 func TestPropertyQuietHoldMatchesGrantPath(t *testing.T) {
 	const plans = 300
 	ran, held, steps := 0, 0, uint64(0)
-	var rekeys, stops uint64
+	var rekeys uint64
+	preempts := 0
 	for seed := uint64(1); seed <= plans; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			got, want := compareToRef(t, genCPUPlan(sim.NewRand(seed*0x9e3779b97f4a7c15)))
 			ran, held, steps = ran+1, held+got.held, steps+got.steps
-			rekeys, stops = rekeys+got.queue.Rekeys, stops+want.queue.Removals
+			rekeys, preempts = rekeys+got.queue.Rekeys, preempts+want.preempts
 		})
 	}
 	// Both paths must be exercised: some demands hold, others park.
@@ -317,8 +356,37 @@ func TestPropertyQuietHoldMatchesGrantPath(t *testing.T) {
 		t.Errorf("held %d of %d steps; the plans must exercise both paths", held, steps)
 	}
 	// Preemption must be exercised on both sides.
-	if ran == plans && (rekeys == 0 || stops == 0) {
-		t.Errorf("slots re-keyed %d times, reference timers stopped %d times; the plans must preempt", rekeys, stops)
+	if ran == plans && (rekeys == 0 || preempts == 0) {
+		t.Errorf("slots re-keyed %d times, the reference preempted %d times; the plans must preempt", rekeys, preempts)
+	}
+}
+
+// TestPreemptZeroLengthCompletion: on two cores, a kernel grant ends at
+// t=10 on core 0, and an interrupt submitted at that instant preempts it
+// with no time left.  Core 1's interrupt-priority grant also ends at
+// t=10; its process's return starts the kernel grant there with a
+// zero-length completion, armed at zero delay, and the process at once
+// submits a second interrupt, which preempts that completion at the
+// same instant.  The kernel grant completes at t=15, when a core frees.
+func TestPreemptZeroLengthCompletion(t *testing.T) {
+	pl := cpuPlan{
+		cores: 2,
+		procs: [][]cpuOp{
+			{{d: 10, prio: Kernel}},
+			{{d: 10, prio: Interrupt}, {d: 5, prio: Interrupt}},
+		},
+		bursts: []cpuBurst{{at: 10, ds: []sim.Time{5}}},
+	}
+	got, want := compareToRef(t, pl)
+	if !reflect.DeepEqual(got.returns, [][]sim.Time{{15}, {10, 15}}) {
+		t.Errorf("Use returned at %v, want [[15] [10 15]]", got.returns)
+	}
+	if want.preempts != 2 || want.zeroLength != 1 {
+		t.Errorf("reference preempted %d grants, %d of them zero-length completions; want 2 and 1", want.preempts, want.zeroLength)
+	}
+	chain := runCPUPlan(pl, cpuRun{})
+	if !reflect.DeepEqual(chain.returns, got.returns) || chain.steps != got.steps {
+		t.Errorf("UseCall chains returned at %v in %d steps, Use at %v in %d", chain.returns, chain.steps, got.returns, got.steps)
 	}
 }
 
@@ -376,11 +444,9 @@ func TestPropertyCallbackUseMatchesProcessUse(t *testing.T) {
 }
 
 // TestPropertyInPlaceCompleteMatchesScheduled runs every plan with
-// complete and with completeRef, for processes and for callback chains:
-// returns, usage, steps and OnStep timestamps must be identical, and
-// some but not all wake-ups must have been handed off in place.  On the
-// completeRef side, grants that a completion dispatches run on timers
-// and the others on slots, so each core mixes both.
+// CPU.complete and with cpuRef.complete, for processes and for callback
+// chains: returns, usage, steps and OnStep timestamps must be identical,
+// and some but not all wake-ups must have been handed off in place.
 func TestPropertyInPlaceCompleteMatchesScheduled(t *testing.T) {
 	const plans = 300
 	for _, paths := range []struct {
@@ -394,7 +460,7 @@ func TestPropertyInPlaceCompleteMatchesScheduled(t *testing.T) {
 				got := runCPUPlan(pl, cpuRun{use: paths.use})
 				want := runCPUPlan(pl, cpuRun{use: paths.use, refComplete: true})
 				if want.handed != 0 {
-					t.Fatalf("completeRef handed off %d returns in place", want.handed)
+					t.Fatalf("cpuRef.complete handed off %d returns in place", want.handed)
 				}
 				ran, handed, woken = ran+1, handed+got.handed, woken+got.woken
 				want.handed, want.queue = got.handed, got.queue

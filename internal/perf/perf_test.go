@@ -53,19 +53,20 @@ func BenchmarkEnvDispatchRing(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEnvTimerStop measures the cancellation path: arm a timer,
-// stop it, let an interleaved event drive the clock.
-func BenchmarkEnvTimerStop(b *testing.B) {
+// BenchmarkEnvArmDisarm measures the cancellation path: arm a slot,
+// disarm it, let an interleaved event drive the clock.
+func BenchmarkEnvArmDisarm(b *testing.B) {
 	b.ReportAllocs()
 	e := sim.NewEnv()
+	s := e.NewSlots(1)
 	i := 0
-	idle := func() {}
+	idle := func(any) {}
 	var fn func()
 	fn = func() {
 		if i < b.N {
 			i++
-			t := e.ScheduleTimer(100, idle)
-			t.Stop()
+			e.Arm(s, 100, idle, nil)
+			e.Disarm(s)
 			e.Schedule(1, fn)
 		}
 	}
@@ -147,7 +148,7 @@ func BenchmarkCPUUseQuiet(b *testing.B) {
 }
 
 // BenchmarkCPUUseQueued measures one Use that waits behind a kernel
-// grant: the grant path, with a completion timer, a wake-up and a park.
+// grant: the grant path, with an armed completion, a wake-up and a park.
 func BenchmarkCPUUseQueued(b *testing.B) {
 	b.ReportAllocs()
 	e := sim.NewEnv()
@@ -265,6 +266,26 @@ func TestScheduleCallZeroAllocs(t *testing.T) {
 		e.Run()
 	}); avg != 0 {
 		t.Errorf("ScheduleCall+dispatch allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestArmDisarmZeroAllocs pins the slot path: arming a slot at a
+// positive and at zero delay, re-keying it, disarming it and running it
+// allocate nothing.
+func TestArmDisarmZeroAllocs(t *testing.T) {
+	e := sim.NewEnv()
+	s := e.NewSlots(2)
+	fn := func(any) {}
+	arg := new(int)
+	if avg := testing.AllocsPerRun(200, func() {
+		e.Arm(s, 100, fn, arg)
+		e.Disarm(s)
+		e.Arm(s+1, 7, fn, arg)
+		e.Arm(s+1, 0, fn, arg)
+		e.Arm(s, 3, fn, arg)
+		e.Run()
+	}); avg != 0 {
+		t.Errorf("Arm+Disarm+dispatch allocates %.1f objects/op, want 0", avg)
 	}
 }
 

@@ -16,19 +16,20 @@ import "fmt"
 //   - zero-delay events — the dominant class: wakeups, event fires,
 //     delivery hand-offs at the current instant — bypass the heap through
 //     a FIFO ring;
-//   - cancellable timers borrow slots from a freelist and are addressed
-//     by generation-checked value handles, so stale handles are inert,
-//     and a stopped timer leaves the heap at once;
-//   - CPU core completions wait in re-keyable slots (Slot) outside the
-//     heap, in a small indexed queue of their own, so a preempted
-//     completion moves in place instead of leaving the heap and
-//     re-entering it;
+//   - the one cancellable event is a re-keyable slot (Slot): armed slots
+//     wait outside the heap, in a small indexed queue of their own, where
+//     re-arming moves an entry in place (a CPU core's preempted
+//     completion) and disarming removes it (a TCP retransmission timeout
+//     whose ack arrived), so the heap only ever removes its root;
 //   - process wake-ups ride pooled records through ScheduleCall instead
 //     of fresh closures.
 //
-// Event order is identical to the classic heap-of-pointers
-// implementation: earliest timestamp first, FIFO by insertion sequence
-// within a timestamp (TestHeapMatchesReferenceOrdering and
+// Every entry of the heap, the ring and the slot queue carries a key
+// (at, seq, sub) drawn from one counter, and the loop runs the entry
+// with the smallest key.  Event order is therefore identical to the
+// classic heap-of-pointers implementation: earliest timestamp first,
+// FIFO by scheduling sequence within a timestamp
+// (TestHeapMatchesReferenceOrdering and
 // TestHeapSlotsMatchReferenceOrdering prove this against a
 // container/heap reference).
 type Env struct {
@@ -39,14 +40,14 @@ type Env struct {
 	cq      []slotKey // armed slots' keys, binary min-heap
 	ring    []queued  // zero-delay events at the current instant, FIFO
 	ringPop int       // consumed prefix of ring
-	pending int       // scheduled and not yet executed or cancelled
+	pending int       // scheduled and not yet executed or disarmed
 	procs   []*Proc
 	cur     *Proc
 	steps   uint64
 	stopped bool
 
 	// Queue work counters (QueueStats).
-	pushes, removals, arms, rekeys uint64
+	pushes, arms, rekeys uint64
 
 	// peak is the most events pending at any step; overAt and overDepth
 	// record the first step at which pending exceeded PendingLimit
@@ -86,9 +87,6 @@ type Env struct {
 	// AtInstantEnd.
 	instEnd []func()
 
-	slots     []timerSlot // cancellable-timer slots, addressed by Timer handles
-	freeSlots []int32
-
 	wakes  []*wakeRec // pooled process wake-up records
 	wakeFn func(any)  // bound once: runs a wakeRec and recycles it
 }
@@ -113,33 +111,19 @@ func (a *key) less(b *key) bool {
 	return a.sub < b.sub
 }
 
-// queued is one pending event-queue entry.  Exactly one of fn and fn1 is
-// set; fn1 receives arg, which lets hot callers schedule a pre-bound
-// method value plus argument instead of allocating a fresh closure per
-// event.  tidx is the entry's timer slot, or -1 for the (common)
-// non-cancellable case.
+// queued is one pending event-queue entry: fn(arg) runs at key.at.  A
+// pre-bound method value plus argument lets hot callers schedule without
+// allocating a fresh closure per event; Schedule's func() rides as the
+// argument of callFunc.
 type queued struct {
 	key
-	fn   func()
-	fn1  func(any)
-	arg  any
-	tidx int32
+	fn  func(any)
+	arg any
 }
 
-// timerSlot backs one live cancellable timer.  gen increments every time
-// the slot is recycled, so Timer handles from earlier lives fail their
-// generation check instead of cancelling an unrelated event.
-type timerSlot struct {
-	gen   uint32
-	where uint8 // qNone, qHeap or qRing
-	pos   int32 // index into heap or ring while queued
-}
-
-const (
-	qNone uint8 = iota
-	qHeap
-	qRing
-)
+// callFunc runs a Schedule callback.  A func value is pointer-shaped, so
+// carrying it as an any does not allocate.
+func callFunc(a any) { a.(func())() }
 
 // NewEnv returns an empty environment at virtual time zero.
 func NewEnv() *Env {
@@ -208,22 +192,22 @@ func (e *Env) ScheduleStamped(at Time, seq, sub uint64, fn func(any), arg any) {
 	}
 	e.pending++
 	e.pushes++
-	e.heap = append(e.heap, queued{key: key{at, seq, sub}, fn1: fn, arg: arg, tidx: -1})
+	e.heap = append(e.heap, queued{key: key{at, seq, sub}, fn: fn, arg: arg})
 	e.siftUp(len(e.heap) - 1)
 }
 
 // PeekTime returns the timestamp of the earliest queued event and whether
 // one exists.  Between windows the ring is always empty, so this is the
 // earlier of the heap's and the slot queue's heads, and both hold only
-// live events (Timer.Stop and Disarm remove their entries); it is what
-// the window scheduler folds across partitions to pick the next window's
-// base time.
+// live events (Disarm removes its slot's entry); it is what the window
+// scheduler folds across partitions to pick the next window's base
+// time.
 func (e *Env) PeekTime() (Time, bool) {
 	if e.ringPop < len(e.ring) {
 		return e.now, true
 	}
-	if at, src := e.next(); src != fromNone {
-		return at, true
+	if k, _ := e.next(); k != nil {
+		return k.at, true
 	}
 	return 0, false
 }
@@ -251,7 +235,7 @@ func (e *Env) Steps() uint64 { return e.steps }
 func (e *Env) Cur() *Proc { return e.cur }
 
 // Pending reports how many events are queued but not yet executed or
-// cancelled.
+// disarmed.
 func (e *Env) Pending() int { return e.pending }
 
 // PeakPending reports the largest Pending seen at an executed step: after
@@ -267,17 +251,17 @@ func (e *Env) PendingOver() (at Time, depth int, ok bool) {
 }
 
 // QueueStats counts the event queue's work since the environment was
-// made.  Zero-delay events take the ring and appear in none of them.
+// made.  Zero-delay Schedule and ScheduleCall events take the ring and
+// appear in none of them; a slot armed with zero delay is an arm.
 type QueueStats struct {
-	Pushes   uint64 // entries pushed onto the heap
-	Removals uint64 // heap entries removed by Timer.Stop
-	Arms     uint64 // slot arms, re-keys included
-	Rekeys   uint64 // arms of a slot that was already armed
+	Pushes uint64 // entries pushed onto the heap
+	Arms   uint64 // slot arms, re-keys included
+	Rekeys uint64 // arms of a slot that was already armed
 }
 
 // QueueStats reports the queue work counters.
 func (e *Env) QueueStats() QueueStats {
-	return QueueStats{Pushes: e.pushes, Removals: e.removals, Arms: e.arms, Rekeys: e.rekeys}
+	return QueueStats{Pushes: e.pushes, Arms: e.arms, Rekeys: e.rekeys}
 }
 
 // Stop makes the event loop return before dispatching the next event.
@@ -337,10 +321,10 @@ func (e *Env) runInstEnd() {
 }
 
 // Schedule arranges for fn to run at Now()+delay.  A negative delay
-// panics.  The callback cannot be cancelled; use ScheduleTimer when
+// panics.  The callback cannot be cancelled; arm a Slot when
 // cancellation is needed.  Schedule performs no allocation.
 func (e *Env) Schedule(delay Time, fn func()) {
-	e.push(delay, fn, nil, nil, -1)
+	e.push(delay, callFunc, fn)
 }
 
 // ScheduleCall arranges for fn(arg) to run at Now()+delay.  It is the
@@ -348,81 +332,25 @@ func (e *Env) Schedule(delay Time, fn func()) {
 // method value (created once) plus a pooled or pointer-shaped argument,
 // instead of capturing state in a fresh closure per event.
 func (e *Env) ScheduleCall(delay Time, fn func(any), arg any) {
-	e.push(delay, nil, fn, arg, -1)
-}
-
-// ScheduleTimer is Schedule returning a Timer that can cancel the
-// callback before it fires.  The timer's bookkeeping slot comes from a
-// freelist, so steady-state scheduling stays allocation-free.
-func (e *Env) ScheduleTimer(delay Time, fn func()) Timer {
-	idx := e.allocSlot()
-	t := Timer{env: e, idx: idx, gen: e.slots[idx].gen, when: e.now + delay}
-	e.push(delay, fn, nil, nil, idx)
-	return t
-}
-
-// ScheduleTimerCall is ScheduleCall returning a cancellation handle.
-func (e *Env) ScheduleTimerCall(delay Time, fn func(any), arg any) Timer {
-	idx := e.allocSlot()
-	t := Timer{env: e, idx: idx, gen: e.slots[idx].gen, when: e.now + delay}
-	e.push(delay, nil, fn, arg, idx)
-	return t
+	e.push(delay, fn, arg)
 }
 
 // push enqueues one event.  Zero-delay events take the ring fast path:
-// they belong to the current instant, and the heap-order invariant
-// (below) guarantees every heap entry sharing that timestamp was
-// scheduled earlier, so FIFO order across both structures falls out of a
-// single timestamp comparison in the run loop.
-func (e *Env) push(delay Time, fn func(), fn1 func(any), arg any, tidx int32) {
+// they belong to the current instant, and the loop orders them against
+// the heap and slot heads by key.
+func (e *Env) push(delay Time, fn func(any), arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	e.pending++
-	q := queued{key: e.stamp(delay), fn: fn, fn1: fn1, arg: arg, tidx: tidx}
+	q := queued{key: e.stamp(delay), fn: fn, arg: arg}
 	if delay == 0 {
-		if tidx >= 0 {
-			s := &e.slots[tidx]
-			s.where, s.pos = qRing, int32(len(e.ring))
-		}
 		e.ring = append(e.ring, q)
 		return
 	}
 	e.pushes++
 	e.heap = append(e.heap, q)
-	if tidx >= 0 {
-		s := &e.slots[tidx]
-		s.where, s.pos = qHeap, int32(len(e.heap)-1)
-	}
 	e.siftUp(len(e.heap) - 1)
-}
-
-// allocSlot takes a timer slot off the freelist, growing the arena when
-// empty.
-func (e *Env) allocSlot() int32 {
-	if n := len(e.freeSlots); n > 0 {
-		idx := e.freeSlots[n-1]
-		e.freeSlots = e.freeSlots[:n-1]
-		return idx
-	}
-	e.slots = append(e.slots, timerSlot{})
-	return int32(len(e.slots) - 1)
-}
-
-// freeSlot recycles a slot, invalidating all outstanding handles to its
-// current life.
-func (e *Env) freeSlot(idx int32) {
-	s := &e.slots[idx]
-	s.gen++
-	s.where = qNone
-	e.freeSlots = append(e.freeSlots, idx)
-}
-
-// movedTo records entry i's new heap position in its timer slot, if any.
-func (e *Env) movedTo(i int) {
-	if t := e.heap[i].tidx; t >= 0 {
-		e.slots[t].pos = int32(i)
-	}
 }
 
 // siftUp restores the 4-ary heap property from leaf i upward.
@@ -435,11 +363,9 @@ func (e *Env) siftUp(i int) {
 			break
 		}
 		h[i] = h[parent]
-		e.movedTo(i)
 		i = parent
 	}
 	h[i] = q
-	e.movedTo(i)
 }
 
 // siftDown restores the 4-ary heap property from entry i downward.
@@ -466,40 +392,28 @@ func (e *Env) siftDown(i int) {
 			break
 		}
 		h[i] = h[best]
-		e.movedTo(i)
 		i = best
 	}
 	h[i] = q
-	e.movedTo(i)
 }
 
-// popHeap removes and returns the earliest heap entry.
+// popHeap removes and returns the earliest heap entry: the last entry
+// takes the root's place and sifts down.
 func (e *Env) popHeap() queued {
-	top := e.heap[0]
-	e.removeHeap(0)
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = queued{} // release closure/arg references
+	e.heap = h[:n]
+	if n > 0 {
+		e.siftDown(0)
+	}
 	return top
 }
 
-// removeHeap deletes heap entry i.  The last entry takes its place and
-// sifts up if it now sorts before its parent, down otherwise.
-func (e *Env) removeHeap(i int) {
-	h := e.heap
-	n := len(h) - 1
-	h[i] = h[n]
-	h[n] = queued{} // release closure/arg references
-	e.heap = h[:n]
-	if i == n {
-		return
-	}
-	if i > 0 && h[i].less(&h[(i-1)>>2].key) {
-		e.siftUp(i)
-	} else {
-		e.siftDown(i)
-	}
-}
-
 // popRing consumes the ring's oldest entry, compacting the ring once it
-// drains so slot positions stay valid while any entry is live.
+// drains.
 func (e *Env) popRing() queued {
 	q := e.ring[e.ringPop]
 	e.ring[e.ringPop] = queued{}
@@ -532,18 +446,19 @@ const (
 	fromSlot
 )
 
-// next reports which of the heap's and the slot queue's first entries
-// sorts first, and its timestamp; fromNone means both are empty.
-func (e *Env) next() (Time, int) {
+// next returns the key of whichever of the heap's and the slot queue's
+// first entries sorts first, and where it is; nil and fromNone mean both
+// are empty.
+func (e *Env) next() (*key, int) {
 	if len(e.cq) > 0 {
-		if k := &e.cq[0]; len(e.heap) == 0 || k.less(&e.heap[0].key) {
-			return k.at, fromSlot
+		if k := &e.cq[0].key; len(e.heap) == 0 || k.less(&e.heap[0].key) {
+			return k, fromSlot
 		}
 	}
 	if len(e.heap) > 0 {
-		return e.heap[0].at, fromHeap
+		return &e.heap[0].key, fromHeap
 	}
-	return 0, fromNone
+	return nil, fromNone
 }
 
 // dueBy reports whether a heap entry or an armed slot is due at or
@@ -552,31 +467,32 @@ func (e *Env) dueBy(t Time) bool {
 	return len(e.heap) > 0 && e.heap[0].at <= t || len(e.cq) > 0 && e.cq[0].at <= t
 }
 
-// run is the dispatch loop.  Invariant: a heap entry or an armed slot
-// can share the current instant's timestamp only if it was scheduled
-// before the clock reached that instant (a positive delay lands strictly
-// in the future, zero delays go to the ring, and a slot is never armed
-// for the current instant) — so its sequence number is strictly smaller
-// than every ring entry's and it must run first.  The ring otherwise
-// drains completely before the clock may advance.
+// run is the dispatch loop.  It runs the ring head unless the heap or
+// slot head has a smaller key.  Ring entries all belong to the current
+// instant, so that head sorts first only when it is due now: a heap
+// entry or a slot armed before the clock reached this instant (its
+// sequence number is smaller than every ring entry's), or a slot armed
+// with zero delay during it, which sorts among the ring entries by the
+// sequence number it drew.  The ring drains completely before the clock
+// may advance.
 func (e *Env) run(deadline Time) {
 	e.deadline = deadline
 	for !e.stopped {
-		at, src := e.next()
+		k, src := e.next()
 		switch {
 		case e.ringPop < len(e.ring):
 			if deadline >= 0 && e.now > deadline {
 				return
 			}
-			if src == fromNone || at != e.now {
+			if k == nil || !k.less(&e.ring[e.ringPop].key) {
 				src = fromRing
 			}
-		case src != fromNone:
-			if len(e.instEnd) > 0 && at > e.now {
+		case k != nil:
+			if len(e.instEnd) > 0 && k.at > e.now {
 				e.runInstEnd()
 				continue
 			}
-			if deadline >= 0 && at > deadline {
+			if deadline >= 0 && k.at > deadline {
 				return
 			}
 		default:
@@ -595,23 +511,13 @@ func (e *Env) run(deadline Time) {
 		default:
 			q = e.popRing()
 		}
-		if q.fn == nil && q.fn1 == nil {
-			continue // a ring entry cancelled in place by Timer.Stop
-		}
-		if q.tidx >= 0 {
-			e.freeSlot(q.tidx)
-		}
 		if q.at < e.now {
 			panic("sim: event queue went backwards")
 		}
 		e.now = q.at
 		e.pending--
 		e.step()
-		if q.fn != nil {
-			q.fn()
-		} else {
-			q.fn1(q.arg)
-		}
+		q.fn(q.arg)
 	}
 }
 
@@ -728,8 +634,6 @@ func (e *Env) Close() {
 	e.ring = nil
 	e.ringPop = 0
 	e.pending = 0
-	e.slots = nil
-	e.freeSlots = nil
 	e.wakes = nil
 	e.instEnd = nil
 }
@@ -768,53 +672,4 @@ func (e *Env) runWake(a any) {
 	w.p, w.v = nil, nil
 	e.wakes = append(e.wakes, w)
 	e.dispatch(p, v)
-}
-
-// Timer identifies a scheduled callback and allows cancelling it.  It is
-// a value handle into the environment's timer-slot arena: the zero Timer
-// is valid and inert, handles may be copied freely, and a handle whose
-// event already fired (or was stopped) safely does nothing.
-type Timer struct {
-	env  *Env
-	idx  int32
-	gen  uint32
-	when Time
-}
-
-// When returns the virtual time the timer was scheduled for.
-func (t Timer) When() Time { return t.when }
-
-// Active reports whether the callback is still queued: not yet fired and
-// not stopped.
-func (t Timer) Active() bool {
-	return t.env != nil && int(t.idx) < len(t.env.slots) && t.env.slots[t.idx].gen == t.gen
-}
-
-// Stop cancels the callback.  It reports whether the cancellation took
-// effect (false if the callback already ran or was already stopped).
-// Stopping drops the callback and its captures immediately.  A heap
-// entry is removed through the slot's back-pointer: the last entry takes
-// its place and sifts, so the heap holds only live events and PeekTime
-// is exact.  A zero-delay entry on the ring is cancelled in place and
-// skipped when the loop reaches it.
-func (t Timer) Stop() bool {
-	e := t.env
-	if e == nil || int(t.idx) >= len(e.slots) {
-		return false
-	}
-	s := &e.slots[t.idx]
-	if s.gen != t.gen {
-		return false
-	}
-	switch s.where {
-	case qHeap:
-		e.removals++
-		e.removeHeap(int(s.pos))
-	case qRing:
-		q := &e.ring[s.pos]
-		q.fn, q.fn1, q.arg, q.tidx = nil, nil, nil, -1
-	}
-	e.pending--
-	e.freeSlot(t.idx)
-	return true
 }

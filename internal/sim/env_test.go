@@ -65,31 +65,44 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
+func TestSlotDisarm(t *testing.T) {
 	e := NewEnv()
 	fired := false
-	tm := e.ScheduleTimer(10, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop returned false on pending timer")
+	s := e.NewSlots(1)
+	e.Arm(s, 10, func(any) { fired = true }, nil)
+	e.Disarm(s)
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after Disarm, want 0", e.Pending())
 	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
+	e.Disarm(s) // a disarmed slot: no-op
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after a second Disarm, want 0", e.Pending())
 	}
 	e.Run()
 	if fired {
-		t.Fatal("stopped timer fired")
+		t.Fatal("disarmed slot fired")
 	}
 	if e.Now() != 0 {
-		t.Errorf("clock advanced to %v; a stopped timer leaves the queue and must not move it", e.Now())
+		t.Errorf("clock advanced to %v; a disarmed slot leaves the queue and must not move it", e.Now())
 	}
 }
 
-func TestTimerStopAfterFire(t *testing.T) {
+func TestSlotDisarmAfterFire(t *testing.T) {
+	// Disarming a slot that already fired is a no-op: it must not
+	// cancel a slot armed since, nor change the pending count.
 	e := NewEnv()
-	tm := e.ScheduleTimer(1, func() {})
+	first := e.NewSlots(2)
+	e.Arm(first, 1, func(any) {}, nil)
 	e.Run()
-	if tm.Stop() {
-		t.Fatal("Stop after fire returned true")
+	fired := false
+	e.Arm(first+1, 1, func(any) { fired = true }, nil)
+	e.Disarm(first)
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after disarming a fired slot, want 1", e.Pending())
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("disarming a fired slot cancelled another slot")
 	}
 }
 
@@ -186,56 +199,55 @@ func TestPropertyMonotonicClock(t *testing.T) {
 	}
 }
 
-func TestTimerStopDropsClosureInPlace(t *testing.T) {
-	// A stopped timer must drop its callback (and everything the closure
-	// captures) at Stop time, not at the would-have-been fire time: its
-	// heap entry is removed at once, and the vacated array slot is
-	// cleared, so neither the heap nor its backing array retains it.
-	e := NewEnv()
-	big := make([]byte, 1<<20)
-	tm := e.ScheduleTimer(1000, func() { _ = big })
-	e.Schedule(0, func() {}) // keep the env runnable
-	if !tm.Stop() {
-		t.Fatal("Stop on a pending timer must succeed")
-	}
-	for i := range e.heap {
-		if e.heap[i].at == 1000 {
-			t.Error("stopped entry still in the heap")
+func TestSlotDisarmDropsClosureInPlace(t *testing.T) {
+	// A disarmed slot must drop its callback and argument (and everything
+	// they capture) at Disarm time, not at the would-have-been fire time:
+	// its entry leaves the slot queue at once, and the slot keeps no
+	// reference.  That holds for a slot armed at zero delay too.
+	for _, delay := range []Time{1000, 0} {
+		e := NewEnv()
+		big := make([]byte, 1<<20)
+		first := e.NewSlots(2)
+		e.Arm(first, delay, func(any) { _ = big }, &big)
+		e.Arm(first+1, 5, func(any) {}, nil) // keep the env runnable
+		e.Disarm(first)
+		if c := e.cslots[first]; c.fn != nil || c.arg != nil || c.pos != -1 {
+			t.Errorf("delay %v: disarmed slot still references its callback or a queue entry", delay)
 		}
-	}
-	for _, q := range e.heap[len(e.heap):cap(e.heap)] {
-		if q.fn != nil || q.fn1 != nil || q.arg != nil {
-			t.Error("vacated heap slot still references a callback")
+		for _, k := range e.cq {
+			if k.slot == first {
+				t.Errorf("delay %v: disarmed slot still in the slot queue", delay)
+			}
 		}
-	}
-	for i := e.ringPop; i < len(e.ring); i++ {
-		if e.ring[i].at == 1000 {
-			t.Error("delayed timer landed on the zero-delay ring")
+		if len(e.heap) != 0 || e.ringPop != len(e.ring) {
+			t.Errorf("delay %v: an arm landed on the heap or the ring", delay)
 		}
+		if e.Pending() != 1 {
+			t.Errorf("delay %v: pending = %d after Disarm, want 1", delay, e.Pending())
+		}
+		e.Run()
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d after Stop, want 1", e.Pending())
-	}
-	e.Run()
 }
 
-func TestTimerStopPeekTimeExact(t *testing.T) {
-	// Stopping the earlier of two timers leaves the later one at the top
-	// of the heap: PeekTime reports a live event, never a cancelled one.
+func TestSlotDisarmPeekTimeExact(t *testing.T) {
+	// Disarming the earlier of two slots leaves the later one at the head
+	// of the slot queue: PeekTime reports a live event, never a
+	// cancelled one.
 	e := NewEnv()
-	early := e.ScheduleTimer(10, func() {})
-	e.ScheduleTimer(20, func() {})
-	early.Stop()
+	first := e.NewSlots(2)
+	e.Arm(first, 10, func(any) {}, nil)
+	e.Arm(first+1, 20, func(any) {}, nil)
+	e.Disarm(first)
 	if at, ok := e.PeekTime(); !ok || at != 20 {
-		t.Fatalf("PeekTime = %v, %v after stopping the t=10 timer; want 20, true", at, ok)
+		t.Fatalf("PeekTime = %v, %v after disarming the t=10 slot; want 20, true", at, ok)
 	}
 }
 
 // TestPeekTimeSeesSlots: PeekTime reports the earlier of the heap's and
 // the slot queue's heads, on serial and partition environments alike:
 // a slot due at now+d ahead of a later heap entry, a heap entry ahead of
-// a slot, a slot due at the current instant, and nothing once the slot
-// is disarmed and the heap is empty.
+// a slot, a slot armed at zero delay, a slot due at the current instant,
+// and nothing once the slot is disarmed and the heap is empty.
 func TestPeekTimeSeesSlots(t *testing.T) {
 	nop := func(any) {}
 	for _, mk := range []func() *Env{NewEnv, func() *Env { return NewPartitionEnv(2) }} {
@@ -248,21 +260,23 @@ func TestPeekTimeSeesSlots(t *testing.T) {
 			}
 		}
 		peek(0, false, "empty")
-		heapTimer := e.ScheduleTimer(20, func() {})
+		e.Schedule(20, func() {})
 		e.Arm(s, 10, nop, nil)
 		peek(10, true, "slot due before the heap head")
 		e.Arm(s, 30, nop, nil)
 		peek(20, true, "slot re-keyed past the heap head")
-		heapTimer.Stop()
+		e.RunUntil(20)
 		peek(30, true, "slot alone")
+		e.Arm(s, 0, nop, nil)
+		peek(20, true, "slot re-keyed to zero delay")
 		e.Disarm(s)
 		peek(0, false, "slot disarmed")
-		// A slot due at the current instant: the loop stops at t=5 with
-		// the slot still queued, armed for t=5 before the instant began.
+		// A slot due at the current instant: the loop stops at t=25 with
+		// the slot still queued, armed for t=25 before the instant began.
 		e.Schedule(5, func() { e.Stop() })
 		e.Arm(s, 5, nop, nil)
 		e.Run()
-		peek(5, true, "slot due now")
+		peek(25, true, "slot due now")
 		e.Close()
 	}
 }
@@ -287,7 +301,7 @@ func TestCloseAfterStopReleasesQueue(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Errorf("pending = %d after Close, want 0", e.Pending())
 	}
-	if e.heap != nil || e.ring != nil || e.slots != nil || e.cslots != nil || e.cq != nil {
+	if e.heap != nil || e.ring != nil || e.cslots != nil || e.cq != nil {
 		t.Error("Close must release the queue arenas")
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// This file checks the event core's 4-ary value heap + same-timestamp
-// ring against an oracle built on the standard library's container/heap —
-// the implementation the core used before the optimization.  The property
-// under test is FIFO-stable dispatch: events fire in timestamp order, and
-// events sharing a timestamp fire in the order they were scheduled, with
-// cancellation (Timer.Stop) removing exactly the stopped events.
+// This file checks the event core's 4-ary value heap, same-timestamp
+// ring and slot queue against an oracle built on the standard library's
+// container/heap — the implementation the core used before the
+// optimization.  The property under test is FIFO-stable dispatch: events
+// fire in timestamp order, and events sharing a timestamp fire in the
+// order they were scheduled or armed, with cancellation (Disarm)
+// removing exactly the disarmed events.
 
 // refEvent is one oracle entry: fire time, scheduling sequence, plan id.
 type refEvent struct {
@@ -44,11 +45,12 @@ func (h *refHeap) Pop() any {
 // propPlan is a deterministic, pre-generated workload: each node fires
 // once (unless cancelled) and may schedule children or cancel other nodes
 // at fire time, exercising the in-dispatch scheduling paths (ring
-// fast-path, same-instant heap entries, cancellation of both).
+// fast-path, same-instant heap entries, slots armed at zero and at
+// positive delays, and their cancellation).
 type propNode struct {
 	delay    Time  // delay relative to the scheduling instant
 	children []int // node ids scheduled when this node fires
-	cancels  []int // node ids whose timers are stopped when this fires
+	cancels  []int // node ids whose slots are disarmed when this fires
 }
 
 // genPlan builds a random plan of n nodes.  Roots are nodes scheduled up
@@ -59,8 +61,8 @@ func genPlan(rng *Rand, n int) (nodes []propNode, roots []int) {
 	for i := range nodes {
 		// Heavy mass on 0 and small delays: collisions and the ring
 		// fast-path are the interesting regime.  A far-future class keeps
-		// the heap deep and its entries alive long enough to be stopped,
-		// so removals land anywhere in the heap, not just near the root.
+		// the heap deep and slots armed long enough to be disarmed, so
+		// removals land anywhere in the slot queue, not just at its head.
 		var d Time
 		switch rng.Intn(5) {
 		case 0:
@@ -86,59 +88,67 @@ func genPlan(rng *Rand, n int) (nodes []propNode, roots []int) {
 	return nodes, roots
 }
 
-// stopCases counts the heap removals Timer.Stop performed in a plan that
-// need more than the plain swap-and-sift-down: removing the last entry
-// (nothing moves) and removing an entry whose replacement must sift up.
-type stopCases struct {
-	last, up int
+// planSched schedules plan nodes on an Env.  A node that some node
+// cancels is armed in a slot of its own, which the cancel disarms; every
+// other node is scheduled with ScheduleCall, onto the heap or, at zero
+// delay, the ring.
+type planSched struct {
+	e     *Env
+	first Slot
+	slot  []bool // per node: a cancel target, armed in a slot
 }
 
-// classify records which removal case stopping tm is about to exercise.
-func (sc *stopCases) classify(e *Env, tm Timer) {
-	if !tm.Active() {
-		return
+func newPlanSched(e *Env, nodes []propNode) *planSched {
+	ps := &planSched{e: e, first: e.NewSlots(len(nodes)), slot: make([]bool, len(nodes))}
+	for _, n := range nodes {
+		for _, c := range n.cancels {
+			ps.slot[c] = true
+		}
 	}
-	s := e.slots[tm.idx]
-	if s.where != qHeap {
-		return
-	}
-	pos, last := int(s.pos), len(e.heap)-1
-	switch {
-	case pos == last:
-		sc.last++
-	case pos > 0 && e.heap[last].less(&e.heap[(pos-1)>>2].key):
-		sc.up++
+	return ps
+}
+
+// schedule runs fn(id) after delay.
+func (ps *planSched) schedule(id int, delay Time, fn func(any)) {
+	if ps.slot[id] {
+		ps.e.Arm(ps.first+Slot(id), delay, fn, id)
+	} else {
+		ps.e.ScheduleCall(delay, fn, id)
 	}
 }
 
-// runEnvPlan executes the plan on the real Env and returns the fire
-// trace.  Each node is scheduled at most once (first scheduling wins) so
-// the plan terminates.
-func runEnvPlan(t *testing.T, nodes []propNode, roots []int, sc *stopCases) []int {
-	t.Helper()
-	e := NewEnv()
+// cancel disarms node id's slot: a no-op if it already fired.
+func (ps *planSched) cancel(id int) { ps.e.Disarm(ps.first + Slot(id)) }
+
+// runEnvPlan executes the plan on e, with mails injected as the merge
+// phase would (partition environments only), and returns the fire trace.
+// Each node is scheduled at most once (first scheduling wins) so the
+// plan terminates.
+func runEnvPlan(e *Env, nodes []propNode, roots []int, mails []mailItem) []int {
 	var trace []int
-	timers := make([]Timer, len(nodes))
+	ps := newPlanSched(e, nodes)
 	scheduled := make([]bool, len(nodes))
 	var schedule func(id int)
-	schedule = func(id int) {
-		if scheduled[id] {
-			return
+	fire := func(a any) {
+		id := a.(int)
+		trace = append(trace, id)
+		for _, c := range nodes[id].children {
+			schedule(c)
 		}
-		scheduled[id] = true
-		n := &nodes[id]
-		timers[id] = e.ScheduleTimer(n.delay, func() {
-			trace = append(trace, id)
-			for _, c := range n.children {
-				schedule(c)
+		for _, c := range nodes[id].cancels {
+			if scheduled[c] {
+				ps.cancel(c)
 			}
-			for _, c := range n.cancels {
-				if scheduled[c] {
-					sc.classify(e, timers[c])
-					timers[c].Stop()
-				}
-			}
-		})
+		}
+	}
+	schedule = func(id int) {
+		if !scheduled[id] {
+			scheduled[id] = true
+			ps.schedule(id, nodes[id].delay, fire)
+		}
+	}
+	for _, m := range mails {
+		e.ScheduleStamped(m.at, m.seq, m.sub, func(a any) { trace = append(trace, a.(int)) }, m.id)
 	}
 	for _, r := range roots {
 		schedule(r)
@@ -191,55 +201,48 @@ func runRefPlan(nodes []propNode, roots []int) []int {
 	return trace
 }
 
-// stopPlan is a hand-built plan for the removal cases random plans rarely
-// reach.  Nodes 0-9 are roots pushed in order onto the heap:
+// stopPlan is a hand-built plan for the slot-queue removal cases that
+// random plans rarely pin.  Nodes 0-5 are roots, each a cancel target and
+// so armed in a slot of its own, in order, into the binary slot queue:
 //
-//	index  0   1    2   3   4   5    6    7    8    9
-//	at     10  500  20  30  40  510  520  530  540  25
+//	index  0   1    2   3    4    5
+//	at     10  500  20  510  520  25
 //
-// Node 10 runs first, from the ring at t=0.  It stops node 5, at index
-// 5 under the 500 at index 1, so the last entry (25, a child of index 2)
-// takes its place and must sift up past 500.  It then stops node 8, by
-// then the last heap entry.
+// Node 6 runs first, from the ring at t=0.  It disarms node 4, at index
+// 4 under the 500 at index 1, so the last entry (25, a child of index 2)
+// takes its place and must sift up past 500.  It then disarms node 1, by
+// then the last entry.  Node 7, at t=600, disarms the other four after
+// they fired, which changes nothing.
 func stopPlan() (nodes []propNode, roots []int) {
-	for i, d := range []Time{10, 500, 20, 30, 40, 510, 520, 530, 540, 25, 0} {
+	for i, d := range []Time{10, 500, 20, 510, 520, 25, 0, 600} {
 		nodes = append(nodes, propNode{delay: d})
 		roots = append(roots, i)
 	}
-	nodes[10].cancels = []int{5, 8}
+	nodes[6].cancels = []int{4, 1}
+	nodes[7].cancels = []int{0, 2, 3, 5}
 	return nodes, roots
 }
 
 // TestHeapMatchesReferenceOrdering drives many random plans, and one
-// hand-built plan of removals, through both schedulers and requires
-// identical fire traces.
+// hand-built plan of removals, through the event core and the
+// container/heap oracle, and requires identical fire traces.  The
+// plans' cancel targets are slots, many of them armed at zero delay.
 func TestHeapMatchesReferenceOrdering(t *testing.T) {
-	check := func(t *testing.T, nodes []propNode, roots []int, sc *stopCases) {
-		got := runEnvPlan(t, nodes, roots, sc)
+	check := func(t *testing.T, nodes []propNode, roots []int) {
+		got := runEnvPlan(NewEnv(), nodes, roots, nil)
 		want := runRefPlan(nodes, roots)
-		if len(got) != len(want) {
-			t.Fatalf("trace lengths differ: env %d vs oracle %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trace diverges at %d: env fired %d, oracle %d", i, got[i], want[i])
-			}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("traces differ:\n env    %v\n oracle %v", got, want)
 		}
 	}
 	t.Run("stops", func(t *testing.T) {
-		var sc stopCases
 		nodes, roots := stopPlan()
-		check(t, nodes, roots, &sc)
-		if sc != (stopCases{last: 1, up: 1}) {
-			t.Errorf("plan stopped %+v, want one last-entry and one sift-up removal", sc)
-		}
+		check(t, nodes, roots)
 	})
 	for seed := uint64(1); seed <= 60; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := NewRand(seed * 0x9e3779b97f4a7c15)
-			nodes, roots := genPlan(rng, 40+int(seed)%100)
-			check(t, nodes, roots, &stopCases{})
+			nodes, roots := genPlan(NewRand(seed*0x9e3779b97f4a7c15), 40+int(seed)%100)
+			check(t, nodes, roots)
 		})
 	}
 }
@@ -284,12 +287,12 @@ func TestHeapStableFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
-// --- completion slots: re-keyable entries beside the heap -----------------
+// --- slots: re-keyable entries beside the heap -----------------------------
 //
-// A slot arm draws its key as a timer would, and a re-key is the same as
-// stopping the slot's timer and scheduling a new one.  The oracle models
-// exactly that: every arm pushes a fresh entry, and a re-key or a disarm
-// cancels the slot's current one.
+// A slot arm draws its key as ScheduleCall would, and a re-key is the
+// same as cancelling the slot's event and scheduling a new one.  The
+// oracle models exactly that: every arm pushes a fresh entry, and a
+// re-key or a disarm cancels the slot's current one.
 
 // slotOp is one slot operation a plan node performs when it fires: arm
 // slot (re-keying it if armed) to fire after delay, scheduling children
@@ -322,12 +325,15 @@ func genSlotPlan(rng *Rand, n int) slotPlan {
 				pl.ops[i] = append(pl.ops[i], op)
 				continue
 			}
-			// Same delay classes as genPlan's, minus zero: collisions
-			// with heap and ring entries are the interesting regime.
-			switch rng.Intn(4) {
+			// Same delay classes as genPlan's: collisions with heap and
+			// ring entries are the interesting regime, and a zero delay
+			// sorts the slot among the ring entries of its instant.
+			switch rng.Intn(5) {
 			case 0:
-				op.delay = Time(1 + rng.Intn(2))
+				op.delay = 0
 			case 1:
+				op.delay = Time(1 + rng.Intn(2))
+			case 2:
 				op.delay = Time(100 + rng.Intn(400))
 			default:
 				op.delay = Time(1 + rng.Intn(50))
@@ -343,20 +349,32 @@ func genSlotPlan(rng *Rand, n int) slotPlan {
 	return pl
 }
 
-// slotRun is what runEnvSlotPlan saw: the fire trace, and how often a
-// slot fired at an instant where a heap or ring entry also fired.
+// slotRun is what runEnvSlotPlan saw: the fire trace, how often a slot
+// fired at an instant where a heap or ring entry also fired, and the
+// zero-delay cases of the plan's slot operations.
 type slotRun struct {
 	trace []int
 	ties  int
+	zero  zeroCases
 }
 
-// runEnvSlotPlan executes the plan on e with real slots and timers.
+// zeroCases counts slot operations that involve a zero delay: arms at
+// zero delay, re-keys of an armed slot to zero delay, re-keys of a slot
+// armed at zero delay to a positive delay, and disarms of a slot armed
+// at zero delay before it ran.
+type zeroCases struct {
+	arms, toZero, fromZero, disarms int
+}
+
+// runEnvSlotPlan executes the plan on e with real slots.
 func runEnvSlotPlan(e *Env, pl slotPlan) slotRun {
 	var out slotRun
 	n := len(pl.nodes)
-	timers := make([]Timer, n)
+	ps := newPlanSched(e, pl.nodes)
 	scheduled := make([]bool, n)
 	first := e.NewSlots(pl.slots)
+	armed := make([]bool, pl.slots)  // slot holds a callback
+	zeroed := make([]bool, pl.slots) // ... armed with zero delay
 	slotAt, otherAt := Time(-1), Time(-2)
 	note := func(slot bool) {
 		if slot {
@@ -371,38 +389,55 @@ func runEnvSlotPlan(e *Env, pl slotPlan) slotRun {
 	var schedule func(id int)
 	fire := func(a any) {
 		op := a.(*slotOp)
+		armed[op.slot], zeroed[op.slot] = false, false
 		note(true)
 		out.trace = append(out.trace, op.id)
 		for _, c := range op.children {
 			schedule(c)
 		}
 	}
-	schedule = func(id int) {
-		if scheduled[id] {
-			return
-		}
-		scheduled[id] = true
+	fireNode := func(a any) {
+		id := a.(int)
 		nd := &pl.nodes[id]
-		timers[id] = e.ScheduleTimer(nd.delay, func() {
-			note(false)
-			out.trace = append(out.trace, id)
-			for _, c := range nd.children {
-				schedule(c)
+		note(false)
+		out.trace = append(out.trace, id)
+		for _, c := range nd.children {
+			schedule(c)
+		}
+		for _, c := range nd.cancels {
+			if scheduled[c] {
+				ps.cancel(c)
 			}
-			for _, c := range nd.cancels {
-				if scheduled[c] {
-					timers[c].Stop()
+		}
+		for k := range pl.ops[id] {
+			op := &pl.ops[id][k]
+			z := &out.zero
+			switch {
+			case op.disarm:
+				if zeroed[op.slot] {
+					z.disarms++
 				}
-			}
-			for k := range pl.ops[id] {
-				op := &pl.ops[id][k]
-				if op.disarm {
-					e.Disarm(first + Slot(op.slot))
-				} else {
-					e.Arm(first+Slot(op.slot), op.delay, fire, op)
+				e.Disarm(first + Slot(op.slot))
+			case op.delay == 0:
+				z.arms++
+				if armed[op.slot] {
+					z.toZero++
 				}
+				e.Arm(first+Slot(op.slot), 0, fire, op)
+			default:
+				if zeroed[op.slot] {
+					z.fromZero++
+				}
+				e.Arm(first+Slot(op.slot), op.delay, fire, op)
 			}
-		})
+			armed[op.slot], zeroed[op.slot] = !op.disarm, !op.disarm && op.delay == 0
+		}
+	}
+	schedule = func(id int) {
+		if !scheduled[id] {
+			scheduled[id] = true
+			ps.schedule(id, pl.nodes[id].delay, fireNode)
+		}
 	}
 	for _, r := range pl.roots {
 		schedule(r)
@@ -483,17 +518,20 @@ func runRefSlotPlan(pl slotPlan) []int {
 }
 
 // TestHeapSlotsMatchReferenceOrdering drives random plans that mix heap
-// events, timers (some stopped) and slot arms, re-keys and disarms
-// through the event core and the container/heap oracle, on a serial and
-// on a partition environment, and requires identical fire traces.  The
-// plans must re-key, disarm and fire slots at instants shared with heap
-// or ring entries.
+// and ring events, slots that are cancel targets, and arms, re-keys and
+// disarms of a few shared slots through the event core and the
+// container/heap oracle, on a serial and on a partition environment, and
+// requires identical fire traces.  The plans must re-key, disarm and
+// fire slots at instants shared with heap or ring entries, and must arm
+// slots at zero delay, re-key them to and from zero delay, and disarm
+// them before they run.
 func TestHeapSlotsMatchReferenceOrdering(t *testing.T) {
 	envs := []struct {
 		name string
 		make func() *Env
 	}{{"serial", NewEnv}, {"partition", func() *Env { return NewPartitionEnv(1) }}}
 	var q QueueStats
+	var zero zeroCases
 	ties := 0
 	for _, env := range envs {
 		for seed := uint64(1); seed <= 60; seed++ {
@@ -510,12 +548,74 @@ func TestHeapSlotsMatchReferenceOrdering(t *testing.T) {
 				}
 				s := e.QueueStats()
 				q.Arms, q.Rekeys, ties = q.Arms+s.Arms, q.Rekeys+s.Rekeys, ties+got.ties
+				z := got.zero
+				zero = zeroCases{zero.arms + z.arms, zero.toZero + z.toZero, zero.fromZero + z.fromZero, zero.disarms + z.disarms}
 			})
 		}
 	}
 	if q.Arms == 0 || q.Rekeys == 0 || ties == 0 {
 		t.Errorf("plans armed %d slots, re-keyed %d and fired %d at a shared instant; want all three", q.Arms, q.Rekeys, ties)
 	}
+	if zero.arms == 0 || zero.toZero == 0 || zero.fromZero == 0 || zero.disarms == 0 {
+		t.Errorf("plans' zero-delay cases %+v; want every one", zero)
+	}
+	t.Logf("%d arms, %d re-keys, %d slot fires at a shared instant; zero-delay cases %+v", q.Arms, q.Rekeys, ties, zero)
+}
+
+// TestHeapZeroDelayArms pins zero-delay arms against the ring by hand.
+// Heap entries A and B and slot U are due at t=10, scheduled A, U, B.
+// At t=10, A queues, in this order, ring entry R1, slot S at zero
+// delay, ring entry R2, slot V at zero delay, slot W at t=17, slot X at
+// zero delay and ring entry R3.  U and B were scheduled before the
+// instant, so they run first; S runs between R1 and R2.  R2 re-keys V
+// from zero delay to t=13, re-keys W to zero delay, which puts it behind
+// R3, and disarms X before it runs.
+func TestHeapZeroDelayArms(t *testing.T) {
+	for _, e := range []*Env{NewEnv(), NewPartitionEnv(3)} {
+		var got []string
+		rec := func(name string) func(any) { return func(any) { got = append(got, name) } }
+		first := e.NewSlots(5)
+		u, s, v, w, x := first, first+1, first+2, first+3, first+4
+		e.Schedule(10, func() {
+			got = append(got, "A")
+			e.ScheduleCall(0, rec("R1"), nil)
+			e.Arm(s, 0, rec("S"), nil)
+			e.ScheduleCall(0, func(any) {
+				got = append(got, "R2")
+				e.Arm(v, 3, rec("V"), nil)
+				e.Arm(w, 0, rec("W"), nil)
+				e.Disarm(x)
+			}, nil)
+			e.Arm(v, 0, rec("V-zero"), nil)
+			e.Arm(w, 7, rec("W-old"), nil)
+			e.Arm(x, 0, rec("X"), nil)
+			e.ScheduleCall(0, rec("R3"), nil)
+		})
+		e.Arm(u, 10, rec("U"), nil)
+		e.Schedule(10, func() { got = append(got, "B") })
+		e.Run()
+		if want := "[A U B R1 S R2 R3 W V]"; fmt.Sprint(got) != want {
+			t.Errorf("partitioned=%v: order %v, want %s", e.Partitioned(), got, want)
+		}
+		if e.Now() != 13 {
+			t.Errorf("partitioned=%v: clock at %v, want 13: W's re-key to zero delay leaves nothing at t=17", e.Partitioned(), e.Now())
+		}
+		if q := e.QueueStats(); q.Pushes != 2 || q.Arms != 7 || q.Rekeys != 2 || e.Pending() != 0 {
+			t.Errorf("partitioned=%v: %+v, pending %d; want 2 pushes, 7 arms, 2 re-keys, none pending", e.Partitioned(), q, e.Pending())
+		}
+	}
+}
+
+// TestHeapArmNegativeDelayPanics: a slot's key may lie at the current
+// instant, not before it.
+func TestHeapArmNegativeDelayPanics(t *testing.T) {
+	e := NewEnv()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on negative delay")
+		}
+	}()
+	e.Arm(e.NewSlots(1), -1, func(any) {}, nil)
 }
 
 // TestHeapSlotTiesAtOneInstant pins same-instant order by hand.  Heap
@@ -635,44 +735,6 @@ func genMail(rng *Rand, firstID, m int, senders []int) []mailItem {
 	return mails
 }
 
-// runPartitionPlan executes a local plan plus injected mail on a real
-// partition environment and returns the fire trace.
-func runPartitionPlan(t *testing.T, part int, nodes []propNode, roots []int, mails []mailItem) []int {
-	t.Helper()
-	e := NewPartitionEnv(part)
-	var trace []int
-	timers := make([]Timer, len(nodes))
-	scheduled := make([]bool, len(nodes))
-	var schedule func(id int)
-	schedule = func(id int) {
-		if scheduled[id] {
-			return
-		}
-		scheduled[id] = true
-		n := &nodes[id]
-		timers[id] = e.ScheduleTimer(n.delay, func() {
-			trace = append(trace, id)
-			for _, c := range n.children {
-				schedule(c)
-			}
-			for _, c := range n.cancels {
-				if scheduled[c] {
-					timers[c].Stop()
-				}
-			}
-		})
-	}
-	for _, m := range mails {
-		m := m
-		e.ScheduleStamped(m.at, m.seq, m.sub, func(any) { trace = append(trace, m.id) }, nil)
-	}
-	for _, r := range roots {
-		schedule(r)
-	}
-	e.Run()
-	return trace
-}
-
 // runRefPartitionPlan executes the same plan on the three-key oracle,
 // modelling the partition stamp rules independently: a local event
 // scheduled at instant T carries seq = T (its birth) and
@@ -743,7 +805,7 @@ func TestPartitionMergeMatchesOracle(t *testing.T) {
 			// Destination partition 2; mail from partitions 0, 1 and 3, so
 			// sub stamps fall both below and above the local stamp.
 			mails := genMail(rng, n, 25+int(seed)%20, []int{0, 1, 3})
-			got := runPartitionPlan(t, 2, nodes, roots, mails)
+			got := runEnvPlan(NewPartitionEnv(2), nodes, roots, mails)
 			want := runRefPartitionPlan(2, nodes, roots, mails)
 			if len(got) != len(want) {
 				t.Fatalf("trace lengths differ: env %d vs oracle %d", len(got), len(want))

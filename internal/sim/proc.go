@@ -151,8 +151,9 @@ func (p *Proc) Sleep(d Time) {
 //
 //   - p is the running process (a parked process cannot move the clock);
 //   - the environment is not stopped (the loop would run nothing more);
-//   - no zero-delay event and no AtInstantEnd callback is pending (both
-//     run at the current instant, before anything at now+d);
+//   - no zero-delay event (on the ring, or in a slot armed with zero
+//     delay) and no AtInstantEnd callback is pending (both run at the
+//     current instant, before anything at now+d);
 //   - every queued event is due strictly after now+d (one due at now+d
 //     was scheduled earlier, so it would run first);
 //   - now+d is within the running loop's deadline (RunUntil, and the

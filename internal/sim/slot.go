@@ -5,24 +5,26 @@ import (
 	"slices"
 )
 
-// Slot names one re-keyable completion slot of an Env (see NewSlots).
+// Slot names one re-keyable slot of an Env (see NewSlots): the
+// environment's one cancellable event.
 //
 // A slot holds at most one pending callback.  Arming an armed slot moves
 // its entry to the new key in place, which is what a CPU core needs: its
 // completion is re-armed every time an interrupt preempts the grant it
-// runs.  Through a Timer that takes a Stop, which removes the heap entry,
-// plus a fresh push; through a slot it is one sift in a queue that holds
-// one entry per busy core.
+// runs, and that is one sift in a queue that holds one entry per busy
+// core.  Disarm cancels the callback, which is what a TCP retransmission
+// timeout needs when its ack arrives.
 //
 // Armed slots wait in a small indexed binary heap of their own, beside
 // the event heap and the zero-delay ring.  Its entries carry the same
-// (at, seq, sub) keys as heap entries, drawn from the same counter, and
-// the loop runs whichever head sorts first, so moving an event from a
-// timer to a slot changes nothing about when or in what order it runs.
+// (at, seq, sub) keys as heap and ring entries, drawn from the same
+// counter, and the loop runs whichever head sorts first, so an event
+// runs at the same instant and in the same order whether it was
+// scheduled or armed.
 type Slot int32
 
-// cslot is one completion slot: while armed, it holds its callback and
-// pos is the index of its key in Env.cq; pos is -1 while disarmed.
+// cslot is one slot: while armed, it holds its callback and pos is the
+// index of its key in Env.cq; pos is -1 while disarmed.
 type cslot struct {
 	fn  func(any)
 	arg any
@@ -36,9 +38,9 @@ type slotKey struct {
 	slot Slot
 }
 
-// NewSlots adds n disarmed completion slots and returns the first; the
-// others follow it in order.  The slot queue grows with them, so arming
-// never allocates.
+// NewSlots adds n disarmed slots and returns the first; the others
+// follow it in order.  The slot queue grows with them, so arming never
+// allocates.
 func (e *Env) NewSlots(n int) Slot {
 	first := Slot(len(e.cslots))
 	for range n {
@@ -49,17 +51,18 @@ func (e *Env) NewSlots(n int) Slot {
 }
 
 // Arm schedules fn(arg) to run at Now()+delay in slot s.  It draws its
-// key, and counts as pending, exactly as ScheduleTimerCall would.  If s
-// is already armed, its callback is replaced and its entry moves to the
-// new key in place: the same event order as stopping the old timer and
-// scheduling a new one, with neither heap operation.
+// key, and counts as pending, exactly as ScheduleCall would.  If s is
+// already armed, its callback is replaced and its entry moves to the new
+// key in place: the same event order as cancelling the old event and
+// scheduling a new one.
 //
-// delay must be positive: a zero-delay event belongs on the ring, and a
-// slot due at the current instant would have to sort after the ring
-// entries of that instant, which only the ring can do.
+// A zero delay is allowed.  The slot is then due at the current instant
+// with a key drawn during it, so it runs after the ring entries already
+// queued for the instant and before those queued after the arm, as a
+// zero-delay ScheduleCall would.  A negative delay panics.
 func (e *Env) Arm(s Slot, delay Time, fn func(any), arg any) {
-	if delay <= 0 {
-		panic(fmt.Sprintf("sim: slot armed with delay %v; a slot's key must lie in the future", delay))
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: slot armed with negative delay %v", delay))
 	}
 	if fn == nil {
 		panic("sim: slot armed with a nil callback")
@@ -94,7 +97,7 @@ func (e *Env) Disarm(s Slot) {
 // popHeap and popRing return theirs; the callback may arm the slot again.
 func (e *Env) popSlot() queued {
 	c := &e.cslots[e.cq[0].slot]
-	q := queued{key: e.cq[0].key, fn1: c.fn, arg: c.arg, tidx: -1}
+	q := queued{key: e.cq[0].key, fn: c.fn, arg: c.arg}
 	c.fn, c.arg = nil, nil
 	e.removeSlot(0)
 	return q

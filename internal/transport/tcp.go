@@ -160,11 +160,12 @@ type tcpEndpoint struct {
 
 	txFree  []*txMsg
 	segFree []*tcpSeg
+	rtoFree []sim.Slot // disarmed retransmission-timeout slots
 
 	rxKernelFn   func(any) // bound once: post-interrupt protocol stage
 	rxProtoFn    func(any) // bound once: ack handling / copy submission
 	rxAcceptFn   func(any) // bound once: land segment in socket buffer
-	retransmitFn func(any) // bound once: RTO expiry for a *tcpTx
+	retransmitFn func(any) // bound once: RTO expiry for a *txMsg
 }
 
 // pooling reports whether object recycling is safe (no fault injector).
@@ -272,25 +273,32 @@ func (ep *tcpEndpoint) seg(m *txMsg, off, n int, last bool) any {
 }
 
 // armRetransmit registers msg as awaiting its message-complete ack and
-// arms the timeout that re-enqueues it.  The timer is cancellable, so an
-// arriving ack releases the message record immediately instead of
-// leaving it captured until the RTO expires.
+// arms the timeout that re-enqueues it in a slot from the endpoint's
+// freelist.  An arriving ack disarms the slot, so the message record is
+// released at once instead of staying captured until the RTO expires.
+// Each armed slot belongs to one message awaiting its ack, so the
+// endpoint never holds more slots than it has had such messages at once.
 func (ep *tcpEndpoint) armRetransmit(msg *txMsg) {
 	if ep.cfg.RTO <= 0 {
 		return
 	}
+	env := ep.node.Env
+	if n := len(ep.rtoFree); n > 0 {
+		msg.rto = ep.rtoFree[n-1]
+		ep.rtoFree = ep.rtoFree[:n-1]
+	} else {
+		msg.rto = env.NewSlots(1)
+	}
 	ep.unacked[msg.id] = msg
-	msg.rto = ep.node.Env.ScheduleTimerCall(ep.cfg.RTO, ep.retransmitFn, msg)
+	env.Arm(msg.rto, ep.cfg.RTO, ep.retransmitFn, msg)
 }
 
-// retransmit handles RTO expiry: the whole message goes back on the send
-// queue (go-back-N at message granularity, like an era stack after a
-// coarse RTO).
+// retransmit handles RTO expiry: the slot goes back to the freelist, and
+// the whole message goes back on the send queue (go-back-N at message
+// granularity, like an era stack after a coarse RTO).
 func (ep *tcpEndpoint) retransmit(a any) {
 	msg := a.(*txMsg)
-	if _, waiting := ep.unacked[msg.id]; !waiting {
-		return
-	}
+	ep.rtoFree = append(ep.rtoFree, msg.rto)
 	delete(ep.unacked, msg.id)
 	ep.tx.push(msg)
 }
@@ -317,9 +325,11 @@ func (ep *tcpEndpoint) rxProto(a any) {
 			if msg, waiting := ep.unacked[seg.id]; waiting {
 				delete(ep.unacked, seg.id)
 				// The receiver consumed every segment before acking, so
-				// nothing references the send buffer any more: stop the
-				// retransmit timer and recycle the record.
-				if msg.rto.Stop() && ep.pooling() {
+				// nothing references the send buffer any more: disarm the
+				// retransmit timeout and recycle the slot and the record.
+				ep.node.Env.Disarm(msg.rto)
+				ep.rtoFree = append(ep.rtoFree, msg.rto)
+				if ep.pooling() {
 					*msg = txMsg{}
 					ep.txFree = append(ep.txFree, msg)
 				}

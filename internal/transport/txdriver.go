@@ -20,10 +20,10 @@ type txMsg struct {
 	tag  int
 	n    int    // payload length; the driver fragments by it
 	data []byte // kernel send buffer; nil when length-only
-	// rto is TCP's retransmission timer, armed once the last segment has
-	// left; stopping it on the message-complete ack both cancels the
-	// resend and drops the record so it can be recycled.
-	rto sim.Timer
+	// rto is the slot of TCP's retransmission timeout, armed once the
+	// last segment has left; the message-complete ack disarms it, which
+	// cancels the resend and lets the record be recycled.
+	rto sim.Slot
 }
 
 // txDriver is the kernel transmit half that Portals and TCP share.  It

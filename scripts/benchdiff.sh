@@ -40,6 +40,14 @@
 # runs of ~0.1 s each still spread twofold over repeated runs on a
 # shared host, so each is committed at the slowest such min seen over 8
 # `record` runs (re-record the same way).
+#
+# The chains also report the event queue's work per packet: events,
+# heap pushes, slot arms and the re-keys among them (events/pkt,
+# pushes/pkt, arms/pkt, rekeys/pkt).  These are exact, like allocs/op:
+# the rig runs the same packets every time, so no noise reaches them.
+# The baseline records them next to allocs_op (events_pkt, pushes_pkt,
+# arms_pkt, rekeys_pkt); the check fails on any rise ("MORE") and lists
+# any fall ("fewer"), which a `record` then takes in.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -55,27 +63,41 @@ run_benches() {
 }
 
 # bench_to_json <raw `go test -bench -benchmem` output>
-#   -> {"name": {"ns_op": N, "allocs_op": M}, ...}
+#   -> {"name": {"ns_op": N, "allocs_op": M[, "events_pkt": E, ...]}, ...}
 # The minimum over -count runs is the standard noise-robust estimator:
 # scheduler or neighbour interference only ever slows a run down (and
-# allocs/op is deterministic, so its min is just the value).
+# allocs/op is deterministic, so its min is just the value).  A work
+# counter takes its maximum over the runs, so a run that did more work
+# cannot hide behind one that did less.
 bench_to_json() {
     awk '
         /^Benchmark/ && $4 == "ns/op" {
             name = $1
             sub(/-[0-9]+$/, "", name)  # strip -GOMAXPROCS suffix
             if (!(name in ns) || $3 + 0 < ns[name] + 0) ns[name] = $3
-            for (i = 5; i < NF; i++)
-                if ($(i + 1) == "allocs/op" && (!(name in al) || $i + 0 < al[name] + 0))
+            for (i = 5; i < NF; i++) {
+                unit = $(i + 1)
+                if (unit == "allocs/op" && (!(name in al) || $i + 0 < al[name] + 0))
                     al[name] = $i
+                if (unit ~ /^(events|pushes|arms|rekeys)\/pkt$/) {
+                    key = unit
+                    sub(/\//, "_", key)
+                    if (!((name, key) in ct)) keys[name] = keys[name] " " key
+                    if (!((name, key) in ct) || $i + 0 > ct[name, key] + 0) ct[name, key] = $i
+                }
+            }
             if (!(name in seen)) { seen[name] = 1; order[n++] = name }
         }
         END {
             printf "{\n"
             for (i = 0; i < n; i++) {
                 name = order[i]
-                printf "  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s}%s\n", \
-                    name, ns[name], (name in al ? al[name] : 0), (i < n-1 ? "," : "")
+                printf "  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s", \
+                    name, ns[name], (name in al ? al[name] : 0)
+                k = split(keys[name], ks, " ")
+                for (j = 1; j <= k; j++)
+                    printf ", \"%s\": %s", ks[j], ct[name, ks[j]]
+                printf "}%s\n", (i < n-1 ? "," : "")
             }
             printf "}\n"
         }'
@@ -92,18 +114,39 @@ check)
     echo "==> running benchmarks ($FILTER, benchtime $BENCHTIME)" >&2
     run_benches | bench_to_json > /tmp/bench_current.$$
     awk -v tol="$TOLERANCE" '
-        function parse(line,    kv) {
-            # "name": {"ns_op": N, "allocs_op": M}
-            if (match(line, /"[^"]+": \{"ns_op": [0-9.]+, "allocs_op": [0-9.]+\}/)) {
-                split(substr(line, RSTART, RLENGTH), kv, /": \{"ns_op": |, "allocs_op": |\}/)
-                gsub(/"/, "", kv[1])
-                pname = kv[1]; pns = kv[2]; pal = kv[3]
-                return 1
+        # parse(line): "name": {"key": value, ...} -> pname, pkv[key], pkeys
+        function parse(line,    body, kv, n, i, f) {
+            if (!match(line, /"[^"]+": \{[^}]*\}/)) return 0
+            body = substr(line, RSTART, RLENGTH)
+            pname = body
+            sub(/": \{.*/, "", pname)
+            sub(/^"/, "", pname)
+            sub(/^"[^"]+": \{/, "", body)
+            sub(/\}$/, "", body)
+            split("", pkv)
+            pkeys = ""
+            n = split(body, kv, /, /)
+            for (i = 1; i <= n; i++) {
+                split(kv[i], f, /": /)
+                sub(/^"/, "", f[1])
+                pkv[f[1]] = f[2]
+                if (f[1] != "ns_op" && f[1] != "allocs_op") pkeys = pkeys " " f[1]
             }
-            return 0
+            return 1
         }
-        FNR == NR { if (parse($0)) { bns[pname] = pns; bal[pname] = pal }; next }
-                 { if (parse($0)) { cns[pname] = pns; cal[pname] = pal } }
+        FNR == NR {
+            if (parse($0)) {
+                bns[pname] = pkv["ns_op"]; bal[pname] = pkv["allocs_op"]; bkeys[pname] = pkeys
+                for (k in pkv) bct[pname, k] = pkv[k]
+            }
+            next
+        }
+        {
+            if (parse($0)) {
+                cns[pname] = pkv["ns_op"]; cal[pname] = pkv["allocs_op"]
+                for (k in pkv) cct[pname, k] = pkv[k]
+            }
+        }
         END {
             bad = 0
             for (name in cns) {
@@ -118,12 +161,25 @@ check)
                 if (cal[name] + 0 > (bal[name] + 0) * 1.005) { status = "ALLOCS"; bad++ }
                 printf "%-8s %-50s %12.0f -> %12.0f ns/op (%+.1f%%)  %d -> %d allocs/op\n", \
                     status, name, bns[name], cns[name], delta, bal[name], cal[name]
+                # Work counters are exact: any rise fails, any fall is listed.
+                k = split(bkeys[name], ks, " ")
+                for (j = 1; j <= k; j++) {
+                    key = ks[j]
+                    if (!((name, key) in cct)) {
+                        printf "MORE     %-50s %s no longer reported\n", name, key
+                        bad++
+                    } else if (cct[name, key] + 0 > bct[name, key] + 0) {
+                        printf "MORE     %-50s %s %s -> %s\n", name, key, bct[name, key], cct[name, key]
+                        bad++
+                    } else if (cct[name, key] + 0 < bct[name, key] + 0)
+                        printf "fewer    %-50s %s %s -> %s\n", name, key, bct[name, key], cct[name, key]
+                }
             }
             for (name in bns)
                 if (!(name in cns))
                     printf "GONE     %-50s (in baseline, not run)\n", name
             if (bad) {
-                printf "\nbenchdiff: %d benchmark(s) regressed (>%d%% ns/op or >0.5%% allocs/op)\n", bad, tol
+                printf "\nbenchdiff: %d regression(s) (>%d%% ns/op, >0.5%% allocs/op or more work per packet)\n", bad, tol
                 exit 1
             }
             print "\nbenchdiff: OK"
