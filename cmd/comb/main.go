@@ -1,39 +1,7 @@
 // Command comb runs the COMB benchmark suite on the simulated systems and
-// regenerates the paper's evaluation figures.
-//
-// Usage:
-//
-//	comb list                         # figures and systems
-//	comb methods                      # registered benchmark methods
-//	comb run -method <name> [flags]   # one measurement (unified entry)
-//	comb polling [flags]              # shorthand for run -method polling
-//	comb pww [flags]                  # shorthand for run -method pww
-//	comb trace export [flags]         # export the last run's span timeline
-//	comb metrics [flags]              # print the last run's metrics
-//	comb replay -manifest <file>      # re-run a manifest, verify the hash
-//	comb figure <n|all> [flags]       # regenerate figure(s) 4-18
-//	comb compare [flags]              # side-by-side system summary
-//	comb assess <system|all> [flags]  # full diagnostic report
-//	comb sweep [flags]                # custom sweep over systems/sizes/metric
-//	comb cache <clear|stat> [flags]   # manage the on-disk result cache
-//	comb pingpong [flags]             # the pre-COMB microbenchmark view
-//	comb bench [-profile] [flags]     # time a hot-path workload; pprof output
-//	comb selfcheck                    # verify calibration and headline claims
-//	comb report [flags]               # auto-generated markdown report
-//
-// Sweep-shaped subcommands (figure, sweep, compare, assess, report) run
-// their points on a shared parallel engine: -j bounds the worker count,
-// and results persist in an on-disk cache (results/cache/ by default;
-// -no-cache skips it, `comb cache clear` empties it).  Ctrl-C cancels a
-// running sweep mid-point.
-//
-// Single measurements (run, polling, pww) write their observability
-// artifacts — span capture, metrics, and provenance manifest — into
-// -obs-dir (results/last by default; empty disables).  `comb trace
-// export -format=chrome` turns the capture into Chrome trace-event JSON
-// loadable in chrome://tracing or https://ui.perfetto.dev.
-//
-// Run `comb <subcommand> -h` for flags.
+// regenerates the paper's evaluation figures.  `comb help` lists the
+// subcommands, and `comb <subcommand> -h` a subcommand's flags.
+// Ctrl-C cancels a running command mid-point.
 package main
 
 import (
@@ -55,7 +23,6 @@ import (
 	"comb/internal/asciichart"
 	"comb/internal/assess"
 	"comb/internal/method"
-	"comb/internal/method/pingpong"
 	"comb/internal/obs"
 	"comb/internal/report"
 	"comb/internal/runner"
@@ -67,106 +34,82 @@ import (
 	"comb/internal/transport"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	var err error
-	switch os.Args[1] {
-	case "list":
-		err = cmdList()
-	case "methods":
-		err = cmdMethods()
-	case "run":
-		err = cmdRun(ctx, os.Args[2:])
-	case "polling", "pww":
-		err = runMethod(ctx, os.Args[1], os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "metrics":
-		err = cmdMetrics(os.Args[2:])
-	case "replay":
-		err = cmdReplay(ctx, os.Args[2:])
-	case "figure":
-		err = cmdFigure(ctx, os.Args[2:])
-	case "compare":
-		err = cmdCompare(ctx, os.Args[2:])
-	case "assess":
-		err = cmdAssess(ctx, os.Args[2:])
-	case "sweep":
-		err = cmdSweep(ctx, os.Args[2:])
-	case "cache":
-		err = cmdCache(os.Args[2:])
-	case "serve":
-		err = cmdServe(ctx, os.Args[2:])
-	case "submit":
-		err = cmdSubmit(ctx, os.Args[2:])
-	case "pingpong":
-		err = cmdPingpong(ctx, os.Args[2:])
-	case "bench":
-		err = cmdBench(ctx, os.Args[2:])
-	case "selfcheck":
-		err = cmdSelfcheck(ctx, os.Args[2:])
-	case "report":
-		err = cmdReport(ctx, os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "comb: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "comb: %v\n", err)
-		os.Exit(1)
-	}
+// command is one subcommand: its name, its one-line help, and the
+// function that runs it on the arguments after the name.
+type command struct {
+	name, help string
+	run        func(ctx context.Context, args []string) error
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: comb <subcommand> [flags]
+// commands is the CLI, in the order `comb help` lists it.
+var commands = []command{
+	{"list", "list reproducible figures and simulated systems", cmdList},
+	{"methods", "list registered benchmark methods and their phases", cmdMethods},
+	{"run", "run one measurement: -method <name> plus its flags, or -spec <file.json>", cmdRun},
+	{"trace", "export the last run's span timeline (trace export -format=chrome|text)", cmdTrace},
+	{"metrics", "print the last run's metrics (-format prom|json)", cmdMetrics},
+	{"replay", "re-run a saved manifest and verify its result hash", cmdReplay},
+	{"figure", "regenerate figure <n|all> (Figures 4-18)", cmdFigure},
+	{"assess", "full COMB characterization of one system (or 'all')", cmdAssess},
+	{"sweep", "custom parameter sweep over any systems/sizes/metric", cmdSweep},
+	{"cache", "manage the on-disk result cache (clear|stat)", cmdCache},
+	{"serve", "run the benchmark service (HTTP API over versioned RunSpecs)", cmdServe},
+	{"submit", "post a spec file to a running server and await the result", cmdSubmit},
+	{"bench", "time a hot-path workload; -profile writes CPU/heap pprof files", cmdBench},
+	{"selfcheck", "verify calibration and headline claims (-fuzz N, -pack NAME|all)", cmdSelfcheck},
+	{"report", "write the full reproduction report as markdown", cmdReport},
+}
 
-subcommands:
-  list      list reproducible figures and simulated systems
-  methods   list registered benchmark methods and their phases
-  run       run one measurement (-method <name> plus method flags, or
-            -spec <file.json> with a versioned RunSpec)
-  polling   shorthand for run -method polling
-  pww       shorthand for run -method pww
-  trace     export the last run's span timeline (trace export -format=chrome|text)
-  metrics   print the last run's metrics (-format prom|json)
-  replay    re-run a saved manifest and verify its result hash
-  figure    regenerate figure <n|all> (Figures 4-18)
-  compare   quick side-by-side summary of all systems
-  assess    full COMB characterization of one system (or 'all')
-  sweep     custom parameter sweep over any systems/sizes/metric
-  cache     manage the on-disk result cache (clear|stat)
-  serve     run the benchmark service (HTTP API over versioned RunSpecs)
-  submit    post a spec file to a running server and await the result
-  pingpong  classic latency/bandwidth microbenchmark (the pre-COMB view)
-  bench     time a hot-path workload; -profile writes CPU/heap pprof files
-  selfcheck verify the reproduction's calibration and headline claims
-            (-fuzz N adds N deterministic fault-injected runs; -pack
-            NAME|all runs scenario packs through the differential
-            metamorphic oracle, see docs/SCENARIOS.md)
-  report    write the full reproduction report as markdown
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-sweep-shaped subcommands accept -j N (parallel simulations) and cache
-results under results/cache/ (-no-cache to skip, 'comb cache clear' to
-empty); figure and sweep accept -strategy
-(grid|bisect|knee|adaptive-reps) to replace the dense grid with a
-search, see docs/SWEEPS.md; run -method, polling and pww accept -seed
-and -faults '<spec>' for deterministic degraded runs (e.g. -faults
-'drop=0.01,delay=0.2:50us'), -stats for the hardware counters and
--trace N for the last N packet deliveries, and write trace/metrics/
-manifest artifacts into -obs-dir (results/last by default) for
-'comb trace export', 'comb metrics' and 'comb replay'`)
+// run executes one command line and returns its exit code: 0 on
+// success, 1 when the subcommand fails, 2 for an unknown or missing
+// subcommand.  Usage and errors go to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
+	}
+	switch args[0] {
+	case "-h", "--help", "help":
+		usage(stderr)
+		return 0
+	}
+	for _, c := range commands {
+		if c.name != args[0] {
+			continue
+		}
+		if err := c.run(ctx, args[1:]); err != nil {
+			fmt.Fprintf(stderr, "comb: %v\n", err)
+			return 1
+		}
+		return 0
+	}
+	fmt.Fprintf(stderr, "comb: unknown subcommand %q\n", args[0])
+	usage(stderr)
+	return 2
+}
+
+func usage(w io.Writer) {
+	fmt.Fprint(w, "usage: comb <subcommand> [flags]\n\nsubcommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-9s %s\n", c.name, c.help)
+	}
+	fmt.Fprintln(w, `
+figure, sweep, assess and report run their points in parallel (-j N) and
+cache them in results/cache/ (-no-cache skips it); figure and sweep take
+-strategy (docs/SWEEPS.md).  run takes -seed, -faults, -stats and
+-trace N, and writes the artifacts that trace, metrics and replay read
+into -obs-dir.  Run 'comb <subcommand> -h' for its flags.`)
 }
 
 // engineOpts are the execution flags shared by every sweep-shaped
-// subcommand (figure, sweep, compare, assess, report).
+// subcommand (figure, sweep, assess, report).
 type engineOpts struct {
 	jobs    *int
 	simJ    *int
@@ -237,7 +180,7 @@ func (m *progressMeter) finish() {
 	m.muted = true
 }
 
-func cmdList() error {
+func cmdList(context.Context, []string) error {
 	fmt.Println("systems:")
 	for _, s := range comb.Systems() {
 		fmt.Printf("  %s\n", s)
@@ -275,7 +218,7 @@ var methodCapabilityHeaders = []string{"calib", "check", "relax", "fuzz", "flags
 // matrix — which optional registry interfaces (calibration, result
 // checking, invariant relaxation, fuzzing, CLI flags, node scaling)
 // each method plugs into — plus its description and phase taxonomy.
-func cmdMethods() error {
+func cmdMethods(context.Context, []string) error {
 	fmt.Printf("%-10s %s  description\n", "method", strings.Join(methodCapabilityHeaders, "  "))
 	for _, name := range comb.Methods() {
 		m, err := method.Lookup(name)
@@ -395,7 +338,6 @@ func runSpecFile(ctx context.Context, path string, args []string) error {
 // runMethod drives any registered method through the facade: the
 // method's own flags (declared via its FlagBinder) plus the shared run
 // flags, the unified Run pipeline, and the observability artifacts.
-// `comb polling` and `comb pww` are shorthands for it.
 func runMethod(ctx context.Context, name string, args []string) error {
 	m, err := method.Lookup(name)
 	if err != nil {
@@ -558,7 +500,7 @@ func writeObs(dir string, out *comb.RunResult) error {
 }
 
 // cmdTrace exports a recorded span capture.
-func cmdTrace(args []string) error {
+func cmdTrace(_ context.Context, args []string) error {
 	if len(args) < 1 || args[0] != "export" {
 		return fmt.Errorf("trace: need the 'export' subcommand, e.g. `comb trace export -format=chrome`")
 	}
@@ -623,7 +565,7 @@ func writeTraceText(w io.Writer, c *obs.Capture) error {
 
 // cmdMetrics prints a saved metrics file from a run directory, or with
 // -addr scrapes a running `comb serve` instance's /metrics endpoint.
-func cmdMetrics(args []string) error {
+func cmdMetrics(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	runDir := fs.String("run", obs.DefaultRunDir, "run directory holding the metrics files")
 	format := fs.String("format", "prom", "output format (prom|json)")
@@ -632,7 +574,7 @@ func cmdMetrics(args []string) error {
 		return err
 	}
 	if *addr != "" {
-		return scrapeMetrics(context.Background(), *addr)
+		return scrapeMetrics(ctx, *addr)
 	}
 	var name string
 	switch *format {
@@ -821,75 +763,20 @@ func cmdAssess(ctx context.Context, args []string) error {
 	return nil
 }
 
-func cmdCompare(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	size := fs.Int("size", 100_000, "message size in bytes")
-	eo := addEngineFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	meter := eo.install()
-	eng := sweep.DefaultEngine
-
-	pollSpec := func(sys string) runner.Point {
-		return runner.Point{Method: "polling", System: sys, Params: comb.PollingConfig{
-			Config:       comb.Config{MsgSize: *size},
-			PollInterval: 100_000,
-			WorkTotal:    25_000_000,
-		}}
-	}
-	pwwSpec := func(sys string) runner.Point {
-		return runner.Point{Method: "pww", System: sys, Params: comb.PWWConfig{
-			Config:       comb.Config{MsgSize: *size},
-			WorkInterval: 20_000_000,
-			Reps:         10,
-		}}
-	}
-	var pts []runner.Point
-	for _, sys := range comb.Systems() {
-		pts = append(pts, pollSpec(sys), pwwSpec(sys))
-	}
-	err := eng.RunAll(ctx, pts)
-	meter.finish()
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("%-10s %14s %14s %14s %14s %10s\n",
-		"system", "poll BW MB/s", "poll avail", "pww wait/msg", "pww overhead", "offload?")
-	for _, sys := range comb.Systems() {
-		p, err := runner.RunAs[*comb.PollingResult](ctx, eng, pollSpec(sys))
-		if err != nil {
-			return err
-		}
-		w, err := runner.RunAs[*comb.PWWResult](ctx, eng, pwwSpec(sys))
-		if err != nil {
-			return err
-		}
-		// COMB's operational offload test (§4.1): does messaging complete
-		// during a long work phase, leaving (almost) nothing to wait for?
-		offload := "no"
-		if w.AvgWait < w.AvgWorkOnly/100 {
-			offload = "yes"
-		}
-		fmt.Printf("%-10s %14.2f %14.3f %14s %13.1f%% %10s\n",
-			sys, p.BandwidthMBs, p.Availability, w.AvgWait.Round(time.Microsecond), w.WorkOverhead*100, offload)
-	}
-	return nil
-}
-
-// cmdSweep runs a custom sweep: any method, systems, sizes and metric.
+// cmdSweep runs a custom sweep (sweep.Custom): any method, systems,
+// sizes, cluster size and metric.
 func cmdSweep(ctx context.Context, args []string) error {
+	var c sweep.Custom
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	meth := fs.String("method", "polling", "benchmark method (polling|pww)")
+	fs.StringVar(&c.Method, "method", "polling", "benchmark method (polling|pww)")
 	systems := fs.String("systems", "gm,portals", "comma-separated system list")
 	sizes := fs.String("sizes", "100000", "comma-separated message sizes in bytes")
-	lo := fs.Int64("from", 1000, "axis start (loop iterations)")
-	hi := fs.Int64("to", 100_000_000, "axis end (loop iterations)")
-	perDecade := fs.Int("points", 2, "points per decade")
-	metric := fs.String("metric", "bandwidth",
+	fs.Int64Var(&c.From, "from", 1000, "axis start (loop iterations)")
+	fs.Int64Var(&c.To, "to", 100_000_000, "axis end (loop iterations)")
+	fs.IntVar(&c.Points, "points", 2, "points per decade")
+	fs.StringVar(&c.Metric, "metric", "bandwidth",
 		"y value: bandwidth|availability|wait|overhead|postrecv")
-	nodes := fs.Int("nodes", 0, "cluster size: concurrent worker/support pairs sharing the switch (0 = the paper's 2 nodes)")
+	fs.IntVar(&c.Nodes, "nodes", 0, "cluster size: concurrent worker/support pairs sharing the switch (0 = the paper's 2 nodes)")
 	chart := fs.Bool("chart", true, "render an ASCII chart")
 	table := fs.Bool("table", false, "print the aligned numeric table")
 	csvOut := fs.Bool("csv", false, "print CSV to stdout")
@@ -902,79 +789,23 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-
-	sysList := strings.Split(*systems, ",")
-	var sizeList []int
+	for _, s := range strings.Split(*systems, ",") {
+		c.Systems = append(c.Systems, strings.TrimSpace(s))
+	}
 	for _, s := range strings.Split(*sizes, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
 			return fmt.Errorf("sweep: bad size %q", s)
 		}
-		sizeList = append(sizeList, v)
-	}
-	axis := stats.LogSpaceInt(*lo, *hi, *perDecade)
-
-	tbl := &stats.Table{
-		Title:  fmt.Sprintf("custom sweep: %s %s", *meth, *metric),
-		YLabel: *metric,
-		LogX:   true,
-	}
-	switch *meth {
-	case "polling":
-		tbl.XLabel = "Poll Interval (loop iterations)"
-	case "pww":
-		tbl.XLabel = "Work Interval (loop iterations)"
-	default:
-		return fmt.Errorf("sweep: unknown method %q", *meth)
+		c.Sizes = append(c.Sizes, v)
 	}
 
 	meter := eo.install()
-	// Grid sweeps warm the whole axis through the worker pool, then
-	// shape serially off the memo; a search strategy skips the prewarm
-	// and lets RunCurve decide which points to spend runs on.
-	if st.IsGrid() {
-		var pts []runner.Point
-		for _, sys := range sysList {
-			sys = strings.TrimSpace(sys)
-			for _, size := range sizeList {
-				for _, x := range axis {
-					pts = append(pts, sweepPointSpec(*meth, sys, size, *nodes, x))
-				}
-			}
-		}
-		if err := sweep.DefaultEngine.RunAll(ctx, pts); err != nil {
-			meter.finish()
-			return err
-		}
-	}
+	tbl, err := c.Build(sweep.Options{Context: ctx, Strategy: st, Obs: meter.reg})
 	meter.finish()
-
-	opt := sweep.Options{Context: ctx, Strategy: st, Obs: meter.reg}
-	for _, sys := range sysList {
-		sys = strings.TrimSpace(sys)
-		for _, size := range sizeList {
-			name := sys
-			if len(sizeList) > 1 {
-				name = fmt.Sprintf("%s %dB", sys, size)
-			}
-			c := sweep.Curve{
-				Name: name,
-				Axis: axis,
-				Eval: func(x int64, rep int) (float64, float64, error) {
-					p := sweepPointSpec(*meth, sys, size, *nodes, x)
-					p.Seed = sweep.RepSeed(p.Seed, rep)
-					y, err := sweepMetric(ctx, sweep.DefaultEngine, *meth, *metric, p)
-					return float64(x), y, err
-				},
-			}
-			series, err := sweep.RunCurve(opt, c)
-			if err != nil {
-				return err
-			}
-			tbl.Series = append(tbl.Series, series)
-		}
+	if err != nil {
+		return err
 	}
-
 	if *chart {
 		fmt.Println(asciichart.Render(tbl, asciichart.Options{}))
 	}
@@ -987,64 +818,8 @@ func cmdSweep(ctx context.Context, args []string) error {
 	return nil
 }
 
-// sweepPointSpec mirrors sweepPoint's configs as runner points for the
-// parallel prewarm.
-func sweepPointSpec(meth, sys string, size, nodes int, x int64) runner.Point {
-	if meth == "pww" {
-		return runner.Point{Method: "pww", System: sys, Nodes: nodes, Params: comb.PWWConfig{
-			Config:       comb.Config{MsgSize: size},
-			WorkInterval: x,
-			Reps:         20,
-		}}
-	}
-	return runner.Point{Method: "polling", System: sys, Nodes: nodes, Params: comb.PollingConfig{
-		Config:       comb.Config{MsgSize: size},
-		PollInterval: x,
-		WorkTotal:    sweep.WorkTotalFor(x),
-	}}
-}
-
-// sweepMetric runs one custom-sweep point on eng and extracts the
-// requested metric from its result.
-func sweepMetric(ctx context.Context, eng *runner.Engine, meth, metric string, p runner.Point) (float64, error) {
-	switch meth {
-	case "polling":
-		r, err := runner.RunAs[*comb.PollingResult](ctx, eng, p)
-		if err != nil {
-			return 0, err
-		}
-		switch metric {
-		case "bandwidth":
-			return r.BandwidthMBs, nil
-		case "availability":
-			return r.Availability, nil
-		default:
-			return 0, fmt.Errorf("sweep: metric %q not available for polling (bandwidth|availability)", metric)
-		}
-	case "pww":
-		r, err := runner.RunAs[*comb.PWWResult](ctx, eng, p)
-		if err != nil {
-			return 0, err
-		}
-		switch metric {
-		case "bandwidth":
-			return r.BandwidthMBs, nil
-		case "availability":
-			return r.Availability, nil
-		case "wait":
-			return r.AvgWait.Seconds() * 1e6, nil
-		case "overhead":
-			return r.WorkOverhead * 100, nil
-		case "postrecv":
-			return r.AvgPostRecv.Seconds() * 1e6, nil
-		}
-		return 0, fmt.Errorf("sweep: unknown metric %q", metric)
-	}
-	return 0, fmt.Errorf("sweep: unknown method %q", meth)
-}
-
 // cmdCache manages the persistent on-disk result cache.
-func cmdCache(args []string) error {
+func cmdCache(_ context.Context, args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("cache: need a subcommand (clear|stat)")
 	}
@@ -1119,6 +894,9 @@ func cmdBench(ctx context.Context, args []string) error {
 	out := fs.String("out", "results/profiles", "profile output directory")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *n < 1 {
+		return fmt.Errorf("bench: -n %d: need at least one run", *n)
 	}
 	spec := comb.RunSpec{
 		Method: comb.MethodPolling,
@@ -1286,53 +1064,4 @@ func warnMaskedFaults(system string, fspec *comb.FaultSpec) {
 		fmt.Fprintf(os.Stderr, "comb: transport %s cannot survive %s faults; ignoring them\n",
 			system, strings.Join(masked, "/"))
 	}
-}
-
-// cmdPingpong runs the classic microbenchmark across sizes — the
-// pre-COMB view of a system that the paper's introduction argues is
-// insufficient.  Since pingpong is a registered method, its points run
-// through the shared engine: they parallelize across -j workers and
-// persist in the on-disk result cache like any sweep point.
-func cmdPingpong(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("pingpong", flag.ExitOnError)
-	systems := fs.String("systems", "gm,portals", "comma-separated system list")
-	reps := fs.Int("reps", 50, "round trips per point")
-	eo := addEngineFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	meter := eo.install()
-	eng := sweep.DefaultEngine
-	sizes := []int{8, 1024, 10_000, 100_000, 300_000}
-	sysList := strings.Split(*systems, ",")
-	point := func(sys string, size int) runner.Point {
-		return runner.Point{Method: "pingpong", System: sys, Params: pingpong.Params{MsgSize: size, Reps: *reps}}
-	}
-	var pts []runner.Point
-	for _, sys := range sysList {
-		sys = strings.TrimSpace(sys)
-		for _, size := range sizes {
-			pts = append(pts, point(sys, size))
-		}
-	}
-	err := eng.RunAll(ctx, pts)
-	meter.finish()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %12s %14s %14s\n", "system", "size (B)", "latency", "bandwidth")
-	for _, sys := range sysList {
-		sys = strings.TrimSpace(sys)
-		for _, size := range sizes {
-			r, err := runner.RunAs[*pingpong.Result](ctx, eng, point(sys, size))
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-10s %12d %14v %11.2f MB/s\n",
-				sys, size, r.Latency.Round(100*time.Nanosecond), r.BandwidthMBs)
-		}
-	}
-	fmt.Println("\nnote: these numbers say nothing about overlap or host CPU cost —")
-	fmt.Println("run `comb assess <system>` for the characterization that does.")
-	return nil
 }

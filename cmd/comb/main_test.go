@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,53 +12,9 @@ import (
 
 	"comb"
 	"comb/internal/obs"
-	"comb/internal/runner"
 	"comb/internal/stats"
 	"comb/internal/sweep"
 )
-
-// sweepMetricAt runs one custom-sweep point on a throwaway engine and
-// extracts the metric, mirroring cmdSweep's curve evaluator.
-func sweepMetricAt(t *testing.T, meth, metric, sys string, size int, x int64) (float64, error) {
-	t.Helper()
-	return sweepMetric(context.Background(), runner.New(runner.Config{}), meth, metric, sweepPointSpec(meth, sys, size, 0, x))
-}
-
-func TestSweepPointMetrics(t *testing.T) {
-	for _, metric := range []string{"bandwidth", "availability"} {
-		v, err := sweepMetricAt(t, "polling", metric, "gm", 100_000, 1_000_000)
-		if err != nil {
-			t.Fatalf("polling %s: %v", metric, err)
-		}
-		if v <= 0 {
-			t.Errorf("polling %s = %v", metric, v)
-		}
-	}
-	for _, metric := range []string{"bandwidth", "availability", "wait", "overhead", "postrecv"} {
-		v, err := sweepMetricAt(t, "pww", metric, "portals", 100_000, 1_000_000)
-		if err != nil {
-			t.Fatalf("pww %s: %v", metric, err)
-		}
-		if v < 0 {
-			t.Errorf("pww %s = %v", metric, v)
-		}
-	}
-}
-
-func TestSweepPointErrors(t *testing.T) {
-	if _, err := sweepMetricAt(t, "polling", "wait", "gm", 1000, 1000); err == nil {
-		t.Error("polling has no wait metric")
-	}
-	if _, err := sweepMetricAt(t, "pww", "nosuch", "gm", 1000, 1000); err == nil {
-		t.Error("unknown metric must fail")
-	}
-	if _, err := sweepMetric(context.Background(), runner.New(runner.Config{}), "nosuch", "bandwidth", runner.Point{}); err == nil {
-		t.Error("unknown method must fail")
-	}
-	if _, err := sweepMetricAt(t, "polling", "bandwidth", "nosuch", 1000, 1000); err == nil {
-		t.Error("unknown system must fail")
-	}
-}
 
 func TestParseStrategyFlag(t *testing.T) {
 	if st, err := parseStrategy(""); err != nil || st != nil {
@@ -137,7 +95,7 @@ func TestCommandFunctions(t *testing.T) {
 	// The plumbing-level command handlers, driven directly.  -no-cache and
 	// -obs-dir keep test runs from writing results/ into the repo.
 	ctx := context.Background()
-	if err := cmdList(); err != nil {
+	if err := cmdList(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := runMethod(ctx, "polling", []string{"-system", "ideal", "-work", "5000000",
@@ -179,10 +137,7 @@ func TestCommandFunctions(t *testing.T) {
 	if err := cmdSweep(ctx, []string{"-method", "bogus", "-no-cache"}); err == nil {
 		t.Fatal("bad method must fail")
 	}
-	if err := cmdPingpong(ctx, []string{"-systems", "ideal", "-reps", "3", "-no-cache"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdMethods(); err != nil {
+	if err := cmdMethods(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,7 +241,7 @@ func TestObsLifecycle(t *testing.T) {
 	}
 
 	chromePath := filepath.Join(dir, "chrome.json")
-	if err := cmdTrace([]string{"export", "-format=chrome", "-run", dir, "-o", chromePath}); err != nil {
+	if err := cmdTrace(ctx, []string{"export", "-format=chrome", "-run", dir, "-o", chromePath}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(chromePath)
@@ -302,17 +257,17 @@ func TestObsLifecycle(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("chrome export has no trace events")
 	}
-	if err := cmdTrace([]string{"export", "-format=text", "-run", dir, "-o", filepath.Join(dir, "trace.txt")}); err != nil {
+	if err := cmdTrace(ctx, []string{"export", "-format=text", "-run", dir, "-o", filepath.Join(dir, "trace.txt")}); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := cmdMetrics([]string{"-run", dir, "-format", "prom"}); err != nil {
+	if err := cmdMetrics(ctx, []string{"-run", dir, "-format", "prom"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdMetrics([]string{"-run", dir, "-format", "json"}); err != nil {
+	if err := cmdMetrics(ctx, []string{"-run", dir, "-format", "json"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdMetrics([]string{"-run", dir, "-format", "bogus"}); err == nil {
+	if err := cmdMetrics(ctx, []string{"-run", dir, "-format", "bogus"}); err == nil {
 		t.Fatal("bogus metrics format must fail")
 	}
 
@@ -329,26 +284,80 @@ func TestObsLifecycle(t *testing.T) {
 	if err := cmdRun(ctx, []string{"-method", "pww", "-spec", "x.json"}); err == nil {
 		t.Fatal("-method and -spec together must fail")
 	}
-	if err := cmdTrace(nil); err == nil {
+	if err := cmdTrace(ctx, nil); err == nil {
 		t.Fatal("trace without subcommand must fail")
 	}
-	if err := cmdTrace([]string{"export", "-run", t.TempDir()}); err == nil {
+	if err := cmdTrace(ctx, []string{"export", "-run", t.TempDir()}); err == nil {
 		t.Fatal("trace export without a capture must fail")
 	}
 }
 
 func TestCacheCommand(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
-	if err := cmdCache([]string{"stat", "-dir", dir}); err != nil {
+	if err := cmdCache(ctx, []string{"stat", "-dir", dir}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdCache([]string{"clear", "-dir", dir}); err != nil {
+	if err := cmdCache(ctx, []string{"clear", "-dir", dir}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdCache(nil); err == nil {
+	if err := cmdCache(ctx, nil); err == nil {
 		t.Fatal("cache without args must fail")
 	}
-	if err := cmdCache([]string{"bogus"}); err == nil {
+	if err := cmdCache(ctx, []string{"bogus"}); err == nil {
 		t.Fatal("unknown cache subcommand must fail")
+	}
+}
+
+// TestBenchRejectsNoRuns: -n below 1 is an error before any run, not a
+// divide by zero or a mean over a negative count.
+func TestBenchRejectsNoRuns(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []string{"0", "-2"} {
+		if err := cmdBench(ctx, []string{"-system", "ideal", "-n", n}); err == nil {
+			t.Errorf("bench -n %s must fail", n)
+		}
+	}
+	if err := cmdBench(ctx, []string{"-system", "ideal", "-work", "5000000", "-n", "1"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHelpListsCommands: `comb help` lists every entry of the command
+// table exactly once and exits 0.
+func TestHelpListsCommands(t *testing.T) {
+	var buf bytes.Buffer
+	if code := run(context.Background(), []string{"help"}, &buf); code != 0 {
+		t.Fatalf("comb help exit %d, want 0", code)
+	}
+	out := buf.String()
+	for _, c := range commands {
+		line := fmt.Sprintf("\n  %-9s %s\n", c.name, c.help)
+		if n := strings.Count(out, line); n != 1 {
+			t.Errorf("comb help lists %q %d times, want once", c.name, n)
+		}
+	}
+	var listed int
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "  ") && !strings.HasPrefix(l, "   ") {
+			listed++
+		}
+	}
+	if listed != len(commands) {
+		t.Errorf("comb help lists %d subcommands, the table holds %d:\n%s", listed, len(commands), out)
+	}
+}
+
+// TestUnknownSubcommands: an empty command line and the removed
+// subcommands exit 2 with the usage.
+func TestUnknownSubcommands(t *testing.T) {
+	for _, args := range [][]string{nil, {"compare"}, {"pingpong"}, {"polling"}, {"pww"}} {
+		var buf bytes.Buffer
+		if code := run(context.Background(), args, &buf); code != 2 {
+			t.Errorf("comb %v exit %d, want 2", args, code)
+		}
+		if !strings.Contains(buf.String(), "usage: comb <subcommand>") {
+			t.Errorf("comb %v printed no usage:\n%s", args, buf.String())
+		}
 	}
 }

@@ -40,7 +40,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 // byte for byte: a new method, a renamed capability column, or a method
 // gaining/losing an optional interface must show up here.
 func TestMethodsMatrixGolden(t *testing.T) {
-	got := captureStdout(t, cmdMethods)
+	got := captureStdout(t, func() error { return cmdMethods(context.Background(), nil) })
 	want := `method     calib  check  relax  fuzz  flags  nodes  description
 collov     -      x      -      x     x      x      collective/computation overlap via max-work-injection (allreduce or bcast)
            phases: ref, probe
@@ -60,9 +60,10 @@ pww        x      x      -      x     x      x      post-work-wait cycles timing
 	}
 }
 
-// TestRunMethodPollingBlock pins `comb polling`'s output: the paper's
-// multi-line block with the CLI's 25M-iteration work default, printed
-// identically for the same point written as a -spec document.
+// TestRunMethodPollingBlock pins `comb run -method polling`'s output:
+// the paper's multi-line block with the CLI's 25M-iteration work
+// default, printed identically for the same point written as a -spec
+// document.
 func TestRunMethodPollingBlock(t *testing.T) {
 	ctx := context.Background()
 	got := captureStdout(t, func() error {
@@ -91,11 +92,11 @@ func TestRunMethodPollingBlock(t *testing.T) {
 		return cmdRun(ctx, []string{"-spec", string(doc), "-obs-dir", ""})
 	})
 	if fromSpec != got {
-		t.Errorf("run -spec output differs from comb polling:\n%s\nwant:\n%s", fromSpec, got)
+		t.Errorf("run -spec output differs from run -method polling:\n%s\nwant:\n%s", fromSpec, got)
 	}
 }
 
-// TestRunMethodPWWBlock pins `comb pww`'s per-call timing lines.
+// TestRunMethodPWWBlock pins `comb run -method pww`'s per-call timing lines.
 func TestRunMethodPWWBlock(t *testing.T) {
 	got := captureStdout(t, func() error {
 		return runMethod(context.Background(), "pww", []string{"-system", "ideal", "-reps", "3", "-obs-dir", ""})

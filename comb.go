@@ -198,7 +198,7 @@ func Figures() []FigureSpec { return sweep.Figures() }
 // BuildFigure regenerates the paper figure with the given number.  Quick
 // mode shrinks the sweep for fast smoke runs.  Points execute in parallel
 // on the sweep package's default engine; use BuildFigureContext for
-// cancellation or a custom engine.
+// cancellation.
 func BuildFigure(id string, quick bool) (*Table, error) {
 	return BuildFigureContext(context.Background(), id, quick)
 }

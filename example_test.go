@@ -47,7 +47,7 @@ func ExampleRun_postWorkWait() {
 		}
 		res := out.PWW
 		offload := "no offload"
-		if res.AvgWait < res.AvgWorkOnly/100 {
+		if res.Offloaded() {
 			offload = "application offload"
 		}
 		fmt.Printf("%s: wait %v/msg -> %s\n", system, res.AvgWait, offload)

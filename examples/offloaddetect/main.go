@@ -61,7 +61,7 @@ func diagnose(system string) (report, error) {
 		system:     system,
 		wait:       base.AvgWait,
 		overhead:   base.WorkOverhead,
-		offload:    base.AvgWait < base.AvgWorkOnly/100,
+		offload:    base.Offloaded(),
 		testHelps:  gain > 0.05,
 		gainWithMT: gain,
 	}, nil

@@ -58,9 +58,9 @@ func main() {
 
 		// The paper's §4.1 diagnosis, from the PWW signature.
 		switch {
-		case pww.AvgWait < pww.AvgWorkOnly/100 && pww.WorkOverhead < 0.02:
+		case pww.Offloaded() && pww.WorkOverhead < 0.02:
 			fmt.Println("  verdict:  application offload, no host overhead")
-		case pww.AvgWait < pww.AvgWorkOnly/100:
+		case pww.Offloaded():
 			fmt.Println("  verdict:  application offload, but communication steals host CPU")
 		case pww.WorkOverhead < 0.02:
 			fmt.Println("  verdict:  no application offload (messages wait for MPI calls); host otherwise idle")

@@ -139,7 +139,7 @@ func RunContext(ctx context.Context, eng *runner.Engine, system string) (*Report
 	}
 	r.LongWait = long.AvgWait
 	r.ShortWait = short.AvgWait
-	r.Offload = long.AvgWait < long.AvgWorkOnly/100
+	r.Offload = long.Offloaded()
 	r.WorkOverhead = long.WorkOverhead
 
 	tiw, err := getPWW(5)

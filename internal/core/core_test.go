@@ -3,6 +3,7 @@ package core_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"comb/internal/core"
 )
@@ -240,5 +241,23 @@ func TestResultStrings(t *testing.T) {
 	q := core.PWWResult{MsgSize: 10, WorkInterval: 5}
 	if q.String() == "" {
 		t.Error("empty pww String")
+	}
+}
+
+func TestPWWResultOffloaded(t *testing.T) {
+	const work = 20 * time.Millisecond
+	for _, tc := range []struct {
+		wait time.Duration
+		want bool
+	}{
+		{0, true},
+		{work/100 - time.Nanosecond, true},
+		{work / 100, false}, // the boundary: exactly 1% is not offload
+		{work, false},
+	} {
+		r := core.PWWResult{AvgWait: tc.wait, AvgWorkOnly: work}
+		if got := r.Offloaded(); got != tc.want {
+			t.Errorf("AvgWait %v of AvgWorkOnly %v: Offloaded() = %v, want %v", tc.wait, work, got, tc.want)
+		}
 	}
 }

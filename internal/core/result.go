@@ -91,6 +91,11 @@ func (r PWWResult) String() string {
 		r.MsgSize, r.WorkInterval, r.BandwidthMBs, r.Availability, r.AvgWait)
 }
 
+// Offloaded is COMB's operational application-offload test (paper
+// §4.1): messaging completed during the work phase, so the wait per
+// message is under 1% of the work-only phase.
+func (r PWWResult) Offloaded() bool { return r.AvgWait < r.AvgWorkOnly/100 }
+
 // mbs converts (bytes, duration) to MB/s.
 func mbs(bytes int64, d time.Duration) float64 {
 	if d <= 0 {

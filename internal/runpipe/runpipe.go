@@ -4,11 +4,11 @@
 // span timeline, the metric registry, and the provenance manifest with
 // its result hash.
 //
-// It is the pipeline behind the comb.Run facade, `comb run`, the serve
-// API's job executor and the White & Bova probe.  The sweep runner
-// shares its platform construction (NewPlatform) and hands the platform
-// to the same method.Execute, so seeds, fault injection and the
-// invariant checker behave identically on every entry path.
+// It is the pipeline behind the comb.Run facade, `comb run` and the serve
+// API's job executor.  The sweep runner shares its platform construction
+// (NewPlatform) and hands the platform to the same method.Execute, so
+// seeds, fault injection and the invariant checker behave identically on
+// every entry path.
 package runpipe
 
 import (

@@ -34,7 +34,7 @@ func Figures() []Figure {
 			Title:  "Polling Method: CPU Availability (Portals)",
 			Expect: "low plateau while polls are frequent, then a steep climb",
 			Run: func(o Options) (*stats.Table, error) {
-				return pollingVsInterval(o, []string{"portals"}, o.sizes(), availY)
+				return pollingVsInterval(o, []string{"portals"}, o.sizes(), metrics["availability"])
 			},
 			Points: func(o Options) []runner.Point { return o.pollingPoints([]string{"portals"}, o.sizes()) },
 		},
@@ -43,7 +43,7 @@ func Figures() []Figure {
 			Title:  "Polling Method: Bandwidth (Portals)",
 			Expect: "~50 MB/s plateau, steep decline at large poll intervals",
 			Run: func(o Options) (*stats.Table, error) {
-				return pollingVsInterval(o, []string{"portals"}, o.sizes(), bwY)
+				return pollingVsInterval(o, []string{"portals"}, o.sizes(), metrics["bandwidth"])
 			},
 			Points: func(o Options) []runner.Point { return o.pollingPoints([]string{"portals"}, o.sizes()) },
 		},
@@ -52,7 +52,7 @@ func Figures() []Figure {
 			Title:  "PWW Method: CPU Availability (Portals)",
 			Expect: "no initial plateau; availability rises with the work interval",
 			Run: func(o Options) (*stats.Table, error) {
-				return pwwVsInterval(o, []string{"portals"}, o.sizes(), false, pwwAvailY)
+				return pwwVsInterval(o, []string{"portals"}, o.sizes(), false, metrics["availability"])
 			},
 			Points: func(o Options) []runner.Point { return o.pwwPoints([]string{"portals"}, o.sizes(), false) },
 		},
@@ -61,7 +61,7 @@ func Figures() []Figure {
 			Title:  "PWW Method: Bandwidth (Portals)",
 			Expect: "more gradual bandwidth decline than the polling method",
 			Run: func(o Options) (*stats.Table, error) {
-				return pwwVsInterval(o, []string{"portals"}, o.sizes(), false, pwwBwY)
+				return pwwVsInterval(o, []string{"portals"}, o.sizes(), false, metrics["bandwidth"])
 			},
 			Points: func(o Options) []runner.Point { return o.pwwPoints([]string{"portals"}, o.sizes(), false) },
 		},
@@ -70,7 +70,7 @@ func Figures() []Figure {
 			Title:  "Polling Method: Bandwidth for GM and Portals",
 			Expect: "GM ~88 MB/s, Portals ~50 MB/s on identical hardware",
 			Run: func(o Options) (*stats.Table, error) {
-				return pollingVsInterval(o, []string{"gm", "portals"}, []int{100_000}, bwY)
+				return pollingVsInterval(o, []string{"gm", "portals"}, []int{100_000}, metrics["bandwidth"])
 			},
 			Points: func(o Options) []runner.Point {
 				return o.pollingPoints([]string{"gm", "portals"}, []int{100_000})
@@ -81,7 +81,7 @@ func Figures() []Figure {
 			Title:  "PWW Method: Bandwidth for GM and Portals",
 			Expect: "GM significantly better than Portals at small work intervals",
 			Run: func(o Options) (*stats.Table, error) {
-				return pwwVsInterval(o, []string{"gm", "portals"}, []int{100_000}, false, pwwBwY)
+				return pwwVsInterval(o, []string{"gm", "portals"}, []int{100_000}, false, metrics["bandwidth"])
 			},
 			Points: func(o Options) []runner.Point {
 				return o.pwwPoints([]string{"gm", "portals"}, []int{100_000}, false)
@@ -92,8 +92,7 @@ func Figures() []Figure {
 			Title:  "PWW Method: Average Post Time (100 KB)",
 			Expect: "Portals posts cost far more than GM's user-level posts",
 			Run: func(o Options) (*stats.Table, error) {
-				return pwwVsInterval(o, []string{"portals", "gm"}, []int{100_000}, false,
-					yFunc{"Time to Post (us)", func(r *core.PWWResult) float64 { return r.AvgPostRecv.Seconds() * 1e6 }})
+				return pwwVsInterval(o, []string{"portals", "gm"}, []int{100_000}, false, metrics["postrecv"])
 			},
 			Points: func(o Options) []runner.Point {
 				return o.pwwPoints([]string{"portals", "gm"}, []int{100_000}, false)
@@ -104,8 +103,7 @@ func Figures() []Figure {
 			Title:  "PWW Method: Average Wait Time (100 KB)",
 			Expect: "with enough work, Portals completes messaging (wait -> 0) while GM does not",
 			Run: func(o Options) (*stats.Table, error) {
-				return pwwVsInterval(o, []string{"gm", "portals"}, []int{100_000}, false,
-					yFunc{"Time Per Message (us)", func(r *core.PWWResult) float64 { return r.AvgWait.Seconds() * 1e6 }})
+				return pwwVsInterval(o, []string{"gm", "portals"}, []int{100_000}, false, metrics["wait"])
 			},
 			Points: func(o Options) []runner.Point {
 				return o.pwwPoints([]string{"gm", "portals"}, []int{100_000}, false)
@@ -231,23 +229,36 @@ func ByID(id string) (Figure, error) {
 	return Figure{}, fmt.Errorf("sweep: unknown figure %q (have 4-18)", id)
 }
 
-// yFunc selects and labels the y value extracted from a result.
-type yFunc struct {
+// metric is a named y value: its axis label and its selector on each
+// method's result, nil where the method does not measure it.
+type metric struct {
 	label string
+	poll  func(*core.PollingResult) float64
 	pww   func(*core.PWWResult) float64
 }
 
-var (
-	availY    = pollY{"CPU Availability (fraction to user)", func(r *core.PollingResult) float64 { return r.Availability }}
-	bwY       = pollY{"Bandwidth (MB/s)", func(r *core.PollingResult) float64 { return r.BandwidthMBs }}
-	pwwAvailY = yFunc{"CPU Availability (fraction to user)", func(r *core.PWWResult) float64 { return r.Availability }}
-	pwwBwY    = yFunc{"Bandwidth (MB/s)", func(r *core.PWWResult) float64 { return r.BandwidthMBs }}
-)
-
-type pollY struct {
-	label string
-	poll  func(*core.PollingResult) float64
+// metrics are the y values the interval figures plot, by the names a
+// custom sweep selects them with.
+var metrics = map[string]metric{
+	"bandwidth": {"Bandwidth (MB/s)",
+		func(r *core.PollingResult) float64 { return r.BandwidthMBs },
+		func(r *core.PWWResult) float64 { return r.BandwidthMBs }},
+	"availability": {"CPU Availability (fraction to user)",
+		func(r *core.PollingResult) float64 { return r.Availability },
+		func(r *core.PWWResult) float64 { return r.Availability }},
+	"wait": {"Time Per Message (us)", nil,
+		func(r *core.PWWResult) float64 { return r.AvgWait.Seconds() * 1e6 }},
+	"overhead": {"Work Overhead (%)", nil,
+		func(r *core.PWWResult) float64 { return r.WorkOverhead * 100 }},
+	"postrecv": {"Time to Post (us)", nil,
+		func(r *core.PWWResult) float64 { return r.AvgPostRecv.Seconds() * 1e6 }},
 }
+
+// The interval figures' x-axis labels.
+const (
+	pollXLabel = "Poll Interval (loop iterations)"
+	workXLabel = "Work Interval (loop iterations)"
+)
 
 // seriesName labels a (system, size) curve like the paper's legends.
 func seriesName(system string, size int, multiSystem, multiSize bool) string {
@@ -297,9 +308,9 @@ func pwwCurve(o Options, name, system string, size int, testInWork bool, coord f
 }
 
 // pollingVsInterval builds a figure with poll interval on x.
-func pollingVsInterval(o Options, systems []string, sizes []int, y pollY) (*stats.Table, error) {
+func pollingVsInterval(o Options, systems []string, sizes []int, y metric) (*stats.Table, error) {
 	t := &stats.Table{
-		XLabel: "Poll Interval (loop iterations)",
+		XLabel: pollXLabel,
 		YLabel: y.label,
 		LogX:   true,
 	}
@@ -320,9 +331,9 @@ func pollingVsInterval(o Options, systems []string, sizes []int, y pollY) (*stat
 }
 
 // pwwVsInterval builds a figure with work interval on x.
-func pwwVsInterval(o Options, systems []string, sizes []int, testInWork bool, y yFunc) (*stats.Table, error) {
+func pwwVsInterval(o Options, systems []string, sizes []int, testInWork bool, y metric) (*stats.Table, error) {
 	t := &stats.Table{
-		XLabel: "Work Interval (loop iterations)",
+		XLabel: workXLabel,
 		YLabel: y.label,
 		LogX:   true,
 	}
@@ -346,7 +357,7 @@ func pwwVsInterval(o Options, systems []string, sizes []int, testInWork bool, y 
 // message handling.
 func workOverhead(o Options, system string) (*stats.Table, error) {
 	t := &stats.Table{
-		XLabel: "Work Interval (loop iterations)",
+		XLabel: workXLabel,
 		YLabel: "Average Time Per Work Phase (us)",
 		LogX:   true,
 	}

@@ -107,11 +107,6 @@ func workTotalFor(poll int64) int64 {
 	return wt
 }
 
-// WorkTotalFor exposes the polling sweep's work-total rule so callers
-// building their own point lists (cmd/comb's custom sweep) hit the same
-// cache keys as the figures' polling points.
-func WorkTotalFor(poll int64) int64 { return workTotalFor(poll) }
-
 // ClearCache drops DefaultEngine's in-memory memo (used by tests).  Disk
 // cache entries, if configured, survive.
 func ClearCache() { DefaultEngine.ClearMemo() }

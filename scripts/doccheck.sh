@@ -5,7 +5,8 @@
 #   2. every package in the module has a package comment,
 #   3. `go doc` renders every package without error,
 #   4. every relative link in the markdown docs points at a file that
-#      exists, and so does every backticked repository path.
+#      exists, and so does every backticked repository path,
+#   5. every comb command line the docs show names a live subcommand.
 #
 # Stdlib + POSIX sh only; exits nonzero on the first failing section.
 set -e
@@ -113,6 +114,30 @@ for md in *.md docs/*.md; do
                 fail=1
             fi
         done
+    done
+done
+
+echo "==> CLI references"
+# Every `comb X`, ./comb X, cmd/comb X and /tmp/comb X in the docs that
+# describe the CLI and in the verify skill must name a subcommand that
+# `comb help` lists, so a removed or renamed subcommand that leaves docs
+# behind fails here.  The change log names subcommands from before a
+# removal and is not checked.
+subcommands=$(go run ./cmd/comb help 2>&1 |
+    awk '/^subcommands:/ { on = 1; next } on && NF == 0 { exit } on { print $1 }')
+if [ -z "$subcommands" ]; then
+    echo "comb help listed no subcommands"
+    fail=1
+fi
+for md in README.md DESIGN.md EXPERIMENTS.md REPORT.md ROADMAP.md docs/*.md \
+    .claude/skills/verify/SKILL.md; do
+    [ -f "$md" ] || continue
+    for word in $(grep -oE '(`comb|\./comb|cmd/comb|/tmp/comb) [a-z][a-z-]*' "$md" |
+        awk '{ print $2 }' | sort -u); do
+        if ! echo "$subcommands" | grep -qx "$word"; then
+            echo "$md: reference to unknown subcommand: comb $word"
+            fail=1
+        fi
     done
 done
 
