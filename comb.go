@@ -74,8 +74,8 @@ type (
 // "drop=0.01,delay=0.2:50us,seed=7".
 func ParseFaults(s string) (FaultSpec, error) { return faultinject.Parse(s) }
 
-// Systems lists the available simulated messaging systems ("gm",
-// "portals", "ideal").
+// Systems lists the available simulated messaging systems, sorted:
+// "emp", "gm", "ideal", "portals" and "tcp".
 func Systems() []string { return transport.Names() }
 
 // Method selects which benchmark method a RunSpec executes.  Any name

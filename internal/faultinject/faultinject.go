@@ -89,9 +89,6 @@ func (l *linkedTransport) PreferredLink() (cluster.LinkConfig, int) {
 // Name returns the inner transport's name tagged with "+faults".
 func (t *Transport) Name() string { return t.inner.Name() + "+faults" }
 
-// Offload reports the inner transport's offload capability.
-func (t *Transport) Offload() bool { return t.inner.Offload() }
-
 // InjectsFaults implements transport.FaultMarker: the platform layer must
 // use the serial engine, because injected deliveries reorder across
 // partition boundaries.

@@ -205,11 +205,7 @@ func (c *Checker) Finish() {
 	// No rank may end the run with unexpected messages still queued: the
 	// benchmarks' drain handshakes consume everything in flight.
 	for _, cm := range c.comms {
-		ms, ok := cm.Endpoint().(mpi.MatchStater)
-		if !ok {
-			continue
-		}
-		if n := ms.MatchState().UnexpectedLen(); n != 0 {
+		if n := cm.Endpoint().MatchState().UnexpectedLen(); n != 0 {
 			c.add(now, "conservation/unexpected",
 				fmt.Sprintf("rank %d ends with %d unexpected messages queued", cm.Rank(), n))
 		}

@@ -93,12 +93,6 @@ func (b brokenEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
 	r.Complete(r.Peer(), r.Tag(), r.Len())
 }
 
-// MatchState forwards to the real endpoint so the checker's unexpected-
-// queue scan still sees the mess the double leaves behind.
-func (b brokenEndpoint) MatchState() *mpi.Matcher {
-	return b.Endpoint.(mpi.MatchStater).MatchState()
-}
-
 func TestBrokenTransportCaught(t *testing.T) {
 	const seed = 42
 	verr := runBroken(t, seed, invariant.Options{}).Err()

@@ -184,12 +184,8 @@ func (c *Comm) Waitany(p *sim.Proc, rs []*Request) int {
 // tag) has arrived and is waiting unexpected (MPI_Iprobe).  Wildcards are
 // allowed.  It returns the envelope's status when one is pending.
 func (c *Comm) Iprobe(p *sim.Proc, src, tag int) (Status, bool) {
-	ms, ok := c.ep.(MatchStater)
-	if !ok {
-		panic("mpi: transport does not expose matching state for probes")
-	}
 	c.ep.Progress(p)
-	if in := ms.MatchState().Peek(src, tag); in != nil {
+	if in := c.ep.MatchState().Peek(src, tag); in != nil {
 		return Status{Source: in.Src, Tag: in.Tag, Count: in.Size}, true
 	}
 	return Status{}, false

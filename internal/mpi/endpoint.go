@@ -22,15 +22,9 @@ type Endpoint interface {
 	// externally-generated state change (packet arrival, DMA completion,
 	// offloaded request completion).  Blocking waits park on it.
 	Activity() *sim.Event
-	// Offload reports whether communication progresses without library
-	// calls (application offload, in the paper's terminology).
-	Offload() bool
-}
-
-// MatchStater is implemented by endpoints that expose their matching
-// engine so the library can service MPI_Probe/MPI_Iprobe.  (For
-// kernel-matched transports this models the query syscall's view.)
-type MatchStater interface {
+	// MatchState exposes the endpoint's matching engine, which services
+	// MPI_Probe/MPI_Iprobe.  (For kernel-matched transports this models
+	// the query syscall's view.)
 	MatchState() *Matcher
 }
 

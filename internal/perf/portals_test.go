@@ -18,11 +18,10 @@ const chainPeriod = 10 * sim.Millisecond
 // chainRig is two Portals nodes on the reference platform.  Every
 // chainPeriod each node posts one length-only message of size bytes to
 // the other, as the methods' bulk streams do, whose receive is always
-// posted before the first fragment arrives.  A receiver recycles the
-// fragments and message records it consumes into its own pools, so the
-// exchange must run both ways for every pool to reach a steady state.
-// Every period then runs the same events, and a warm rig shows each
-// period's steady-state cost.  step advances the rig by one period.
+// posted before the first fragment arrives.  Every period runs the same
+// events, so a warm rig, whose record pools already hold what a period
+// takes, shows each period's steady-state cost.  step advances the rig
+// by one period.
 //
 // A saturated rig sends its messages back to back instead, and each
 // receiver keeps two receives posted.  Both hosts' kernel queues then

@@ -48,9 +48,6 @@ func NewEMP() *EMP { return &EMP{Config: DefaultEMPConfig()} }
 // Name implements Transport.
 func (t *EMP) Name() string { return "emp" }
 
-// Offload implements Transport.
-func (t *EMP) Offload() bool { return true }
-
 // PreferredLink implements LinkPreferencer: gigabit Ethernet with jumbo
 // frames on Alteon-class NICs.
 func (t *EMP) PreferredLink() (cluster.LinkConfig, int) {
@@ -65,13 +62,13 @@ func (t *EMP) PreferredLink() (cluster.LinkConfig, int) {
 // Build implements Transport.
 func (t *EMP) Build(sys *cluster.System) []mpi.Endpoint {
 	eps := make([]mpi.Endpoint, len(sys.Nodes))
+	pools := perEnv[empPools](sys)
 	for i, node := range sys.Nodes {
 		ep := &empEndpoint{
-			cfg:  t.Config,
-			node: node,
-			fab:  sys.Fabric,
-			hub:  mpi.NewActivityHub(node.Env),
-			acc:  make(map[empMsgID]*empAccum),
+			endpoint: newEndpoint(sys, node),
+			empPools: pools[node.Env],
+			cfg:      t.Config,
+			acc:      make(map[msgID]*empAccum),
 		}
 		ep.sendDoneFn = ep.sendDone
 		ep.matchFn = ep.match
@@ -81,24 +78,11 @@ func (t *EMP) Build(sys *cluster.System) []mpi.Endpoint {
 	return eps
 }
 
-type empMsgID struct {
-	src int
-	seq int64
-}
-
-// empFrag is one wire frame.  data is nil for a length-only message; acc
-// carries the receive accumulator through the deferred firmware-match
-// event.
+// empFrag is one wire frame.  acc carries the receive accumulator
+// through the deferred firmware-match event.
 type empFrag struct {
-	id   empMsgID
-	src  int
-	tag  int
-	size int
-	off  int
-	n    int
-	data []byte
-	last bool
-	acc  *empAccum
+	frag
+	acc *empAccum
 }
 
 type empAccum struct {
@@ -114,58 +98,20 @@ type empAccum struct {
 // modeled as NIC-side work with no host CPU, serialized by the wire port
 // occupancy already charged per frame, plus a fixed match delay.
 type empEndpoint struct {
-	cfg  EMPConfig
-	node *cluster.Node
-	fab  *cluster.Fabric
-	hub  *mpi.ActivityHub
-	m    mpi.Matcher
-	seq  int64
-	acc  map[empMsgID]*empAccum
+	endpoint
+	*empPools
+	cfg EMPConfig
+	acc map[msgID]*empAccum
 
-	fragFree   []*empFrag
-	accFree    []*empAccum
 	sendDoneFn func(any) // bound once: completes a finished send
 	matchFn    func(any) // bound once: deferred firmware match
 }
 
-// pooling reports whether object recycling is safe (no fault injector).
-func (ep *empEndpoint) pooling() bool { return !ep.fab.Injected() }
-
-func (ep *empEndpoint) getFrag() *empFrag {
-	if n := len(ep.fragFree); n > 0 && ep.pooling() {
-		f := ep.fragFree[n-1]
-		ep.fragFree = ep.fragFree[:n-1]
-		return f
-	}
-	return &empFrag{}
+// empPools holds the EMP records of one environment's endpoints.
+type empPools struct {
+	frags freelist[empFrag]
+	accs  freelist[empAccum]
 }
-
-func (ep *empEndpoint) putFrag(f *empFrag) {
-	if ep.pooling() {
-		*f = empFrag{}
-		ep.fragFree = append(ep.fragFree, f)
-	}
-}
-
-func (ep *empEndpoint) getAccum() *empAccum {
-	if n := len(ep.accFree); n > 0 && ep.pooling() {
-		a := ep.accFree[n-1]
-		ep.accFree = ep.accFree[:n-1]
-		return a
-	}
-	return &empAccum{}
-}
-
-func (ep *empEndpoint) rank() int { return ep.node.ID }
-
-// Activity implements mpi.Endpoint.
-func (ep *empEndpoint) Activity() *sim.Event { return ep.hub.Activity() }
-
-// Offload implements mpi.Endpoint.
-func (ep *empEndpoint) Offload() bool { return true }
-
-// MatchState implements mpi.MatchStater, backing MPI_Probe.
-func (ep *empEndpoint) MatchState() *mpi.Matcher { return &ep.m }
 
 // Progress implements mpi.Endpoint: completion flags live in user memory.
 func (ep *empEndpoint) Progress(p *sim.Proc) {
@@ -177,33 +123,16 @@ func (ep *empEndpoint) Progress(p *sim.Proc) {
 // the final frame has left the host.
 func (ep *empEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	ep.node.CPU.Use(p, ep.cfg.PostCost, cluster.User)
-	id := empMsgID{src: ep.rank(), seq: ep.seq}
-	ep.seq++
-	size, data := r.Len(), bytes.Clone(r.Data())
+	id, size, data := ep.nextID(), r.Len(), bytes.Clone(r.Data())
 	off := 0
 	sentAt := ep.fab.SendMessage(ep.rank(), r.Peer(), size, ep.node.P.PacketHeader,
 		func(i, n int, last bool) any {
-			f := ep.getFrag()
-			f.id, f.src, f.tag, f.size = id, ep.rank(), r.Tag(), size
-			f.off, f.n, f.last = off, n, last
-			if data != nil {
-				f.data = data[off : off+n]
-			}
+			f := ep.frags.get(ep.pooling())
+			f.set(id, r.Tag(), size, off, n, data, last)
 			off += n
 			return f
 		})
-	d := sentAt - ep.node.Env.Now()
-	if d < 0 {
-		d = 0
-	}
-	ep.node.Env.ScheduleCall(d, ep.sendDoneFn, r)
-}
-
-// sendDone completes a send whose final frame has left the host.
-func (ep *empEndpoint) sendDone(a any) {
-	r := a.(*mpi.Request)
-	r.Complete(ep.rank(), r.Tag(), r.Len())
-	ep.hub.Wake()
+	ep.callAt(sentAt, ep.sendDoneFn, r)
 }
 
 // Irecv implements mpi.Endpoint: hand the NIC a match descriptor.
@@ -226,10 +155,7 @@ func (ep *empEndpoint) maybeComplete(a *empAccum) {
 	}
 	copy(a.req.Buf(), a.data)
 	req, src, tag, size := a.req, a.src, a.tag, a.size
-	if ep.pooling() {
-		*a = empAccum{}
-		ep.accFree = append(ep.accFree, a)
-	}
+	ep.accs.put(a, ep.pooling())
 	req.Complete(src, tag, min(size, req.Len()))
 	ep.hub.Wake()
 }
@@ -241,7 +167,7 @@ func (ep *empEndpoint) onPacket(pkt *cluster.Packet) {
 	f := pkt.Payload.(*empFrag)
 	a := ep.acc[f.id]
 	if a == nil {
-		a = ep.getAccum()
+		a = ep.accs.get(ep.pooling())
 		a.size, a.src, a.tag = f.size, f.src, f.tag
 		if f.data != nil {
 			a.data = make([]byte, f.size)
@@ -254,7 +180,7 @@ func (ep *empEndpoint) onPacket(pkt *cluster.Packet) {
 		return
 	}
 	ep.landFrag(a, f)
-	ep.putFrag(f)
+	ep.frags.put(f, ep.pooling())
 }
 
 // match is the deferred firmware-match stage for a message's first frame.
@@ -269,7 +195,7 @@ func (ep *empEndpoint) match(arg any) {
 		ep.hub.Wake()
 	}
 	ep.landFrag(a, f)
-	ep.putFrag(f)
+	ep.frags.put(f, ep.pooling())
 }
 
 // landFrag accounts one frame's payload and completes the message when

@@ -57,33 +57,24 @@ func NewGM() *GM { return &GM{Config: DefaultGMConfig()} }
 // Name implements Transport.
 func (g *GM) Name() string { return "gm" }
 
-// Offload implements Transport: GM does not provide application offload.
-func (g *GM) Offload() bool { return false }
-
 // Build implements Transport, attaching one endpoint per node.
 func (g *GM) Build(sys *cluster.System) []mpi.Endpoint {
 	eps := make([]mpi.Endpoint, len(sys.Nodes))
+	pools := perEnv[gmPools](sys)
 	for i, node := range sys.Nodes {
 		ep := &gmEndpoint{
+			endpoint: newEndpoint(sys, node),
+			gmPools:  pools[node.Env],
 			cfg:      g.Config,
-			node:     node,
-			fab:      sys.Fabric,
-			hub:      mpi.NewActivityHub(node.Env),
-			eagerAcc: make(map[gmMsgID]*gmAccum),
-			dataAcc:  make(map[gmMsgID]*gmAccum),
-			sendReqs: make(map[gmMsgID]*mpi.Request),
+			eagerAcc: make(map[msgID]*gmAccum),
+			dataAcc:  make(map[msgID]*gmAccum),
+			sendReqs: make(map[msgID]*mpi.Request),
 		}
-		ep.sendDoneFn = ep.sendDone
+		ep.sendDoneFn = ep.queueSendDone
 		sys.Fabric.Attach(node.ID, ep.onPacket)
 		eps[i] = ep
 	}
 	return eps
-}
-
-// gmMsgID uniquely identifies a message across the system.
-type gmMsgID struct {
-	src int
-	seq int64
 }
 
 // gmFragKind is the wire-level packet type.
@@ -96,18 +87,10 @@ const (
 	gmDataFrag
 )
 
-// gmFrag is the payload of one GM wire packet.  data is nil for a
-// length-only message.
+// gmFrag is the payload of one GM wire packet.
 type gmFrag struct {
+	frag
 	kind gmFragKind
-	id   gmMsgID
-	src  int
-	tag  int
-	size int // total message payload size
-	off  int
-	n    int
-	data []byte
-	last bool
 }
 
 // gmEvtKind is a NIC event-queue entry type, visible only to the library.
@@ -127,7 +110,7 @@ type gmEvent struct {
 	kind gmEvtKind
 	in   *mpi.Inbound
 	req  *mpi.Request
-	id   gmMsgID
+	id   msgID
 	src  int
 	tag  int
 	size int
@@ -137,7 +120,7 @@ type gmEvent struct {
 // rendezvous message's record is taken when its RTS arrives and rides in
 // the announcement's Inbound.Rndv until the CTS registers it for data.
 type gmAccum struct {
-	id   gmMsgID
+	id   msgID
 	size int
 	got  int
 	data []byte       // eager assembly buffer (GM receive ring); nil when length-only
@@ -152,62 +135,24 @@ type gmAccum struct {
 // registered memory and appends tokens to the event queue.  All host-side
 // protocol work happens in Progress, i.e. only inside MPI calls.
 type gmEndpoint struct {
-	cfg  GMConfig
-	node *cluster.Node
-	fab  *cluster.Fabric
-	hub  *mpi.ActivityHub
-	m    mpi.Matcher
-	seq  int64
+	endpoint
+	*gmPools
+	cfg GMConfig
 
 	nicQ     []gmEvent
 	nicHead  int // next unread nicQ entry; the queue rewinds when drained
-	eagerAcc map[gmMsgID]*gmAccum
-	dataAcc  map[gmMsgID]*gmAccum
-	sendReqs map[gmMsgID]*mpi.Request
+	eagerAcc map[msgID]*gmAccum
+	dataAcc  map[msgID]*gmAccum
+	sendReqs map[msgID]*mpi.Request
 
-	fragFree   []*gmFrag
-	accFree    []*gmAccum
 	sendDoneFn func(any) // bound once: queues the send-done NIC event
 }
 
-// pooling reports whether object recycling is safe (no fault injector).
-func (ep *gmEndpoint) pooling() bool { return !ep.fab.Injected() }
-
-func (ep *gmEndpoint) getFrag() *gmFrag {
-	if n := len(ep.fragFree); n > 0 && ep.pooling() {
-		f := ep.fragFree[n-1]
-		ep.fragFree = ep.fragFree[:n-1]
-		return f
-	}
-	return &gmFrag{}
+// gmPools holds the GM records of one environment's endpoints.
+type gmPools struct {
+	frags freelist[gmFrag]
+	accs  freelist[gmAccum]
 }
-
-func (ep *gmEndpoint) getAccum() *gmAccum {
-	if n := len(ep.accFree); n > 0 && ep.pooling() {
-		acc := ep.accFree[n-1]
-		ep.accFree = ep.accFree[:n-1]
-		return acc
-	}
-	return &gmAccum{}
-}
-
-func (ep *gmEndpoint) putAccum(acc *gmAccum) {
-	if ep.pooling() {
-		*acc = gmAccum{}
-		ep.accFree = append(ep.accFree, acc)
-	}
-}
-
-func (ep *gmEndpoint) rank() int { return ep.node.ID }
-
-// Activity implements mpi.Endpoint.
-func (ep *gmEndpoint) Activity() *sim.Event { return ep.hub.Activity() }
-
-// MatchState implements mpi.MatchStater, backing MPI_Probe.
-func (ep *gmEndpoint) MatchState() *mpi.Matcher { return &ep.m }
-
-// Offload implements mpi.Endpoint: false — the defining GM property.
-func (ep *gmEndpoint) Offload() bool { return false }
 
 // pushEvent appends a NIC event token and wakes blocked MPI waits.
 func (ep *gmEndpoint) pushEvent(ev gmEvent) {
@@ -218,14 +163,12 @@ func (ep *gmEndpoint) pushEvent(ev gmEvent) {
 // Isend implements mpi.Endpoint.
 func (ep *gmEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	n := r.Len()
-	id := gmMsgID{src: ep.rank(), seq: ep.seq}
-	ep.seq++
+	id := ep.nextID()
 	if n < ep.cfg.EagerThreshold {
 		// Eager: the library copies the payload into GM send tokens; this
 		// is where GM's measured ~45 us per small message goes.
 		ep.node.CPU.Use(p, ep.cfg.EagerSendCost, cluster.User)
-		sentAt := ep.sendPayload(r, id, gmEagerFrag)
-		ep.scheduleAtCall(sentAt, ep.sendDoneFn, r)
+		ep.callAt(ep.sendPayload(r, id, gmEagerFrag), ep.sendDoneFn, r)
 		return
 	}
 	// Rendezvous: announce with an RTS; data moves only after the peer's
@@ -236,14 +179,14 @@ func (ep *gmEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	ep.sendCtrl(r.Peer(), gmRTS, id, r.Tag(), n)
 }
 
-// sendDone queues the NIC's send-completion token for a request.
-func (ep *gmEndpoint) sendDone(a any) {
+// queueSendDone queues the NIC's send-completion token for a request.
+func (ep *gmEndpoint) queueSendDone(a any) {
 	ep.pushEvent(gmEvent{kind: gmEvtSendDone, req: a.(*mpi.Request)})
 }
 
 // sendCtrl emits one urgent control packet (RTS/CTS) from pooled objects.
-func (ep *gmEndpoint) sendCtrl(to int, kind gmFragKind, id gmMsgID, tag, size int) {
-	f := ep.getFrag()
+func (ep *gmEndpoint) sendCtrl(to int, kind gmFragKind, id msgID, tag, size int) {
+	f := ep.frags.get(ep.pooling())
 	f.kind, f.id, f.src, f.tag, f.size = kind, id, ep.rank(), tag, size
 	pkt := ep.fab.GetPacketFrom(ep.node.ID)
 	pkt.From, pkt.To, pkt.Size, pkt.Urgent = ep.rank(), to, ep.cfg.CtrlSize, true
@@ -262,7 +205,7 @@ func (ep *gmEndpoint) Irecv(p *sim.Proc, r *mpi.Request) {
 		// The message arrived before the receive was posted, so it sits in
 		// a GM unexpected buffer; matching it costs a host copy.
 		ep.node.Memcpy(p, in.Size, cluster.User)
-		ep.deliverEager(r, in)
+		land(r, in)
 		return
 	}
 	ep.sendCTS(p, r, in)
@@ -283,7 +226,7 @@ func (ep *gmEndpoint) Progress(p *sim.Proc) {
 		switch ev.kind {
 		case gmEvtMsg:
 			if r := ep.m.Arrive(ev.in); r != nil {
-				ep.deliverEager(r, ev.in)
+				land(r, ev.in)
 			}
 		case gmEvtRTS:
 			if r := ep.m.Arrive(ev.in); r != nil {
@@ -295,8 +238,7 @@ func (ep *gmEndpoint) Progress(p *sim.Proc) {
 				panic(fmt.Sprintf("transport: gm CTS for unknown send %v", ev.id))
 			}
 			delete(ep.sendReqs, ev.id)
-			sentAt := ep.sendPayload(r, ev.id, gmDataFrag)
-			ep.scheduleAtCall(sentAt, ep.sendDoneFn, r)
+			ep.callAt(ep.sendPayload(r, ev.id, gmDataFrag), ep.sendDoneFn, r)
 		case gmEvtSendDone:
 			ev.req.Complete(ep.rank(), ev.req.Tag(), ev.req.Len())
 		case gmEvtDataDone:
@@ -304,12 +246,6 @@ func (ep *gmEndpoint) Progress(p *sim.Proc) {
 		}
 	}
 	ep.nicQ, ep.nicHead = ep.nicQ[:0], 0
-}
-
-// deliverEager lands a complete eager message in the posted receive.
-func (ep *gmEndpoint) deliverEager(r *mpi.Request, in *mpi.Inbound) {
-	copy(r.Buf(), in.Data)
-	r.Complete(in.Src, in.Tag, min(in.Size, r.Len()))
 }
 
 // sendCTS registers the receive buffer for incoming rendezvous data and
@@ -325,29 +261,17 @@ func (ep *gmEndpoint) sendCTS(p *sim.Proc, r *mpi.Request, in *mpi.Inbound) {
 // sendPayload fragments r's message onto the wire, copying its bytes, if
 // it has any, into send tokens, and returns when the final fragment has
 // left the host (NIC DMA complete).
-func (ep *gmEndpoint) sendPayload(r *mpi.Request, id gmMsgID, kind gmFragKind) sim.Time {
+func (ep *gmEndpoint) sendPayload(r *mpi.Request, id msgID, kind gmFragKind) sim.Time {
 	size, data := r.Len(), bytes.Clone(r.Data())
 	off := 0
 	return ep.fab.SendMessage(ep.rank(), r.Peer(), size, ep.node.P.PacketHeader,
 		func(i, n int, last bool) any {
-			f := ep.getFrag()
-			f.kind, f.id, f.src, f.tag = kind, id, ep.rank(), r.Tag()
-			f.size, f.off, f.n, f.last = size, off, n, last
-			if data != nil {
-				f.data = data[off : off+n]
-			}
+			f := ep.frags.get(ep.pooling())
+			f.set(id, r.Tag(), size, off, n, data, last)
+			f.kind = kind
 			off += n
 			return f
 		})
-}
-
-// scheduleAtCall runs fn(arg) at absolute virtual time at (>= now).
-func (ep *gmEndpoint) scheduleAtCall(at sim.Time, fn func(any), arg any) {
-	d := at - ep.node.Env.Now()
-	if d < 0 {
-		d = 0
-	}
-	ep.node.Env.ScheduleCall(d, fn, arg)
 }
 
 // onPacket is the NIC receive path.  No host CPU is consumed: fragments
@@ -359,7 +283,7 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 	case gmEagerFrag:
 		acc := ep.eagerAcc[f.id]
 		if acc == nil {
-			acc = ep.getAccum()
+			acc = ep.accs.get(ep.pooling())
 			acc.size, acc.src, acc.tag = f.size, f.src, f.tag
 			if f.data != nil {
 				acc.data = make([]byte, f.size)
@@ -378,10 +302,10 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 			ep.pushEvent(gmEvent{kind: gmEvtMsg, in: &mpi.Inbound{
 				Src: acc.src, Tag: acc.tag, Size: acc.size, Data: acc.data,
 			}})
-			ep.putAccum(acc) // acc.data escaped into the Inbound; the record is done
+			ep.accs.put(acc, ep.pooling()) // acc.data escaped into the Inbound; the record is done
 		}
 	case gmRTS:
-		acc := ep.getAccum()
+		acc := ep.accs.get(ep.pooling())
 		acc.id, acc.size, acc.src, acc.tag = f.id, f.size, f.src, f.tag
 		ep.pushEvent(gmEvent{kind: gmEvtRTS, in: &mpi.Inbound{
 			Src: f.src, Tag: f.tag, Size: f.size, Rndv: acc,
@@ -404,12 +328,9 @@ func (ep *gmEndpoint) onPacket(pkt *cluster.Packet) {
 			delete(ep.dataAcc, f.id)
 			ep.pushEvent(gmEvent{kind: gmEvtDataDone, req: acc.req,
 				src: acc.src, tag: acc.tag, size: acc.size})
-			ep.putAccum(acc)
+			ep.accs.put(acc, ep.pooling())
 		}
 	}
 	// The fragment has been fully consumed: recycle it.
-	if ep.pooling() {
-		*f = gmFrag{}
-		ep.fragFree = append(ep.fragFree, f)
-	}
+	ep.frags.put(f, ep.pooling())
 }

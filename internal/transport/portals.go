@@ -58,19 +58,16 @@ func NewPortals() *Portals { return &Portals{Config: DefaultPortalsConfig()} }
 // Name implements Transport.
 func (t *Portals) Name() string { return "portals" }
 
-// Offload implements Transport: Portals provides application offload.
-func (t *Portals) Offload() bool { return true }
-
 // Build implements Transport, attaching one endpoint per node with its
 // kernel transmit driver.
 func (t *Portals) Build(sys *cluster.System) []mpi.Endpoint {
 	eps := make([]mpi.Endpoint, len(sys.Nodes))
+	pools := perEnv[ptlPools](sys)
 	for i, node := range sys.Nodes {
 		ep := &portalsEndpoint{
+			endpoint: newEndpoint(sys, node),
+			ptlPools: pools[node.Env],
 			cfg:      t.Config,
-			node:     node,
-			fab:      sys.Fabric,
-			hub:      mpi.NewActivityHub(node.Env),
 			inflight: make(map[msgID]*ptlInbound),
 		}
 		ep.rxKernelFn = ep.rxKernel
@@ -84,20 +81,12 @@ func (t *Portals) Build(sys *cluster.System) []mpi.Endpoint {
 }
 
 // ptlFrag is the payload of one Portals wire packet.  msg backs data (its
-// kernel send buffer; nil for a length-only message) and inb is filled in
-// by the receive path once the fragment is matched; both let the
-// copy-completion stage recycle the sender-side objects without any
-// closure captures.
+// kernel send buffer) and inb is filled in by the receive path once the
+// fragment is matched; both let the copy-completion stage recycle the
+// sender-side objects without any closure captures.
 type ptlFrag struct {
-	id    msgID
-	src   int
-	tag   int
-	size  int
-	off   int
-	n     int
-	data  []byte
+	frag
 	first bool
-	last  bool
 
 	msg *txMsg
 	inb *ptlInbound
@@ -122,7 +111,7 @@ type ptlInbound struct {
 // kernel buffer (Kernel priority, host copy bandwidth).  All of this
 // happens with no MPI calls: application offload.
 //
-// The endpoint recycles its per-message and per-fragment records on
+// The endpoints recycle their per-message and per-fragment records on
 // freelists: the last stage of each fragment's receive chain returns the
 // fragment, and — on the final fragment — the message record, to the
 // pool.  Per-message FIFO delivery (fabric order plus FIFO kernel
@@ -131,70 +120,29 @@ type ptlInbound struct {
 // switches off automatically under fault injection, where duplicated
 // deliveries break that guarantee.
 type portalsEndpoint struct {
-	cfg  PortalsConfig
-	node *cluster.Node
-	fab  *cluster.Fabric
-	hub  *mpi.ActivityHub
-	m    mpi.Matcher
-	seq  int64
-	tx   txDriver
+	endpoint
+	*ptlPools
+	cfg PortalsConfig
+	tx  txDriver
 
 	inflight map[msgID]*ptlInbound
-
-	txFree   []*txMsg
-	fragFree []*ptlFrag
-	inbFree  []*ptlInbound
 
 	rxKernelFn    func(any) // bound once: kernel protocol + match stage
 	rxCopyStartFn func(any) // bound once: submit the payload copy
 	rxCopyDoneFn  func(any) // bound once: land the payload, recycle
 }
 
-func (ep *portalsEndpoint) rank() int { return ep.node.ID }
-
-// Activity implements mpi.Endpoint.
-func (ep *portalsEndpoint) Activity() *sim.Event { return ep.hub.Activity() }
-
-// Offload implements mpi.Endpoint: true — the defining Portals property.
-func (ep *portalsEndpoint) Offload() bool { return true }
-
-// MatchState implements mpi.MatchStater, backing MPI_Probe.
-func (ep *portalsEndpoint) MatchState() *mpi.Matcher { return &ep.m }
+// ptlPools holds the Portals records of one environment's endpoints.
+type ptlPools struct {
+	msgs  freelist[txMsg]
+	frags freelist[ptlFrag]
+	inbs  freelist[ptlInbound]
+}
 
 // Progress implements mpi.Endpoint.  The kernel progresses communication
 // by itself; MPI_Test/Wait merely read a completion flag in user memory.
 func (ep *portalsEndpoint) Progress(p *sim.Proc) {
 	ep.node.CPU.Use(p, ep.cfg.TestCost, cluster.User)
-}
-
-// pooling reports whether object recycling is safe (no fault injector).
-func (ep *portalsEndpoint) pooling() bool { return !ep.fab.Injected() }
-
-func (ep *portalsEndpoint) getTx() *txMsg {
-	if n := len(ep.txFree); n > 0 && ep.pooling() {
-		tx := ep.txFree[n-1]
-		ep.txFree = ep.txFree[:n-1]
-		return tx
-	}
-	return &txMsg{}
-}
-
-func (ep *portalsEndpoint) getFrag() *ptlFrag {
-	if n := len(ep.fragFree); n > 0 && ep.pooling() {
-		f := ep.fragFree[n-1]
-		ep.fragFree = ep.fragFree[:n-1]
-		return f
-	}
-	return &ptlFrag{}
-}
-
-func (ep *portalsEndpoint) getInbound() *ptlInbound {
-	if n := len(ep.inbFree); n > 0 && ep.pooling() {
-		inb := ep.inbFree[n-1]
-		ep.inbFree = ep.inbFree[:n-1]
-		return inb
-	}
-	return &ptlInbound{}
 }
 
 // Isend implements mpi.Endpoint: a syscall that copies the payload into
@@ -204,10 +152,8 @@ func (ep *portalsEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	n := r.Len()
 	ep.node.CPU.Use(p, ep.cfg.TrapCost+ep.cfg.DescCost, cluster.Kernel)
 	ep.node.Memcpy(p, n, cluster.Kernel)
-	id := msgID{src: ep.rank(), seq: ep.seq}
-	ep.seq++
-	tx := ep.getTx()
-	tx.id, tx.dst, tx.tag, tx.n = id, r.Peer(), r.Tag(), n
+	tx := ep.msgs.get(ep.pooling())
+	tx.id, tx.dst, tx.tag, tx.n = ep.nextID(), r.Peer(), r.Tag(), n
 	tx.data = bytes.Clone(r.Data())
 	ep.tx.push(tx)
 	r.Complete(ep.rank(), r.Tag(), n)
@@ -247,10 +193,7 @@ func (ep *portalsEndpoint) maybeComplete(inb *ptlInbound) {
 	req := inb.req
 	count := min(inb.size, req.Len())
 	src, tag := inb.src, inb.tag
-	if ep.pooling() {
-		*inb = ptlInbound{}
-		ep.inbFree = append(ep.inbFree, inb)
-	}
+	ep.inbs.put(inb, ep.pooling())
 	req.Complete(src, tag, count)
 	ep.hub.Wake()
 }
@@ -258,14 +201,9 @@ func (ep *portalsEndpoint) maybeComplete(inb *ptlInbound) {
 // frag builds the wire payload of m's fragment [off, off+n) for the
 // transmit driver.
 func (ep *portalsEndpoint) frag(m *txMsg, off, n int, last bool) any {
-	f := ep.getFrag()
-	f.id, f.src, f.tag, f.size = m.id, ep.rank(), m.tag, m.n
-	f.off, f.n = off, n
-	if m.data != nil {
-		f.data = m.data[off : off+n]
-	}
-	f.first, f.last = off == 0, last
-	f.msg, f.inb = m, nil
+	f := ep.frags.get(ep.pooling())
+	f.set(m.id, m.tag, m.n, off, n, m.data, last)
+	f.first, f.msg = off == 0, m
 	return f
 }
 
@@ -296,7 +234,7 @@ func (ep *portalsEndpoint) rxCopyStart(a any) {
 	f := a.(*ptlFrag)
 	inb := ep.inflight[f.id]
 	if inb == nil {
-		inb = ep.getInbound()
+		inb = ep.inbs.get(ep.pooling())
 		inb.id, inb.src, inb.tag, inb.size = f.id, f.src, f.tag, f.size
 		ep.inflight[f.id] = inb
 		if r := ep.m.Arrive(&mpi.Inbound{Src: f.src, Tag: f.tag, Size: f.size, Rndv: inb}); r != nil {
@@ -331,14 +269,9 @@ func (ep *portalsEndpoint) rxCopyDone(a any) {
 		}
 		inb.buffered += f.n
 	}
-	msg, last := f.msg, f.last
-	if ep.pooling() {
-		*f = ptlFrag{}
-		ep.fragFree = append(ep.fragFree, f)
-		if last {
-			*msg = txMsg{}
-			ep.txFree = append(ep.txFree, msg)
-		}
+	if f.last {
+		ep.msgs.put(f.msg, ep.pooling())
 	}
+	ep.frags.put(f, ep.pooling())
 	ep.maybeComplete(inb)
 }

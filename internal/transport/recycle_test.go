@@ -216,36 +216,96 @@ func TestRecycledBufferShortMessage(t *testing.T) {
 	}
 }
 
+// pooled counts the records held by the distinct pool sets of eps, each
+// set once however many endpoints share it: the fragment records (TCP's
+// segments) and the others.
+func pooled(eps []mpi.Endpoint) (frags, others int) {
+	seen := map[any]bool{}
+	for _, ep := range eps {
+		var set any
+		var f, o int
+		switch ep := ep.(type) {
+		case *gmEndpoint:
+			set, f, o = ep.gmPools, len(ep.frags.free), len(ep.accs.free)
+		case *portalsEndpoint:
+			set, f, o = ep.ptlPools, len(ep.frags.free), len(ep.msgs.free)+len(ep.inbs.free)
+		case *empEndpoint:
+			set, f, o = ep.empPools, len(ep.frags.free), len(ep.accs.free)
+		case *tcpEndpoint:
+			set, f, o = ep.tcpPools, len(ep.segs.free), len(ep.msgs.free)
+		}
+		if set != nil && !seen[set] {
+			seen[set] = true
+			frags, others = frags+f, others+o
+		}
+	}
+	return frags, others
+}
+
 // TestNoRecyclingUnderFaultInjection checks that an attached injector
 // switches record recycling off: a duplicated or delayed delivery could
 // otherwise still refer to a fragment or message record that already
 // carries another message.  The same exchange on a clean fabric must
 // pool records, so the check looks at the freelists that matter.
 func TestNoRecyclingUnderFaultInjection(t *testing.T) {
-	pooled := func(eps []mpi.Endpoint) (n int) {
-		for _, ep := range eps {
-			switch ep := ep.(type) {
-			case *gmEndpoint:
-				n += len(ep.fragFree) + len(ep.accFree)
-			case *portalsEndpoint:
-				n += len(ep.txFree) + len(ep.fragFree) + len(ep.inbFree)
-			}
-		}
-		return n
-	}
 	for _, tc := range []struct {
 		tr   Transport
 		late bool
-	}{{NewGM(), false}, {NewPortals(), true}} {
+	}{{NewGM(), false}, {NewPortals(), true}, {NewEMP(), false}, {NewTCP(), false}} {
 		t.Run(tc.tr.Name(), func(t *testing.T) {
 			o := exchangeOpts{size: 12_000, rounds: 5, late: tc.late}
-			if n := pooled(exchange(t, tc.tr, o)); n == 0 {
+			if frags, others := pooled(exchange(t, tc.tr, o)); frags+others == 0 {
 				t.Fatal("a clean exchange pooled no records")
 			}
 			o.inj = passInjector{}
-			if n := pooled(exchange(t, tc.tr, o)); n != 0 {
-				t.Errorf("%d records pooled under fault injection", n)
+			if frags, others := pooled(exchange(t, tc.tr, o)); frags+others != 0 {
+				t.Errorf("%d records pooled under fault injection", frags+others)
 			}
+		})
+	}
+}
+
+// TestOneWayStreamReusesRecords streams length-only 100 KB messages from
+// rank 0 to rank 1, 100 and then 1,000 of them.  The receiver consumes
+// every fragment record the sender takes, so a record must go back to a
+// pool the sender draws from: the fragment pool may not grow with the
+// stream's length.  With a pool per endpoint the receiver's would grow
+// by 25 records a message on gm, portals and emp at the 4 KB MTU, and by
+// 11.5 on tcp, whose receiver takes its acks from the same pool.
+func TestOneWayStreamReusesRecords(t *testing.T) {
+	const size = 100_000
+	stream := func(tr Transport, msgs int) int {
+		sys := cluster.NewSystem(2, cluster.PlatformPIII500())
+		defer sys.Close()
+		eps := tr.Build(sys)
+		received := 0
+		for i, ep := range eps {
+			c := mpi.NewComm(sys.Env, i, 2, ep)
+			sys.Env.Spawn("rank", func(p *sim.Proc) {
+				for k := 0; k < msgs; k++ {
+					if c.Rank() == 0 {
+						c.Wait(p, c.IsendLen(p, 1, 1, size))
+					} else {
+						c.Wait(p, c.IrecvLen(p, 0, 1, size))
+						received++
+					}
+				}
+			})
+		}
+		sys.Env.Run()
+		if received != msgs {
+			t.Fatalf("received %d of %d messages", received, msgs)
+		}
+		frags, _ := pooled(eps)
+		return frags
+	}
+	for _, tr := range []Transport{NewGM(), NewPortals(), NewEMP(), NewTCP()} {
+		t.Run(tr.Name(), func(t *testing.T) {
+			short, long := stream(tr, 100), stream(tr, 1_000)
+			if long > short {
+				t.Errorf("the fragment pool holds %d records after 1,000 messages, %d after 100: the sender does not reuse what the receiver frees", long, short)
+			}
+			t.Logf("%d pooled fragment records after 100 messages, %d after 1,000", short, long)
 		})
 	}
 }

@@ -13,8 +13,6 @@ import (
 type Transport interface {
 	// Name is the transport's registry key (e.g. "gm").
 	Name() string
-	// Offload reports whether the transport provides application offload.
-	Offload() bool
 	// Build attaches one endpoint per node and returns them rank-ordered.
 	// It must be called at most once per System (fabric ports are
 	// exclusive).

@@ -75,11 +75,6 @@ func NewTCP() *TCP { return &TCP{Config: DefaultTCPConfig()} }
 // Name implements Transport.
 func (t *TCP) Name() string { return "tcp" }
 
-// Offload implements Transport: byte delivery is offloaded to the kernel
-// but MPI-level completion is not, and COMB's PWW method charges the
-// socket-drain copies to the wait phase — no application offload.
-func (t *TCP) Offload() bool { return false }
-
 // PreferredLink implements LinkPreferencer: switched Fast Ethernet.
 func (t *TCP) PreferredLink() (cluster.LinkConfig, int) {
 	return cluster.LinkConfig{
@@ -93,12 +88,12 @@ func (t *TCP) PreferredLink() (cluster.LinkConfig, int) {
 // Build implements Transport.
 func (t *TCP) Build(sys *cluster.System) []mpi.Endpoint {
 	eps := make([]mpi.Endpoint, len(sys.Nodes))
+	pools := perEnv[tcpPools](sys)
 	for i, node := range sys.Nodes {
 		ep := &tcpEndpoint{
+			endpoint:  newEndpoint(sys, node),
+			tcpPools:  pools[node.Env],
 			cfg:       t.Config,
-			node:      node,
-			fab:       sys.Fabric,
-			hub:       mpi.NewActivityHub(node.Env),
 			inflight:  make(map[msgID]*tcpInbound),
 			unacked:   make(map[msgID]*txMsg),
 			completed: make(map[msgID]bool),
@@ -116,14 +111,7 @@ func (t *TCP) Build(sys *cluster.System) []mpi.Endpoint {
 
 // tcpSeg is one TCP segment (or ACK) on the wire.
 type tcpSeg struct {
-	id    msgID
-	src   int
-	tag   int
-	size  int
-	off   int
-	n     int
-	data  []byte
-	last  bool
+	frag
 	isAck bool
 	// ackDone marks a message-complete acknowledgement for id: the
 	// receiver's reliability layer telling the sender to stop
@@ -144,23 +132,17 @@ type tcpInbound struct {
 // tcpEndpoint models the socket API, the kernel TCP/IP stack and the MPI
 // library half for one rank.
 type tcpEndpoint struct {
-	cfg  TCPConfig
-	node *cluster.Node
-	fab  *cluster.Fabric
-	hub  *mpi.ActivityHub
-	m    mpi.Matcher
-	seq  int64
-	tx   txDriver
+	endpoint
+	*tcpPools
+	cfg TCPConfig
+	tx  txDriver
 
 	inflight  map[msgID]*tcpInbound
 	ready     []*tcpInbound    // fully-buffered messages awaiting the library
 	rxSegs    int64            // delayed-ACK counter
 	unacked   map[msgID]*txMsg // sent, awaiting a message-complete ack
 	completed map[msgID]bool   // messages already delivered (re-ack dups)
-
-	txFree  []*txMsg
-	segFree []*tcpSeg
-	rtoFree []sim.Slot // disarmed retransmission-timeout slots
+	rtoFree   []sim.Slot       // disarmed retransmission-timeout slots
 
 	rxKernelFn   func(any) // bound once: post-interrupt protocol stage
 	rxProtoFn    func(any) // bound once: ack handling / copy submission
@@ -168,44 +150,11 @@ type tcpEndpoint struct {
 	retransmitFn func(any) // bound once: RTO expiry for a *txMsg
 }
 
-// pooling reports whether object recycling is safe (no fault injector).
-func (ep *tcpEndpoint) pooling() bool { return !ep.fab.Injected() }
-
-func (ep *tcpEndpoint) getTx() *txMsg {
-	if n := len(ep.txFree); n > 0 && ep.pooling() {
-		tx := ep.txFree[n-1]
-		ep.txFree = ep.txFree[:n-1]
-		return tx
-	}
-	return &txMsg{}
+// tcpPools holds the TCP records of one environment's endpoints.
+type tcpPools struct {
+	msgs freelist[txMsg]
+	segs freelist[tcpSeg]
 }
-
-func (ep *tcpEndpoint) getSeg() *tcpSeg {
-	if n := len(ep.segFree); n > 0 && ep.pooling() {
-		s := ep.segFree[n-1]
-		ep.segFree = ep.segFree[:n-1]
-		return s
-	}
-	return &tcpSeg{}
-}
-
-func (ep *tcpEndpoint) putSeg(s *tcpSeg) {
-	if ep.pooling() {
-		*s = tcpSeg{}
-		ep.segFree = append(ep.segFree, s)
-	}
-}
-
-func (ep *tcpEndpoint) rank() int { return ep.node.ID }
-
-// Activity implements mpi.Endpoint.
-func (ep *tcpEndpoint) Activity() *sim.Event { return ep.hub.Activity() }
-
-// Offload implements mpi.Endpoint.
-func (ep *tcpEndpoint) Offload() bool { return false }
-
-// MatchState implements mpi.MatchStater, backing MPI_Probe.
-func (ep *tcpEndpoint) MatchState() *mpi.Matcher { return &ep.m }
 
 // hostByteCost returns the kernel CPU time to copy+checksum n bytes.
 func (ep *tcpEndpoint) hostByteCost(n int) sim.Time {
@@ -219,10 +168,8 @@ func (ep *tcpEndpoint) Isend(p *sim.Proc, r *mpi.Request) {
 	n := r.Len()
 	ep.node.CPU.Use(p, ep.cfg.TrapCost, cluster.Kernel)
 	ep.node.CPU.Use(p, ep.hostByteCost(n), cluster.Kernel)
-	id := msgID{src: ep.rank(), seq: ep.seq}
-	ep.seq++
-	tx := ep.getTx()
-	tx.id, tx.dst, tx.tag, tx.n = id, r.Peer(), r.Tag(), n
+	tx := ep.msgs.get(ep.pooling())
+	tx.id, tx.dst, tx.tag, tx.n = ep.nextID(), r.Peer(), r.Tag(), n
 	tx.data = bytes.Clone(r.Data())
 	ep.tx.push(tx)
 	r.Complete(ep.rank(), r.Tag(), n)
@@ -256,19 +203,14 @@ func (ep *tcpEndpoint) Progress(p *sim.Proc) {
 func (ep *tcpEndpoint) deliver(p *sim.Proc, r *mpi.Request, in *mpi.Inbound) {
 	ep.node.CPU.Use(p, ep.cfg.LibCopyCost, cluster.User)
 	ep.node.Memcpy(p, in.Size, cluster.User)
-	copy(r.Buf(), in.Data)
-	r.Complete(in.Src, in.Tag, min(in.Size, r.Len()))
+	land(r, in)
 }
 
 // seg builds the wire segment for m's bytes [off, off+n) for the
 // transmit driver.
 func (ep *tcpEndpoint) seg(m *txMsg, off, n int, last bool) any {
-	seg := ep.getSeg()
-	seg.id, seg.src, seg.tag, seg.size = m.id, ep.rank(), m.tag, m.n
-	seg.off, seg.n, seg.last = off, n, last
-	if m.data != nil {
-		seg.data = m.data[off : off+n]
-	}
+	seg := ep.segs.get(ep.pooling())
+	seg.set(m.id, m.tag, m.n, off, n, m.data, last)
 	return seg
 }
 
@@ -329,13 +271,10 @@ func (ep *tcpEndpoint) rxProto(a any) {
 				// retransmit timeout and recycle the slot and the record.
 				ep.node.Env.Disarm(msg.rto)
 				ep.rtoFree = append(ep.rtoFree, msg.rto)
-				if ep.pooling() {
-					*msg = txMsg{}
-					ep.txFree = append(ep.txFree, msg)
-				}
+				ep.msgs.put(msg, ep.pooling())
 			}
 		}
-		ep.putSeg(seg)
+		ep.segs.put(seg, ep.pooling())
 		return
 	}
 	ep.node.CPU.SubmitCall(ep.hostByteCost(seg.n), cluster.Kernel, ep.rxAcceptFn, seg)
@@ -345,7 +284,7 @@ func (ep *tcpEndpoint) rxProto(a any) {
 func (ep *tcpEndpoint) rxAccept(a any) {
 	seg := a.(*tcpSeg)
 	ep.acceptSegment(seg)
-	ep.putSeg(seg)
+	ep.segs.put(seg, ep.pooling())
 }
 
 // acceptSegment lands a data segment in the socket buffer (deduplicating
@@ -355,7 +294,7 @@ func (ep *tcpEndpoint) acceptSegment(seg *tcpSeg) {
 	// Delayed ACK: one per AckEvery data segments, duplicates included.
 	ep.rxSegs++
 	if ep.cfg.AckEvery > 0 && ep.rxSegs%int64(ep.cfg.AckEvery) == 0 {
-		ack := ep.getSeg()
+		ack := ep.segs.get(ep.pooling())
 		ack.isAck, ack.src = true, ep.rank()
 		pkt := ep.fab.GetPacketFrom(ep.node.ID)
 		pkt.From, pkt.To, pkt.Size = ep.rank(), seg.src, ep.cfg.AckSize
@@ -406,7 +345,7 @@ func (ep *tcpEndpoint) sendDoneAck(seg *tcpSeg) {
 	if ep.cfg.RTO <= 0 {
 		return
 	}
-	ack := ep.getSeg()
+	ack := ep.segs.get(ep.pooling())
 	ack.isAck, ack.ackDone, ack.id, ack.src = true, true, seg.id, ep.rank()
 	pkt := ep.fab.GetPacketFrom(ep.node.ID)
 	pkt.From, pkt.To, pkt.Size = ep.rank(), seg.src, ep.cfg.AckSize

@@ -6,7 +6,6 @@ import (
 	"comb/internal/cluster"
 	"comb/internal/platform"
 	"comb/internal/sim"
-	"comb/internal/transport"
 )
 
 func TestTCPPreferredLinkApplied(t *testing.T) {
@@ -101,17 +100,5 @@ func TestTCPStealsCPUDuringWork(t *testing.T) {
 func TestEMPStealsNoCPUDuringWork(t *testing.T) {
 	if r := workDilation(t, "emp"); r > 1.01 {
 		t.Fatalf("emp work dilation = %.3fx, want ~1.0 (zero-copy OS-bypass)", r)
-	}
-}
-
-func TestNewTransportOffloadFlags(t *testing.T) {
-	for name, want := range map[string]bool{"tcp": false, "emp": true} {
-		tr, err := transport.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Offload() != want {
-			t.Errorf("%s.Offload() = %v, want %v", name, tr.Offload(), want)
-		}
 	}
 }

@@ -57,18 +57,6 @@ func TestApplicationOffloadSignature(t *testing.T) {
 	}
 }
 
-func TestOffloadFlagsMatchBehaviour(t *testing.T) {
-	for name, want := range map[string]bool{"gm": false, "portals": true, "ideal": true} {
-		tr, err := transport.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Offload() != want {
-			t.Errorf("%s.Offload() = %v, want %v", name, tr.Offload(), want)
-		}
-	}
-}
-
 // streamBandwidth measures a one-way pipelined stream of msgs messages of
 // size bytes, returning MB/s observed at the receiver.
 func streamBandwidth(t *testing.T, name string, size, msgs int) float64 {

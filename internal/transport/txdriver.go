@@ -5,13 +5,6 @@ import (
 	"comb/internal/sim"
 )
 
-// msgID identifies one message across the system: its sender and the
-// sender's sequence number.
-type msgID struct {
-	src int
-	seq int64
-}
-
 // txMsg is one message on a kernel send queue: its length, and its
 // payload copied into a kernel send buffer unless it is length-only.
 type txMsg struct {

@@ -17,9 +17,13 @@ cd "$(dirname "$0")/.."
 # scheduler and partitioned fabric are correctness-critical and must
 # stay directly unit-tested, not just exercised through the facade;
 # mpi added with the N-rank communicator at 87.6 — the tree collectives
-# and nonblocking-collective state machine back every multi-rank method)
+# and nonblocking-collective state machine back every multi-rank method;
+# transport added at 97.1 with the endpoint core the five transports
+# share — their protocols and record recycling are tested in the
+# package itself)
 floors='
 comb/internal/mpi 80
+comb/internal/transport 94
 comb/internal/invariant 85
 comb/internal/faultinject 80
 comb/internal/selfcheck 50
