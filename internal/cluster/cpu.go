@@ -40,13 +40,18 @@ func (p Priority) String() string {
 // some core has devoted that much time to it, however often it was
 // preempted or migrated in between.
 //
-// Scheduling: a pending grant runs on any idle core; if none is idle and a
-// lower-priority grant is running somewhere, the lowest-priority (most
-// recently started among equals) grant is preempted.  Within a priority,
-// dispatch is FIFO.  The single-core case reduces to strict priority
-// preemption, the model the COMB availability metric relies on; the
-// multi-core case exists to reproduce the paper's §7 observation that the
-// metric breaks on SMP nodes.
+// Scheduling: each operation makes at most one placement.  A new grant
+// starts on the lowest-indexed idle core; with none idle it preempts the
+// lowest-priority running grant (the most recently started among
+// equals, then the higher-indexed core) if that ranks strictly below
+// it, and otherwise waits, FIFO within its priority.  A completion
+// starts the best waiting grant on the core it freed.  This suffices
+// because every operation leaves an invariant: an idle core means empty
+// queues, and no waiting grant outranks a running one.  The single-core
+// case reduces to strict priority preemption, the model the COMB
+// availability metric relies on; the multi-core case exists to
+// reproduce the paper's §7 observation that the metric breaks on SMP
+// nodes.
 //
 // Grants are pooled: every demand is served by a recycled cpuGrant record,
 // and a running grant's completion waits in its core's completion slot
@@ -145,8 +150,8 @@ func (c *CPU) Cores() int { return len(c.cores) }
 // process, blocking it until the demand is fully served.  A non-positive
 // demand returns immediately.
 //
-// A quiet demand runs in place: when a core is idle (so no grant waits:
-// dispatch fills idle cores first) and nothing else is due before the
+// A quiet demand runs in place: when a core is idle (so no grant waits,
+// by the CPU's invariant) and nothing else is due before the
 // demand ends, the process holds the clock forward by d (sim.Proc.Hold)
 // instead of arming the grant's completion and scheduling its wake-up,
 // two events that would run back to back.
@@ -237,9 +242,30 @@ func (c *CPU) release(g *cpuGrant) {
 	c.free = append(c.free, g)
 }
 
+// enqueue places a new grant: on the lowest-indexed idle core, else in
+// place of the lowest-priority running grant if that ranks strictly
+// below it, else at the back of its queue.  With a core idle the queues
+// are empty, and otherwise no waiting grant outranks a running one, so
+// this one placement is all the grant can change.
 func (c *CPU) enqueue(g *cpuGrant) {
+	victim := -1
+	for i := range c.cores {
+		r := c.cores[i].running
+		if r == nil {
+			c.start(i, g)
+			return
+		}
+		if victim < 0 || r.prio < c.cores[victim].running.prio ||
+			r.prio == c.cores[victim].running.prio && c.cores[i].startedAt >= c.cores[victim].startedAt {
+			victim = i
+		}
+	}
+	if c.cores[victim].running.prio < g.prio {
+		c.preempt(victim)
+		c.start(victim, g)
+		return
+	}
 	c.queues[g.prio].pushBack(g)
-	c.dispatch()
 }
 
 // nextWaiting returns (and removes) the highest-priority waiting grant, or
@@ -253,16 +279,6 @@ func (c *CPU) nextWaiting() *cpuGrant {
 	return nil
 }
 
-// highestWaitingPrio returns the priority of the best waiting grant, or -1.
-func (c *CPU) highestWaitingPrio() Priority {
-	for prio := numPriorities - 1; prio >= 0; prio-- {
-		if c.queues[prio].len() > 0 {
-			return prio
-		}
-	}
-	return -1
-}
-
 // idleCore returns the lowest-indexed idle core, or -1.
 func (c *CPU) idleCore() int {
 	for i := range c.cores {
@@ -271,44 +287,6 @@ func (c *CPU) idleCore() int {
 		}
 	}
 	return -1
-}
-
-// dispatch places waiting grants on cores, preempting lower-priority work
-// when necessary.  It loops because one call may both fill idle cores and
-// trigger preemptions.
-func (c *CPU) dispatch() {
-	for {
-		want := c.highestWaitingPrio()
-		if want < 0 {
-			return
-		}
-		// Prefer an idle core (lowest index for determinism).
-		if idle := c.idleCore(); idle >= 0 {
-			c.start(idle, c.nextWaiting())
-			continue
-		}
-		// Otherwise preempt the lowest-priority running grant, if it is
-		// strictly lower than the best waiting one.  Among equals, the
-		// most recently started is preempted (it has made the least
-		// progress per unit of residual work — and the rule is
-		// deterministic).
-		victim := -1
-		for i := range c.cores {
-			g := c.cores[i].running
-			if g.prio >= want {
-				continue
-			}
-			if victim < 0 || g.prio < c.cores[victim].running.prio ||
-				(g.prio == c.cores[victim].running.prio && c.cores[i].startedAt >= c.cores[victim].startedAt) {
-				victim = i
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		c.preempt(victim)
-		c.start(victim, c.nextWaiting())
-	}
 }
 
 // start runs g on core i and arms its completion.  After a preemption
@@ -326,7 +304,7 @@ func (c *CPU) start(i int, g *cpuGrant) {
 
 // preempt pulls core i's grant off the core and puts it back at the front
 // of its priority queue with its residual demand.  It leaves the core's
-// slot armed: dispatch starts the preempting grant on the same core at
+// slot armed: enqueue starts the preempting grant on the same core at
 // once, and start moves the slot to that grant's completion.
 func (c *CPU) preempt(i int) {
 	core := &c.cores[i]
@@ -340,18 +318,20 @@ func (c *CPU) preempt(i int) {
 }
 
 // complete retires the finished grant (passed as the slot's argument),
-// notifies its completion channel and dispatches further work.
+// notifies its completion channel and starts the best waiting grant, if
+// any, on the core it freed.
 //
 // A waiting process or callback is handed the grant in place when its
 // zero-delay wake-up would be the very next event anyway
 // (sim.Env.NextInPlace): complete then resumes it, or calls it, as its
-// last action, after dispatch.  The decision is taken before release
-// and dispatch, because dispatch can queue a zero-delay completion (a
-// grant preempted with no time left resumes on a core), which must run
-// after the hand-off, as it would behind the scheduled wake-up.
+// last action.  The decision is taken before the next grant starts,
+// because a grant preempted with no time left starts with a zero-delay
+// completion, which must run after the hand-off, as it would behind
+// the scheduled wake-up.
 func (c *CPU) complete(a any) {
 	g := a.(*cpuGrant)
-	core := &c.cores[g.core]
+	i := int(g.core)
+	core := &c.cores[i]
 	if core.running != g {
 		panic("cluster: completion for a grant not running on its core")
 	}
@@ -369,7 +349,9 @@ func (c *CPU) complete(a any) {
 		c.env.ScheduleCall(0, fn, arg)
 	}
 	c.release(g)
-	c.dispatch()
+	if next := c.nextWaiting(); next != nil {
+		c.start(i, next)
+	}
 	switch {
 	case !inPlace:
 	case waiter != nil:

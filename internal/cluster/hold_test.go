@@ -9,11 +9,14 @@ import (
 )
 
 // The reference grant path is the CPU as it was before quiet holds,
-// in-place hand-offs and re-keyed core slots: every demand parks, every
-// completion wakes its waiter with a scheduled event, and every started
-// grant arms a completion afresh, which a preemption cancels.  It runs
-// on slots of its own, one per core, which it disarms on preemption and
-// arms again on start: the cancel-and-push order of a timer.
+// in-place hand-offs, re-keyed core slots and one placement per
+// operation: every demand parks, every completion wakes its waiter with
+// a scheduled event, every started grant arms a completion afresh,
+// which a preemption cancels, and every enqueue and completion runs the
+// dispatch loop, which places waiting grants until it finds nothing
+// more to place.  It runs on slots of its own, one per core, which it
+// disarms on preemption and arms again on start: the cancel-and-push
+// order of a timer.
 
 // cpuRef is the reference path for one CPU.
 type cpuRef struct {
@@ -23,10 +26,11 @@ type cpuRef struct {
 	// otherwise complete differs from CPU.complete only in waking
 	// every waiter with a scheduled event.
 	dispatch bool
-	// preempts counts preemptions, and zeroLength those of a grant
-	// started with no time left, whose completion was armed at zero
-	// delay.
-	preempts, zeroLength int
+	// preempts counts preemptions, zeroLength those of a grant started
+	// with no time left, whose completion was armed at zero delay, and
+	// ties those whose victim shared its priority with two other
+	// running grants.
+	preempts, zeroLength, ties int
 }
 
 func newCPURef(c *CPU, dispatch bool) *cpuRef {
@@ -55,11 +59,24 @@ func (r *cpuRef) enqueue(g *cpuGrant) {
 	r.dispatchAll()
 }
 
-// dispatchAll is CPU.dispatch with start and preempt.
+// highestWaitingPrio returns the priority of the best waiting grant, or -1.
+func highestWaitingPrio(c *CPU) Priority {
+	for prio := numPriorities - 1; prio >= 0; prio-- {
+		if c.queues[prio].len() > 0 {
+			return prio
+		}
+	}
+	return -1
+}
+
+// dispatchAll is the dispatch loop: it places waiting grants on cores,
+// preempting lower-priority work when necessary, and rescans until no
+// waiting grant can be placed.  Among equal victims, the most recently
+// started is preempted, then the higher-indexed core.
 func (r *cpuRef) dispatchAll() {
 	c := r.c
 	for {
-		want := c.highestWaitingPrio()
+		want := highestWaitingPrio(c)
 		if want < 0 {
 			return
 		}
@@ -67,23 +84,52 @@ func (r *cpuRef) dispatchAll() {
 			r.start(idle, c.nextWaiting())
 			continue
 		}
-		victim := -1
+		victim, equals := -1, 0
 		for i := range c.cores {
 			g := c.cores[i].running
 			if g.prio >= want {
 				continue
 			}
-			if victim < 0 || g.prio < c.cores[victim].running.prio ||
-				(g.prio == c.cores[victim].running.prio && c.cores[i].startedAt >= c.cores[victim].startedAt) {
-				victim = i
+			if victim < 0 || g.prio < c.cores[victim].running.prio {
+				victim, equals = i, 0
+				continue
+			}
+			if g.prio == c.cores[victim].running.prio {
+				equals++
+				if c.cores[i].startedAt >= c.cores[victim].startedAt {
+					victim = i
+				}
 			}
 		}
 		if victim < 0 {
 			return
 		}
+		if equals >= 2 {
+			r.ties++
+		}
 		r.preempt(victim)
 		r.start(victim, c.nextWaiting())
 	}
+}
+
+// placementBreach describes a breach of the invariant that lets the CPU
+// make one placement per operation: an idle core means empty queues,
+// and no waiting grant outranks a running one.  It returns "" when the
+// invariant holds.
+func placementBreach(c *CPU) string {
+	want := highestWaitingPrio(c)
+	if want < 0 {
+		return ""
+	}
+	for i := range c.cores {
+		switch g := c.cores[i].running; {
+		case g == nil:
+			return fmt.Sprintf("core %d idle while %v work waits", i, want)
+		case g.prio < want:
+			return fmt.Sprintf("core %d runs %v work while %v work waits", i, g.prio, want)
+		}
+	}
+	return ""
 }
 
 // start runs g on core i and arms its completion in the core's
@@ -121,7 +167,8 @@ func (r *cpuRef) preempt(i int) {
 func (r *cpuRef) complete(a any) {
 	c := r.c
 	g := a.(*cpuGrant)
-	core := &c.cores[g.core]
+	i := int(g.core)
+	core := &c.cores[i]
 	c.usage[g.prio] += c.env.Now() - core.startedAt
 	core.running = nil
 	switch {
@@ -135,8 +182,8 @@ func (r *cpuRef) complete(a any) {
 	c.release(g)
 	if r.dispatch {
 		r.dispatchAll()
-	} else {
-		c.dispatch()
+	} else if next := c.nextWaiting(); next != nil {
+		c.start(i, next)
 	}
 }
 
@@ -171,13 +218,14 @@ type cpuOutcome struct {
 	handed  int        // Use returns handed off in place by a completion
 	woken   int        // completions with a process or callback to wake
 	queue   sim.QueueStats
-	// The reference path's preemptions, and those of a zero-length
-	// completion (cpuRef.preempts, zeroLength); 0 on the program path.
-	preempts, zeroLength int
+	// The reference path's preemptions, those of a zero-length
+	// completion and those among three equal victims (cpuRef.preempts,
+	// zeroLength, ties); 0 on the program path.
+	preempts, zeroLength, ties int
 }
 
 func genCPUPlan(rng *sim.Rand) cpuPlan {
-	pl := cpuPlan{cores: 1 + rng.Intn(2)}
+	pl := cpuPlan{cores: 1 + rng.Intn(3)}
 	for n := 2 + rng.Intn(2); n > 0; n-- {
 		var ops []cpuOp
 		for k := 5 + rng.Intn(15); k > 0; k-- {
@@ -213,8 +261,10 @@ type cpuRun struct {
 	refComplete bool
 }
 
-// runCPUPlan executes pl on the paths r selects.
-func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
+// runCPUPlan executes pl on the paths r selects.  It fails the test if
+// any CPU operation leaves the placement invariant broken.
+func runCPUPlan(t *testing.T, pl cpuPlan, r cpuRun) cpuOutcome {
+	t.Helper()
 	env := sim.NewEnv()
 	defer env.Close()
 	cpu := NewSMP(env, "cpu", pl.cores)
@@ -223,6 +273,15 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 		r.use = func(_ *CPU, p *sim.Proc, d sim.Time, prio Priority) { ref.use(p, d, prio) }
 	}
 	out := cpuOutcome{returns: make([][]sim.Time, len(pl.procs))}
+	// check runs after every CPU operation, before the next one: after
+	// each completion and each burst's submission here, and before every
+	// step, which follows a Use or UseCall that parked, queued or held.
+	breach := ""
+	check := func() {
+		if b := placementBreach(cpu); b != "" && breach == "" {
+			breach = fmt.Sprintf("t=%v: %s", env.Now(), b)
+		}
+	}
 	completing := false
 	cpu.completeFn = func(a any) {
 		if g := a.(*cpuGrant); g.waiter != nil || g.fn != nil {
@@ -235,6 +294,7 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 			cpu.complete(a)
 		}
 		completing = false
+		check()
 	}
 	ret := func(i int) {
 		out.returns[i] = append(out.returns[i], env.Now())
@@ -248,6 +308,7 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 		if env.Cur() != nil {
 			out.held++
 		}
+		check()
 	})
 	for _, b := range pl.bursts {
 		b := b
@@ -258,6 +319,7 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 				} else {
 					cpu.SubmitCall(d, Interrupt, nil, nil)
 				}
+				check()
 			}
 		})
 	}
@@ -279,12 +341,15 @@ func runCPUPlan(pl cpuPlan, r cpuRun) cpuOutcome {
 		})
 	}
 	env.Run()
+	if breach != "" {
+		t.Fatalf("placement invariant broken at %s", breach)
+	}
 	for prio := range out.usage {
 		out.usage[prio] = cpu.Usage(Priority(prio))
 	}
 	out.steps = env.Steps()
 	out.queue = env.QueueStats()
-	out.preempts, out.zeroLength = ref.preempts, ref.zeroLength
+	out.preempts, out.zeroLength, out.ties = ref.preempts, ref.zeroLength, ref.ties
 	return out
 }
 
@@ -319,36 +384,38 @@ func useChain(cpu *CPU, ops []cpuOp, ret func()) {
 // both outcomes.
 func compareToRef(t *testing.T, pl cpuPlan) (got, want cpuOutcome) {
 	t.Helper()
-	got = runCPUPlan(pl, cpuRun{use: (*CPU).Use})
-	want = runCPUPlan(pl, cpuRun{ref: true})
+	got = runCPUPlan(t, pl, cpuRun{use: (*CPU).Use})
+	want = runCPUPlan(t, pl, cpuRun{ref: true})
 	if want.held != 0 || want.handed != 0 || want.queue.Rekeys != 0 {
 		t.Fatalf("reference path held %d steps, handed off %d and re-keyed %d slots", want.held, want.handed, want.queue.Rekeys)
 	}
 	g, w := got, want
 	w.held, w.handed, w.woken, w.queue = g.held, g.handed, g.woken, g.queue
-	w.preempts, w.zeroLength = g.preempts, g.zeroLength
+	w.preempts, w.zeroLength, w.ties = g.preempts, g.zeroLength, g.ties
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("Use diverges from the grant path:\n got  %+v\n want %+v", g, w)
 	}
 	return got, want
 }
 
-// TestPropertyQuietHoldMatchesGrantPath drives random plans on one and
-// two cores, with processes using the CPU at every priority, sleeping in
-// between, and interrupt bursts arriving at random times.  The reference
-// disarms a preempted grant's completion and arms the next one afresh,
-// so the plans also compare the core slots, re-keyed in place on
-// preemption, with the cancel-and-push order.
+// TestPropertyQuietHoldMatchesGrantPath drives random plans on one to
+// three cores, with processes using the CPU at every priority, sleeping
+// in between, and interrupt bursts arriving at random times.  The
+// reference disarms a preempted grant's completion and arms the next
+// one afresh, and places grants with the dispatch loop, so the plans
+// also compare the core slots, re-keyed in place on preemption, with
+// the cancel-and-push order, and the one-placement rule, victim ties
+// among three running grants included, with the loop.
 func TestPropertyQuietHoldMatchesGrantPath(t *testing.T) {
 	const plans = 300
 	ran, held, steps := 0, 0, uint64(0)
 	var rekeys uint64
-	preempts := 0
+	preempts, ties := 0, 0
 	for seed := uint64(1); seed <= plans; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			got, want := compareToRef(t, genCPUPlan(sim.NewRand(seed*0x9e3779b97f4a7c15)))
 			ran, held, steps = ran+1, held+got.held, steps+got.steps
-			rekeys, preempts = rekeys+got.queue.Rekeys, preempts+want.preempts
+			rekeys, preempts, ties = rekeys+got.queue.Rekeys, preempts+want.preempts, ties+want.ties
 		})
 	}
 	// Both paths must be exercised: some demands hold, others park.
@@ -358,6 +425,9 @@ func TestPropertyQuietHoldMatchesGrantPath(t *testing.T) {
 	// Preemption must be exercised on both sides.
 	if ran == plans && (rekeys == 0 || preempts == 0) {
 		t.Errorf("slots re-keyed %d times, the reference preempted %d times; the plans must preempt", rekeys, preempts)
+	}
+	if ran == plans && ties == 0 {
+		t.Errorf("no preemption chose among three equal victims; the plans must exercise the tie rule")
 	}
 }
 
@@ -384,7 +454,7 @@ func TestPreemptZeroLengthCompletion(t *testing.T) {
 	if want.preempts != 2 || want.zeroLength != 1 {
 		t.Errorf("reference preempted %d grants, %d of them zero-length completions; want 2 and 1", want.preempts, want.zeroLength)
 	}
-	chain := runCPUPlan(pl, cpuRun{})
+	chain := runCPUPlan(t, pl, cpuRun{})
 	if !reflect.DeepEqual(chain.returns, got.returns) || chain.steps != got.steps {
 		t.Errorf("UseCall chains returned at %v in %d steps, Use at %v in %d", chain.returns, chain.steps, got.returns, got.steps)
 	}
@@ -432,8 +502,8 @@ func TestPropertyCallbackUseMatchesProcessUse(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			pl := genCPUPlan(sim.NewRand(seed * 0x9e3779b97f4a7c15))
-			got := runCPUPlan(pl, cpuRun{})
-			want := runCPUPlan(pl, cpuRun{use: (*CPU).Use})
+			got := runCPUPlan(t, pl, cpuRun{})
+			want := runCPUPlan(t, pl, cpuRun{use: (*CPU).Use})
 			got.held, got.handed, want.held, want.handed = 0, 0, 0, 0
 			got.queue, want.queue = sim.QueueStats{}, sim.QueueStats{}
 			if !reflect.DeepEqual(got, want) {
@@ -457,8 +527,8 @@ func TestPropertyInPlaceCompleteMatchesScheduled(t *testing.T) {
 		for seed := uint64(1); seed <= plans; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", paths.name, seed), func(t *testing.T) {
 				pl := genCPUPlan(sim.NewRand(seed * 0x9e3779b97f4a7c15))
-				got := runCPUPlan(pl, cpuRun{use: paths.use})
-				want := runCPUPlan(pl, cpuRun{use: paths.use, refComplete: true})
+				got := runCPUPlan(t, pl, cpuRun{use: paths.use})
+				want := runCPUPlan(t, pl, cpuRun{use: paths.use, refComplete: true})
 				if want.handed != 0 {
 					t.Fatalf("cpuRef.complete handed off %d returns in place", want.handed)
 				}

@@ -63,11 +63,11 @@ func PlatformPIII500() Platform {
 const Time15_5us = 15*sim.Microsecond + 500*sim.Nanosecond
 
 // CopyTime returns the host CPU time to memcpy n bytes on this platform.
-func (p Platform) CopyTime(n int) sim.Time {
+func (p *Platform) CopyTime(n int) sim.Time {
 	return sim.PerByte(int64(n), p.CopyBandwidth)
 }
 
 // WorkTime returns the CPU demand of iters empty loop iterations.
-func (p Platform) WorkTime(iters int64) sim.Time {
+func (p *Platform) WorkTime(iters int64) sim.Time {
 	return sim.Time(iters) * p.IterCost
 }

@@ -164,6 +164,34 @@ func BenchmarkCPUUseQueued(b *testing.B) {
 	e.Run()
 }
 
+// preemptRig is one core running a kernel grant that outlasts any run.
+// step submits an interrupt, which preempts the kernel grant, and runs
+// the clock on until the interrupt has completed and the kernel grant,
+// resumed on the core, has run for as long again.
+func preemptRig() (e *sim.Env, step func()) {
+	e = sim.NewEnv()
+	cpu := cluster.NewCPU(e, "bench")
+	cpu.SubmitCall(1<<60, cluster.Kernel, nil, nil)
+	return e, func() {
+		cpu.SubmitCall(100, cluster.Interrupt, nil, nil)
+		e.RunUntil(e.Now() + 200)
+	}
+}
+
+// BenchmarkCPUPreempt measures an interrupt SubmitCall preempting a
+// running kernel grant, then the kernel grant resuming when the
+// interrupt completes: the saturated packet chain's commonest step.
+// An op is one preemption, with its one completion event.
+func BenchmarkCPUPreempt(b *testing.B) {
+	b.ReportAllocs()
+	e, step := preemptRig()
+	defer e.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // BenchmarkFabricSend measures one single-packet Send: transit
 // computation, delivery scheduling, sink consumption, packet reclaim.
 func BenchmarkFabricSend(b *testing.B) {
@@ -340,6 +368,25 @@ func TestCPUUseQuietZeroAllocs(t *testing.T) {
 	// AllocsPerRun calls the function once more to warm up.
 	if want := 2 * (runs + 1); held != want {
 		t.Errorf("held %d steps, want %d: every quiet demand must hold", held, want)
+	}
+}
+
+// TestCPUPreemptZeroAllocs pins the preemption path: once warm, an
+// interrupt preempting a kernel grant, and the kernel grant resuming,
+// allocate nothing.  Each step must re-key the core's completion slot
+// once, so the rig really preempts.
+func TestCPUPreemptZeroAllocs(t *testing.T) {
+	e, step := preemptRig()
+	defer e.Close()
+	step()
+	const runs = 200
+	q0 := e.QueueStats()
+	if avg := testing.AllocsPerRun(runs, step); avg != 0 {
+		t.Errorf("a preemption and resume allocate %.1f objects/op, want 0", avg)
+	}
+	// AllocsPerRun calls the function once more to warm up.
+	if rekeys := e.QueueStats().Rekeys - q0.Rekeys; rekeys != runs+1 {
+		t.Errorf("%d steps re-keyed %d slots, want one each: the rig must preempt", runs+1, rekeys)
 	}
 }
 

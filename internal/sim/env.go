@@ -397,11 +397,10 @@ func (e *Env) siftDown(i int) {
 	h[i] = q
 }
 
-// popHeap removes and returns the earliest heap entry: the last entry
-// takes the root's place and sifts down.
-func (e *Env) popHeap() queued {
+// popHeap removes the earliest heap entry: the last entry takes the
+// root's place and sifts down.
+func (e *Env) popHeap() {
 	h := e.heap
-	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = queued{} // release closure/arg references
@@ -409,20 +408,17 @@ func (e *Env) popHeap() queued {
 	if n > 0 {
 		e.siftDown(0)
 	}
-	return top
 }
 
 // popRing consumes the ring's oldest entry, compacting the ring once it
 // drains.
-func (e *Env) popRing() queued {
-	q := e.ring[e.ringPop]
+func (e *Env) popRing() {
 	e.ring[e.ringPop] = queued{}
 	e.ringPop++
 	if e.ringPop == len(e.ring) {
 		e.ring = e.ring[:0]
 		e.ringPop = 0
 	}
-	return q
 }
 
 // Run executes events until the queue drains.  It panics if MaxSteps is
@@ -474,7 +470,8 @@ func (e *Env) dueBy(t Time) bool {
 // sequence number is smaller than every ring entry's), or a slot armed
 // with zero delay during it, which sorts among the ring entries by the
 // sequence number it drew.  The ring drains completely before the clock
-// may advance.
+// may advance.  The loop reads the chosen entry's time, callback and
+// argument where the entry lies, then removes it, and runs the callback.
 func (e *Env) run(deadline Time) {
 	e.deadline = deadline
 	for !e.stopped {
@@ -502,22 +499,32 @@ func (e *Env) run(deadline Time) {
 			}
 			return
 		}
-		var q queued
+		var (
+			at  Time
+			fn  func(any)
+			arg any
+		)
 		switch src {
 		case fromHeap:
-			q = e.popHeap()
+			q := &e.heap[0]
+			at, fn, arg = q.at, q.fn, q.arg
+			e.popHeap()
 		case fromSlot:
-			q = e.popSlot()
+			c := &e.cslots[e.cq[0].slot]
+			at, fn, arg = e.cq[0].at, c.fn, c.arg
+			e.popSlot()
 		default:
-			q = e.popRing()
+			q := &e.ring[e.ringPop]
+			at, fn, arg = q.at, q.fn, q.arg
+			e.popRing()
 		}
-		if q.at < e.now {
+		if at < e.now {
 			panic("sim: event queue went backwards")
 		}
-		e.now = q.at
+		e.now = at
 		e.pending--
 		e.step()
-		q.fn(q.arg)
+		fn(arg)
 	}
 }
 

@@ -3,11 +3,15 @@ package sim
 // Event is a one-shot condition variable in virtual time.  Processes block
 // on it with Proc.Await / Proc.AwaitAny; plain callbacks subscribe with
 // OnFire.  An event fires exactly once; firing twice panics.
+//
+// The first waiting process is kept inline, so an event with one waiter,
+// the common case, allocates nothing when a process awaits it.
 type Event struct {
 	env     *Env
 	fired   bool
 	val     any
-	waiters []*Proc
+	first   *Proc   // the first waiter, woken first
+	waiters []*Proc // the waiters after first, in arrival order
 	cbs     []func(any)
 }
 
@@ -29,10 +33,13 @@ func (ev *Event) Fire(val any) {
 	}
 	ev.fired = true
 	ev.val = val
-	waiters := ev.waiters
-	ev.waiters = nil
+	first, waiters := ev.first, ev.waiters
+	ev.first, ev.waiters = nil, nil
 	cbs := ev.cbs
 	ev.cbs = nil
+	if first != nil {
+		ev.env.ready(0, first, val)
+	}
 	for _, w := range waiters {
 		ev.env.ready(0, w, val)
 	}

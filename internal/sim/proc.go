@@ -176,7 +176,11 @@ func (p *Proc) Await(ev *Event) any {
 	if ev.fired {
 		return ev.val
 	}
-	ev.waiters = append(ev.waiters, p)
+	if ev.first == nil {
+		ev.first = p
+	} else {
+		ev.waiters = append(ev.waiters, p)
+	}
 	return p.park()
 }
 

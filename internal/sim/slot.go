@@ -93,14 +93,12 @@ func (e *Env) Disarm(s Slot) {
 	e.pending--
 }
 
-// popSlot disarms the earliest armed slot and returns its event, as
-// popHeap and popRing return theirs; the callback may arm the slot again.
-func (e *Env) popSlot() queued {
+// popSlot disarms the earliest armed slot, as popHeap and popRing
+// remove their entries; its callback may arm the slot again.
+func (e *Env) popSlot() {
 	c := &e.cslots[e.cq[0].slot]
-	q := queued{key: e.cq[0].key, fn: c.fn, arg: c.arg}
 	c.fn, c.arg = nil, nil
 	e.removeSlot(0)
-	return q
 }
 
 // removeSlot takes entry i out of the slot queue: the last entry takes

@@ -126,6 +126,10 @@ type portalsEndpoint struct {
 	tx  txDriver
 
 	inflight map[msgID]*ptlInbound
+	// last is the inbound message rxCopyStart resolved last, until it
+	// completes.  The transmit driver sends a message's fragments back to
+	// back, so most fragments find their message here without a lookup.
+	last *ptlInbound
 
 	rxKernelFn    func(any) // bound once: kernel protocol + match stage
 	rxCopyStartFn func(any) // bound once: submit the payload copy
@@ -190,6 +194,9 @@ func (ep *portalsEndpoint) maybeComplete(inb *ptlInbound) {
 		return
 	}
 	delete(ep.inflight, inb.id)
+	if ep.last == inb {
+		ep.last = nil
+	}
 	req := inb.req
 	count := min(inb.size, req.Len())
 	src, tag := inb.src, inb.tag
@@ -232,7 +239,10 @@ func (ep *portalsEndpoint) rxKernel(a any) {
 // matching it on first contact) and submits the payload copy.
 func (ep *portalsEndpoint) rxCopyStart(a any) {
 	f := a.(*ptlFrag)
-	inb := ep.inflight[f.id]
+	inb := ep.last
+	if inb == nil || inb.id != f.id {
+		inb = ep.inflight[f.id]
+	}
 	if inb == nil {
 		inb = ep.inbs.get(ep.pooling())
 		inb.id, inb.src, inb.tag, inb.size = f.id, f.src, f.tag, f.size
@@ -247,7 +257,7 @@ func (ep *portalsEndpoint) rxCopyStart(a any) {
 			ep.hub.Wake()
 		}
 	}
-	f.inb = inb
+	f.inb, ep.last = inb, inb
 	ep.node.CPU.SubmitCall(ep.node.P.CopyTime(f.n), cluster.Kernel, ep.rxCopyDoneFn, f)
 }
 
