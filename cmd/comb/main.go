@@ -115,7 +115,6 @@ type engineOpts struct {
 	simJ    *int
 	noCache *bool
 	dir     *string
-	retries *int
 }
 
 func addEngineFlags(fs *flag.FlagSet) *engineOpts {
@@ -124,7 +123,6 @@ func addEngineFlags(fs *flag.FlagSet) *engineOpts {
 		simJ:    fs.Int("sim-j", 0, "parallel DES partitions per simulation (needs -nodes > 2; results are identical)"),
 		noCache: fs.Bool("no-cache", false, "skip the on-disk result cache"),
 		dir:     fs.String("cache-dir", runner.DefaultCacheDir, "on-disk result cache directory"),
-		retries: fs.Int("retries", 0, "extra attempts for a failed point"),
 	}
 }
 
@@ -136,7 +134,6 @@ func (o *engineOpts) install() *progressMeter {
 	cfg := runner.Config{
 		Workers:    *o.jobs,
 		SimWorkers: *o.simJ,
-		Retries:    *o.retries,
 		OnProgress: m.update,
 		Obs:        m.reg,
 	}

@@ -30,8 +30,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	noStore := fs.Bool("no-store", false, "serve from memory only (no persistent result store)")
 	cacheDir := fs.String("cache-dir", runner.DefaultCacheDir, "persistent result store directory (shared with sweep cache)")
 	jobsDir := fs.String("jobs-dir", "", "write per-job artifact directories here ('' disables)")
-	timeout := fs.Duration("timeout", 0, "per-attempt run deadline (0 disables)")
-	retries := fs.Int("retries", 0, "extra attempts for a failed run")
+	timeout := fs.Duration("timeout", 0, "per-run deadline (0 disables)")
 	breakerFails := fs.Int("breaker-fails", 5, "consecutive failures that open the circuit breaker (0 disables)")
 	breakerCool := fs.Duration("breaker-cooldown", 30*time.Second, "open-breaker cooldown before probing")
 	rate := fs.Float64("rate", 0, "accepted /v1/ requests per second (0 disables)")
@@ -47,7 +46,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		RetainJobs:        *retain,
 		JobsDir:           *jobsDir,
 		Timeout:           *timeout,
-		Retries:           *retries,
 		BreakerThreshold:  *breakerFails,
 		BreakerCooldown:   *breakerCool,
 		Rate:              *rate,

@@ -156,6 +156,26 @@ func RunContext(ctx context.Context, eng *runner.Engine, system string) (*Report
 	return r, nil
 }
 
+// HostOverhead reports whether work phases dilate by more than 5% under
+// messaging (paper Fig 12).  It and the three tests below are the
+// paper's §4 verdicts; Verdicts and the selfcheck both read them.
+func (r *Report) HostOverhead() bool { return r.WorkOverhead > 0.05 }
+
+// ProgressViolation reports whether one MPI_Test in the work phase buys
+// more than 5% bandwidth: progress lives inside the library (paper
+// Fig 17).
+func (r *Report) ProgressViolation() bool { return r.TestGain > 0.05 }
+
+// EagerPenalty reports whether availability at the eager size falls more
+// than 0.1 below availability with large messages (paper Fig 14).
+func (r *Report) EagerPenalty() bool {
+	return r.LargeMsgAvailability-r.SmallMsgAvailability > 0.1
+}
+
+// PeakAtLowAvailability reports whether the peak bandwidth leaves the
+// application less than 30% of the CPU (paper Fig 15).
+func (r *Report) PeakAtLowAvailability() bool { return r.AvailabilityAtPeak < 0.3 }
+
 // Verdicts renders the paper-style conclusions.
 func (r *Report) Verdicts() []string {
 	var v []string
@@ -164,21 +184,21 @@ func (r *Report) Verdicts() []string {
 	} else {
 		v = append(v, "NO application offload: messages wait for library calls (paper Fig 11)")
 	}
-	switch {
-	case r.WorkOverhead > 0.05:
+	if r.HostOverhead() {
 		v = append(v, fmt.Sprintf("communication overhead: work phases dilate %.0f%% under messaging (paper Fig 12)", r.WorkOverhead*100))
-	default:
+	} else {
 		v = append(v, "no measurable communication overhead in the work phase (paper Fig 13)")
 	}
-	if r.TestGain > 0.05 {
+	if r.ProgressViolation() {
 		v = append(v, fmt.Sprintf("MPI progress-rule violation: one MPI_Test in the work phase buys %.0f%% bandwidth (paper Fig 17)", r.TestGain*100))
 	}
-	if gap := r.LargeMsgAvailability - r.SmallMsgAvailability; gap > 0.1 {
-		v = append(v, fmt.Sprintf("small-message penalty: availability drops %.2f at the eager size (paper Fig 14)", gap))
+	if r.EagerPenalty() {
+		v = append(v, fmt.Sprintf("small-message penalty: availability drops %.2f at the eager size (paper Fig 14)",
+			r.LargeMsgAvailability-r.SmallMsgAvailability))
 	}
 	if r.AvailabilityAtPeak > 0.8 {
 		v = append(v, fmt.Sprintf("overlap-friendly: sustains %.0f MB/s while leaving %.0f%% of the CPU to the application", r.PeakBandwidth, r.AvailabilityAtPeak*100))
-	} else if r.AvailabilityAtPeak < 0.3 {
+	} else if r.PeakAtLowAvailability() {
 		v = append(v, fmt.Sprintf("peak bandwidth (%.0f MB/s) is only reachable at low CPU availability (%.2f) (paper Fig 15)", r.PeakBandwidth, r.AvailabilityAtPeak))
 	}
 	return v

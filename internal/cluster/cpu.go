@@ -57,10 +57,8 @@ func (p Priority) String() string {
 // and a running grant's completion waits in its core's completion slot
 // (sim.Slot), which a preemption moves in place instead of cancelling
 // one event and scheduling another.  The per-interrupt scheduling cost is
-// therefore allocation-free on the Use and SubmitCall paths.  Submit
-// still mints a fresh Event per call — callers hold fired events
-// indefinitely, which makes Events unpoolable by construction — so hot
-// paths should prefer Use (process-blocking) or SubmitCall (callback).
+// therefore allocation-free on both paths, Use (process-blocking) and
+// SubmitCall (callback).
 type CPU struct {
 	env        *sim.Env
 	name       string
@@ -79,15 +77,14 @@ type coreState struct {
 	slot      sim.Slot
 }
 
-// cpuGrant is one outstanding CPU demand.  Exactly one completion channel
-// is set: waiter (Use), done (Submit), or fn/arg (SubmitCall); all may be
-// nil for fire-and-forget demands.
+// cpuGrant is one outstanding CPU demand.  At most one completion
+// channel is set: waiter (Use) or fn/arg (SubmitCall); a fire-and-forget
+// demand sets neither.
 type cpuGrant struct {
 	prio      Priority
 	remaining sim.Time
 	core      int32 // core index while running, -1 otherwise
 	waiter    *sim.Proc
-	done      *sim.Event
 	fn        func(any)
 	arg       any
 }
@@ -190,27 +187,11 @@ func (c *CPU) UseCall(d sim.Time, prio Priority, fn func(any), arg any) bool {
 	return false
 }
 
-// Submit enqueues a CPU demand without blocking and returns the event that
-// fires when the demand has been fully served.  Callers that only need a
-// completion callback should use SubmitCall, which avoids the Event
-// allocation.
-func (c *CPU) Submit(d sim.Time, prio Priority) *sim.Event {
-	ev := c.env.NewEvent()
-	if d <= 0 {
-		ev.Fire(nil)
-		return ev
-	}
-	g := c.grant(d, prio)
-	g.done = ev
-	c.enqueue(g)
-	return ev
-}
-
 // SubmitCall enqueues a CPU demand and arranges for fn(arg) to run (in
 // event-loop context, at the completion instant) once it has been fully
 // served.  A nil fn makes the demand fire-and-forget: the CPU time is
-// consumed and accounted but nothing is notified.  It is the
-// allocation-free replacement for Submit(d, prio).OnFire(cb) chains.
+// consumed and accounted but nothing is notified.  A non-positive demand
+// takes no CPU time: fn(arg) is scheduled at the current instant.
 func (c *CPU) SubmitCall(d sim.Time, prio Priority, fn func(any), arg any) {
 	if d <= 0 {
 		if fn != nil {
@@ -342,9 +323,7 @@ func (c *CPU) complete(a any) {
 	switch {
 	case inPlace:
 	case waiter != nil:
-		c.env.Ready(waiter, nil)
-	case g.done != nil:
-		g.done.Fire(nil)
+		c.env.Ready(waiter)
 	case fn != nil:
 		c.env.ScheduleCall(0, fn, arg)
 	}
@@ -355,7 +334,7 @@ func (c *CPU) complete(a any) {
 	switch {
 	case !inPlace:
 	case waiter != nil:
-		c.env.ResumeInPlace(waiter, nil)
+		c.env.ResumeInPlace(waiter)
 	default:
 		c.env.CallInPlace(fn, arg)
 	}
@@ -374,16 +353,3 @@ func (c *CPU) TotalBusy() sim.Time {
 	}
 	return t
 }
-
-// Busy reports whether any core is serving a grant right now.
-func (c *CPU) Busy() bool {
-	for i := range c.cores {
-		if c.cores[i].running != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// QueueLen returns the number of waiting (not running) grants at prio.
-func (c *CPU) QueueLen(prio Priority) int { return c.queues[prio].len() }

@@ -56,7 +56,7 @@ func TestCPUPreemption(t *testing.T) {
 	// An interrupt arrives mid-work and steals 200 time units.
 	var intrDone sim.Time
 	env.Schedule(400, func() {
-		cpu.Submit(200, Interrupt).OnFire(func(any) { intrDone = env.Now() })
+		cpu.SubmitCall(200, Interrupt, func(any) { intrDone = env.Now() }, nil)
 	})
 	env.Run()
 	if intrDone != 600 {
@@ -80,10 +80,10 @@ func TestCPUNestedPreemption(t *testing.T) {
 		userDone = p.Now()
 	})
 	env.Schedule(100, func() {
-		cpu.Submit(500, Kernel).OnFire(func(any) { kernDone = env.Now() })
+		cpu.SubmitCall(500, Kernel, func(any) { kernDone = env.Now() }, nil)
 	})
 	env.Schedule(200, func() {
-		cpu.Submit(100, Interrupt).OnFire(func(any) { intrDone = env.Now() })
+		cpu.SubmitCall(100, Interrupt, func(any) { intrDone = env.Now() }, nil)
 	})
 	env.Run()
 	// Timeline: user 0-100, kernel 100-200, interrupt 200-300,
@@ -103,10 +103,10 @@ func TestCPUZeroDemandImmediate(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	cpu := NewCPU(env, "cpu")
-	ev := cpu.Submit(0, User)
-	if !ev.Fired() {
-		t.Fatal("zero demand should complete synchronously")
-	}
+	doneAt := sim.Time(-1)
+	env.Schedule(5, func() {
+		cpu.SubmitCall(0, User, func(any) { doneAt = env.Now() }, nil)
+	})
 	reached := false
 	env.Spawn("app", func(p *sim.Proc) {
 		cpu.Use(p, 0, Kernel)
@@ -114,6 +114,9 @@ func TestCPUZeroDemandImmediate(t *testing.T) {
 		reached = true
 	})
 	env.Run()
+	if doneAt != 5 || cpu.TotalBusy() != 0 {
+		t.Fatalf("zero demand completed at %v using %v of CPU, want at 5 using none", doneAt, cpu.TotalBusy())
+	}
 	if !reached {
 		t.Fatal("non-positive Use must not block")
 	}
@@ -123,9 +126,9 @@ func TestCPUTotalBusy(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	cpu := NewCPU(env, "cpu")
-	cpu.Submit(10, User)
-	cpu.Submit(20, Kernel)
-	cpu.Submit(30, Interrupt)
+	cpu.SubmitCall(10, User, nil, nil)
+	cpu.SubmitCall(20, Kernel, nil, nil)
+	cpu.SubmitCall(30, Interrupt, nil, nil)
 	env.Run()
 	if cpu.TotalBusy() != 60 {
 		t.Fatalf("TotalBusy = %v, want 60", cpu.TotalBusy())
@@ -156,7 +159,7 @@ func TestPropertyCPUConservation(t *testing.T) {
 			at := sim.Time((i * 37) % 5000)
 			total += d
 			env.Schedule(at, func() {
-				cpu.Submit(d, prio).OnFire(func(any) { completed++ })
+				cpu.SubmitCall(d, prio, func(any) { completed++ }, nil)
 			})
 		}
 		env.Run()
@@ -180,9 +183,9 @@ func TestPropertyPreemptionDominance(t *testing.T) {
 		dLow := sim.Time(a%5000) + 100
 		dHigh := sim.Time(b%500) + 1
 		var lowDone, highDone sim.Time
-		cpu.Submit(dLow, User).OnFire(func(any) { lowDone = env.Now() })
+		cpu.SubmitCall(dLow, User, func(any) { lowDone = env.Now() }, nil)
 		env.Schedule(50, func() {
-			cpu.Submit(dHigh, Interrupt).OnFire(func(any) { highDone = env.Now() })
+			cpu.SubmitCall(dHigh, Interrupt, func(any) { highDone = env.Now() }, nil)
 		})
 		env.Run()
 		return highDone == 50+dHigh && lowDone == dLow+dHigh
@@ -204,7 +207,7 @@ func TestWorkDilationMeasuresAvailability(t *testing.T) {
 	// Inject interrupts totalling exactly demand (availability 0.5).
 	var injected sim.Time
 	for at := sim.Time(0); injected < demand; at += demand / 10 {
-		env.Schedule(at, func() { node.CPU.Submit(demand/10, Interrupt) })
+		env.Schedule(at, func() { node.CPU.SubmitCall(demand/10, Interrupt, nil, nil) })
 		injected += demand / 10
 	}
 	var elapsed sim.Time

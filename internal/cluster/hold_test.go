@@ -173,9 +173,7 @@ func (r *cpuRef) complete(a any) {
 	core.running = nil
 	switch {
 	case g.waiter != nil:
-		c.env.Ready(g.waiter, nil)
-	case g.done != nil:
-		g.done.Fire(nil)
+		c.env.Ready(g.waiter)
 	case g.fn != nil:
 		c.env.ScheduleCall(0, g.fn, g.arg)
 	}

@@ -22,12 +22,6 @@ func (n *Node) Memcpy(p *sim.Proc, bytes int, prio Priority) {
 	n.CPU.Use(p, n.P.CopyTime(bytes), prio)
 }
 
-// MemcpyAsync submits the copy demand without blocking and returns its
-// completion event.
-func (n *Node) MemcpyAsync(bytes int, prio Priority) *sim.Event {
-	return n.CPU.Submit(n.P.CopyTime(bytes), prio)
-}
-
 // Work charges the calling process iters empty loop iterations of user-
 // priority CPU time.  This is the COMB "simulated computation": elapsed
 // virtual time exceeds the demand whenever kernel work or interrupts steal

@@ -12,8 +12,8 @@ func TestSMPParallelGrants(t *testing.T) {
 	defer env.Close()
 	cpu := NewSMP(env, "smp", 2)
 	var a, b sim.Time
-	cpu.Submit(100, User).OnFire(func(any) { a = env.Now() })
-	cpu.Submit(100, User).OnFire(func(any) { b = env.Now() })
+	cpu.SubmitCall(100, User, func(any) { a = env.Now() }, nil)
+	cpu.SubmitCall(100, User, func(any) { b = env.Now() }, nil)
 	env.Run()
 	if a != 100 || b != 100 {
 		t.Fatalf("two cores should finish both at 100: a=%v b=%v", a, b)
@@ -30,7 +30,7 @@ func TestSMPThirdGrantQueues(t *testing.T) {
 	var done [3]sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		cpu.Submit(100, User).OnFire(func(any) { done[i] = env.Now() })
+		cpu.SubmitCall(100, User, func(any) { done[i] = env.Now() }, nil)
 	}
 	env.Run()
 	if done[0] != 100 || done[1] != 100 || done[2] != 200 {
@@ -45,9 +45,9 @@ func TestSMPInterruptRunsOnIdleCoreWithoutPreempting(t *testing.T) {
 	defer env.Close()
 	cpu := NewSMP(env, "smp", 2)
 	var workDone, intrDone sim.Time
-	cpu.Submit(1000, User).OnFire(func(any) { workDone = env.Now() })
+	cpu.SubmitCall(1000, User, func(any) { workDone = env.Now() }, nil)
 	env.Schedule(200, func() {
-		cpu.Submit(300, Interrupt).OnFire(func(any) { intrDone = env.Now() })
+		cpu.SubmitCall(300, Interrupt, func(any) { intrDone = env.Now() }, nil)
 	})
 	env.Run()
 	if workDone != 1000 {
@@ -63,10 +63,10 @@ func TestSMPPreemptsLowestPriorityWhenSaturated(t *testing.T) {
 	defer env.Close()
 	cpu := NewSMP(env, "smp", 2)
 	var userDone, kernDone, intrDone sim.Time
-	cpu.Submit(1000, User).OnFire(func(any) { userDone = env.Now() })
-	cpu.Submit(1000, Kernel).OnFire(func(any) { kernDone = env.Now() })
+	cpu.SubmitCall(1000, User, func(any) { userDone = env.Now() }, nil)
+	cpu.SubmitCall(1000, Kernel, func(any) { kernDone = env.Now() }, nil)
 	env.Schedule(100, func() {
-		cpu.Submit(200, Interrupt).OnFire(func(any) { intrDone = env.Now() })
+		cpu.SubmitCall(200, Interrupt, func(any) { intrDone = env.Now() }, nil)
 	})
 	env.Run()
 	// The interrupt must displace the USER grant, not the kernel one.
@@ -117,7 +117,7 @@ func TestPropertySMPConservation(t *testing.T) {
 			at := sim.Time((i * 41) % 3000)
 			total += d
 			env.Schedule(at, func() {
-				cpu.Submit(d, prio).OnFire(func(any) { completed++ })
+				cpu.SubmitCall(d, prio, func(any) { completed++ }, nil)
 			})
 		}
 		env.Run()

@@ -94,9 +94,6 @@ func (t *Transport) Name() string { return t.inner.Name() + "+faults" }
 // partition boundaries.
 func (t *Transport) InjectsFaults() bool { return true }
 
-// Inner returns the wrapped transport.
-func (t *Transport) Inner() transport.Transport { return t.inner }
-
 // Spec returns the effective (post-masking) fault spec.
 func (t *Transport) Spec() Spec { return t.spec }
 

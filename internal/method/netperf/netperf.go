@@ -107,11 +107,10 @@ func measure(ctx context.Context, in *platform.Instance, system string, mode Wai
 	stop := false
 	var elapsed sim.Time
 	var loopStart sim.Time
-	commDone := env.NewEvent()
-	streamReady := env.NewEvent()
+	var streamReady sim.Cond // broadcast once, when the window is in flight
 
 	loopProc := env.Spawn("netperf-loop", func(p *sim.Proc) {
-		p.Await(streamReady)
+		streamReady.Wait(p, 0) // returns at once if the window is already in flight
 		loopStart = p.Now()
 		slicedWork(p, demand)
 		elapsed = p.Now() - loopStart
@@ -128,7 +127,7 @@ func measure(ctx context.Context, in *platform.Instance, system string, mode Wai
 			recvs[i] = c.IrecvLen(p, 1, 1, msgSize)
 			c.IsendLen(p, 1, 1, msgSize)
 		}
-		streamReady.Fire(nil)
+		streamReady.Broadcast()
 		for !stop {
 			switch mode {
 			case SelectWait:
@@ -148,7 +147,6 @@ func measure(ctx context.Context, in *platform.Instance, system string, mode Wai
 		}
 		// Tell the echo rank to stop.
 		c.Send(p, 1, 2, nil)
-		commDone.Fire(nil)
 	})
 	env.Spawn("netperf-echo", func(p *sim.Proc) {
 		c := in.Comms[1]

@@ -132,33 +132,20 @@ func (c *Comm) Test(p *sim.Proc, r *Request) bool {
 // progress communication from inside this call; offloaded endpoints simply
 // park until the completion flag is set.
 func (c *Comm) Wait(p *sim.Proc, r *Request) {
-	for {
-		act := c.ep.Activity()
-		c.ep.Progress(p)
-		if r.done {
-			return
-		}
-		p.Await(act)
-	}
+	c.block(p, func() bool { return c.Test(p, r) })
 }
 
 // Waitall blocks until every request completes (MPI_Waitall).
 func (c *Comm) Waitall(p *sim.Proc, rs []*Request) {
-	for {
-		act := c.ep.Activity()
+	c.block(p, func() bool {
 		c.ep.Progress(p)
-		alldone := true
 		for _, r := range rs {
 			if !r.done {
-				alldone = false
-				break
+				return false
 			}
 		}
-		if alldone {
-			return
-		}
-		p.Await(act)
-	}
+		return true
+	})
 }
 
 // Waitany blocks until at least one of rs has completed and returns the
@@ -168,15 +155,35 @@ func (c *Comm) Waitany(p *sim.Proc, rs []*Request) int {
 	if len(rs) == 0 {
 		panic("mpi: Waitany with no requests")
 	}
-	for {
-		act := c.ep.Activity()
+	i := -1
+	c.block(p, func() bool {
 		c.ep.Progress(p)
-		for i, r := range rs {
+		for k, r := range rs {
 			if r.done {
-				return i
+				i = k
+				return true
 			}
 		}
-		p.Await(act)
+		return false
+	})
+	return i
+}
+
+// block is the one wait loop of every blocking call.  It reads the
+// endpoint's activity generation, then runs ready, which gives the
+// library its progress opportunity and checks what the call waits for,
+// and until ready reports true parks on the generation it read.  A
+// change that ready's own progress made, or that landed meanwhile, has
+// already moved the generation, so the park returns at once and the
+// loop checks again.
+func (c *Comm) block(p *sim.Proc, ready func() bool) {
+	act := c.ep.Activity()
+	for {
+		gen := act.Gen()
+		if ready() {
+			return
+		}
+		act.Wait(p, gen)
 	}
 }
 
@@ -194,13 +201,13 @@ func (c *Comm) Iprobe(p *sim.Proc, src, tag int) (Status, bool) {
 // Probe blocks until a message matching (src, tag) is pending and returns
 // its envelope without receiving it (MPI_Probe).
 func (c *Comm) Probe(p *sim.Proc, src, tag int) Status {
-	for {
-		act := c.ep.Activity()
-		if st, ok := c.Iprobe(p, src, tag); ok {
-			return st
-		}
-		p.Await(act)
-	}
+	var st Status
+	c.block(p, func() bool {
+		var ok bool
+		st, ok = c.Iprobe(p, src, tag)
+		return ok
+	})
+	return st
 }
 
 // Sendrecv runs a send and a receive concurrently and returns the

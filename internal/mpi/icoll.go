@@ -243,13 +243,7 @@ func (c *Comm) CollWait(p *sim.Proc, r *CollReq) {
 	if r.comm != c {
 		panic("mpi: CollWait on a foreign communicator's request")
 	}
-	for {
-		act := c.ep.Activity()
-		if c.CollTest(p, r) {
-			return
-		}
-		p.Await(act)
-	}
+	c.block(p, func() bool { return c.CollTest(p, r) })
 }
 
 func init() {

@@ -3,25 +3,15 @@ package mpi
 import (
 	"testing"
 	"testing/quick"
-
-	"comb/internal/sim"
 )
 
-func newTestEnv(t *testing.T) *sim.Env {
-	t.Helper()
-	e := sim.NewEnv()
-	t.Cleanup(e.Close)
-	return e
-}
-
-func recvReq(env *sim.Env, src, tag int) *Request {
-	return &Request{kind: KindRecv, peer: src, tag: tag, n: 64, buf: make([]byte, 64), ev: env.NewEvent()}
+func recvReq(src, tag int) *Request {
+	return &Request{kind: KindRecv, peer: src, tag: tag, n: 64, buf: make([]byte, 64)}
 }
 
 func TestMatcherExactMatch(t *testing.T) {
-	env := newTestEnv(t)
 	var m Matcher
-	r := recvReq(env, 1, 7)
+	r := recvReq(1, 7)
 	if m.PostRecv(r) != nil {
 		t.Fatal("empty UMQ should not match")
 	}
@@ -35,9 +25,8 @@ func TestMatcherExactMatch(t *testing.T) {
 }
 
 func TestMatcherMismatchQueuesUnexpected(t *testing.T) {
-	env := newTestEnv(t)
 	var m Matcher
-	m.PostRecv(recvReq(env, 1, 7))
+	m.PostRecv(recvReq(1, 7))
 	if m.Arrive(&Inbound{Src: 1, Tag: 8}) != nil {
 		t.Fatal("tag mismatch must not match")
 	}
@@ -50,16 +39,15 @@ func TestMatcherMismatchQueuesUnexpected(t *testing.T) {
 }
 
 func TestMatcherWildcards(t *testing.T) {
-	env := newTestEnv(t)
 	var m Matcher
-	r := recvReq(env, AnySource, AnyTag)
+	r := recvReq(AnySource, AnyTag)
 	m.PostRecv(r)
 	if got := m.Arrive(&Inbound{Src: 3, Tag: 99}); got != r {
 		t.Fatal("wildcard receive must match anything")
 	}
 
 	var m2 Matcher
-	r2 := recvReq(env, AnySource, 5)
+	r2 := recvReq(AnySource, 5)
 	m2.PostRecv(r2)
 	if m2.Arrive(&Inbound{Src: 3, Tag: 4}) != nil {
 		t.Fatal("AnySource must still honour tag")
@@ -70,13 +58,12 @@ func TestMatcherWildcards(t *testing.T) {
 }
 
 func TestMatcherUnexpectedThenPost(t *testing.T) {
-	env := newTestEnv(t)
 	var m Matcher
 	in := &Inbound{Src: 1, Tag: 7, Size: 3, Data: []byte("xyz")}
 	if m.Arrive(in) != nil {
 		t.Fatal("nothing posted, must queue")
 	}
-	got := m.PostRecv(recvReq(env, 1, 7))
+	got := m.PostRecv(recvReq(1, 7))
 	if got != in {
 		t.Fatalf("PostRecv returned %v, want queued inbound", got)
 	}
@@ -86,10 +73,9 @@ func TestMatcherUnexpectedThenPost(t *testing.T) {
 }
 
 func TestMatcherFIFOOrder(t *testing.T) {
-	env := newTestEnv(t)
 	var m Matcher
 	// Two receives, same signature: arrivals must match in post order.
-	r1, r2 := recvReq(env, 1, 7), recvReq(env, 1, 7)
+	r1, r2 := recvReq(1, 7), recvReq(1, 7)
 	m.PostRecv(r1)
 	m.PostRecv(r2)
 	if m.Arrive(&Inbound{Src: 1, Tag: 7}) != r1 {
@@ -103,19 +89,18 @@ func TestMatcherFIFOOrder(t *testing.T) {
 	b := &Inbound{Src: 2, Tag: 1, Data: []byte("b")}
 	m.Arrive(a)
 	m.Arrive(b)
-	if m.PostRecv(recvReq(env, 2, 1)) != a {
+	if m.PostRecv(recvReq(2, 1)) != a {
 		t.Fatal("first posted receive must take first unexpected message")
 	}
-	if m.PostRecv(recvReq(env, 2, 1)) != b {
+	if m.PostRecv(recvReq(2, 1)) != b {
 		t.Fatal("second posted receive must take second unexpected message")
 	}
 }
 
 func TestMatcherWildcardDoesNotStealSpecific(t *testing.T) {
-	env := newTestEnv(t)
 	var m Matcher
-	specific := recvReq(env, 1, 7)
-	wild := recvReq(env, AnySource, AnyTag)
+	specific := recvReq(1, 7)
+	wild := recvReq(AnySource, AnyTag)
 	m.PostRecv(specific)
 	m.PostRecv(wild)
 	// MPI scans PRQ in order: the specific receive was posted first.
@@ -132,7 +117,6 @@ func TestMatcherWildcardDoesNotStealSpecific(t *testing.T) {
 // sits in the PRQ; and at quiescence at most one of the queues is
 // non-empty for any (src, tag) signature.
 func TestPropertyMatcherConservation(t *testing.T) {
-	env := newTestEnv(t)
 	f := func(ops []uint8) bool {
 		var m Matcher
 		matched := 0
@@ -142,7 +126,7 @@ func TestPropertyMatcherConservation(t *testing.T) {
 			tag := int(op>>2) % 3
 			if op%2 == 0 {
 				posted++
-				if m.PostRecv(recvReq(env, src, tag)) != nil {
+				if m.PostRecv(recvReq(src, tag)) != nil {
 					matched++
 				}
 			} else {
@@ -160,8 +144,7 @@ func TestPropertyMatcherConservation(t *testing.T) {
 }
 
 func TestRequestCompleteTwicePanics(t *testing.T) {
-	env := newTestEnv(t)
-	r := recvReq(env, 0, 0)
+	r := recvReq(0, 0)
 	r.Complete(0, 0, 0)
 	defer func() {
 		if recover() == nil {
@@ -172,8 +155,7 @@ func TestRequestCompleteTwicePanics(t *testing.T) {
 }
 
 func TestRequestAccessors(t *testing.T) {
-	env := newTestEnv(t)
-	r := &Request{kind: KindSend, peer: 3, tag: 9, n: 5, data: []byte("hello"), ev: env.NewEvent()}
+	r := &Request{kind: KindSend, peer: 3, tag: 9, n: 5, data: []byte("hello")}
 	if r.Kind() != KindSend || r.Peer() != 3 || r.Tag() != 9 || r.Bytes() != 5 {
 		t.Fatal("send accessors wrong")
 	}
@@ -181,10 +163,10 @@ func TestRequestAccessors(t *testing.T) {
 		t.Fatal("fresh request should be incomplete")
 	}
 	r.Complete(0, 9, 5)
-	if !r.Done() || !r.DoneEvent().Fired() {
+	if !r.Done() {
 		t.Fatal("completion state wrong")
 	}
-	rr := recvReq(env, 1, 2)
+	rr := recvReq(1, 2)
 	rr.Complete(1, 2, 42)
 	if rr.Bytes() != 42 || rr.Status().Source != 1 || rr.Status().Tag != 2 {
 		t.Fatal("recv status wrong")

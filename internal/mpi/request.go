@@ -50,10 +50,7 @@ type Request struct {
 
 	done     bool
 	status   Status
-	ev       *sim.Event
 	postedAt sim.Time
-
-	priv any // transport-private state
 }
 
 // Kind returns whether this is a send or a receive request.
@@ -95,33 +92,12 @@ func (r *Request) Bytes() int {
 // reports true.
 func (r *Request) Status() Status { return r.status }
 
-// PostedAt returns the virtual time the request was posted.
-func (r *Request) PostedAt() sim.Time { return r.postedAt }
-
-// DoneEvent returns the event fired at completion.  Transports and
-// offload-capable waits subscribe to it.  The event is materialized on
-// first use — most requests are completed and discarded without anyone
-// subscribing, so the common path never allocates one.
-func (r *Request) DoneEvent() *sim.Event {
-	if r.ev == nil {
-		r.ev = r.comm.env.NewEvent()
-		if r.done {
-			r.ev.Fire(r)
-		}
-	}
-	return r.ev
-}
-
-// Priv returns the transport-private state attached to the request.
-func (r *Request) Priv() any { return r.priv }
-
-// SetPriv attaches transport-private state to the request.
-func (r *Request) SetPriv(v any) { r.priv = v }
-
-// Complete marks the request finished and fires its completion event.
-// Transports call it exactly once; a second call panics.  For receives,
-// src/tag/count record the matched envelope; count is min(message size,
-// Len) whether or not either end carries bytes.
+// Complete marks the request finished.  Transports call it exactly
+// once; a second call panics.  A completion that lands outside the
+// waiting rank's own Progress call must be followed by a Broadcast on
+// the endpoint's Activity, or a blocked Wait does not see it.  For
+// receives, src/tag/count record the matched envelope; count is
+// min(message size, Len) whether or not either end carries bytes.
 func (r *Request) Complete(src, tag, count int) {
 	if r.done {
 		panic(fmt.Sprintf("mpi: %v request completed twice", r.kind))
@@ -130,9 +106,6 @@ func (r *Request) Complete(src, tag, count int) {
 	r.status = Status{Source: src, Tag: tag, Count: count}
 	if r.comm != nil && r.comm.meter != nil {
 		r.comm.meter.completed(r)
-	}
-	if r.ev != nil {
-		r.ev.Fire(r)
 	}
 }
 

@@ -25,8 +25,8 @@
 //     span's "bytes" argument carries the payload size.
 //   - CatRunner ("runner") — the sweep engine's per-point lifecycle
 //     (wall-clock, not virtual time; exported on its own process track):
-//     one span per resolved point, with "source" (memory/disk/run) and
-//     "attempt" arguments.
+//     one span per resolved point, with "key" and "source"
+//     (memory/disk/run) arguments.
 //
 // A Collector's Capture — spans plus optional CatPacket Instants, one
 // per fabric delivery when a run sets a trace capacity — serializes to
@@ -52,7 +52,6 @@
 //	comb_phase_seconds{phase=...}                      per-phase durations (histogram, virtual seconds)
 //	comb_runner_points_total{source="memory"|"disk"|"run"}
 //	                                                   sweep points by answer source (count)
-//	comb_runner_retries_total                          extra attempts after failed simulations
 //	comb_runner_workers                                configured worker-pool size (gauge)
 //	comb_runner_inflight_peak                          peak concurrent simulations (gauge)
 //

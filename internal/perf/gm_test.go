@@ -81,19 +81,18 @@ func benchGM(b *testing.B, size int) {
 }
 
 // gmMsgAllocs is what a warm GM message allocates on each path, measured
-// on gmRig (linux/amd64, Go 1.24): its send and receive requests, one
-// envelope (the eager message's, or the rendezvous RTS's), and the
-// activity events its waits park on, 2 on the eager path and 4 on the
-// rendezvous path, whose waits wake once more each for the RTS and the
-// CTS.  Each event keeps its first waiter inline and allocates a list
-// for the second, as a node's sender and receiver both wait on it.
+// on gmRig (linux/amd64, Go 1.24): its send and receive requests and one
+// envelope (the eager message's, or the rendezvous RTS's).  Its waits
+// park on the endpoints' activity conditions, the rendezvous path's once
+// more each for the RTS and the CTS; a node's sender and receiver share
+// its condition, which allocates nothing once warm.
 var gmMsgAllocs = []struct {
 	name   string
 	size   int
 	allocs float64
 }{
-	{"eager", 1 << 10, 7},
-	{"rendezvous", 64 << 10, 11},
+	{"eager", 1 << 10, 3},
+	{"rendezvous", 64 << 10, 3},
 }
 
 // TestGMMessageAllocs pins each GM path at the allocations per message

@@ -2,8 +2,7 @@
 // across a bounded worker pool with two cache tiers in front of the
 // simulator.  Every point is an independent two-node simulation, so a
 // figure sweep parallelizes perfectly; the engine adds context
-// cancellation, a per-point timeout, bounded retry of failed points, and a
-// progress callback on top.
+// cancellation, a per-point timeout and a progress callback on top.
 //
 // Cache tiers, checked in order:
 //

@@ -127,7 +127,6 @@ type Stats struct {
 	DiskHits   int64 // points answered by the on-disk cache
 	SharedHits int64 // points that joined an identical in-flight simulation
 	Runs       int64 // points actually simulated
-	Retries    int64 // extra attempts after a failed simulation
 	CalibHits  int64 // simulations that reused a shared dry-run calibration
 }
 
@@ -140,9 +139,6 @@ type Config struct {
 	// Timeout bounds each point's wall-clock simulation time (not cache
 	// lookups).  Zero means no per-point timeout.
 	Timeout time.Duration
-	// Retries is how many extra attempts a failed simulation gets before
-	// its error is reported.  Cancellation is never retried.
-	Retries int
 	// OnProgress, when non-nil, is invoked after every finished point.
 	// Calls are serialized by the engine; the callback must not call back
 	// into the engine.
@@ -150,13 +146,13 @@ type Config struct {
 	// Disk, when non-nil, is the second cache tier.
 	Disk *Cache
 	// Obs, when non-nil, receives the engine's metrics:
-	// comb_runner_points_total{source}, comb_runner_retries_total, and
-	// the comb_runner_workers / comb_runner_inflight_peak gauges.
+	// comb_runner_points_total{source} and the comb_runner_workers /
+	// comb_runner_inflight_peak gauges.
 	Obs *obs.Registry
 	// Spans, when non-nil, receives one CatRunner span per finished
 	// point — wall-clock offsets from engine construction, on the
-	// runner's own export track (node -1) — with the point key, result
-	// source, and attempt count as arguments.
+	// runner's own export track (node -1) — with the point key and the
+	// result source as arguments.
 	Spans *obs.Collector
 	// SimWorkers, when > 1, opts every simulated point into the parallel
 	// DES engine (spec.Spec.SimWorkers) unless the point sets its own
@@ -169,7 +165,6 @@ type Config struct {
 type Engine struct {
 	workers    int
 	timeout    time.Duration
-	retries    int
 	simWorkers int
 	onProgress func(Progress)
 	disk       *Cache
@@ -206,7 +201,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		workers:    w,
 		timeout:    cfg.Timeout,
-		retries:    cfg.Retries,
 		simWorkers: cfg.SimWorkers,
 		onProgress: cfg.OnProgress,
 		disk:       cfg.Disk,
@@ -225,14 +219,14 @@ func New(cfg Config) *Engine {
 
 // observe bumps the per-point metrics and records the point's
 // wall-clock span on the runner track.
-func (e *Engine) observe(key string, src Source, attempts int, t0 time.Duration) {
+func (e *Engine) observe(key string, src Source, t0 time.Duration) {
 	if e.obsReg != nil {
 		e.obsReg.Counter(fmt.Sprintf("comb_runner_points_total{source=%q}", src),
 			"Finished sweep points, by result source.").Inc()
 	}
 	if e.spans != nil {
 		e.spans.Span(obs.CatRunner, "point", -1, t0, time.Since(e.start),
-			"key", key, "source", string(src), "attempts", fmt.Sprint(attempts))
+			"key", key, "source", string(src))
 	}
 }
 
@@ -285,7 +279,7 @@ func (e *Engine) resolve(ctx context.Context, n Point, key string) (*Result, Sou
 		if r, ok := e.memo[key]; ok {
 			e.stats.MemHits++
 			e.mu.Unlock()
-			e.observe(key, FromMemory, 0, t0)
+			e.observe(key, FromMemory, t0)
 			return r, FromMemory, nil
 		}
 		f, inFlight := e.flights[key]
@@ -315,7 +309,7 @@ func (e *Engine) resolve(ctx context.Context, n Point, key string) (*Result, Sou
 			e.mu.Lock()
 			e.stats.SharedHits++
 			e.mu.Unlock()
-			e.observe(key, FromShared, 0, t0)
+			e.observe(key, FromShared, t0)
 			return f.res, FromShared, nil
 		}
 
@@ -338,12 +332,12 @@ func (e *Engine) lead(ctx context.Context, n Point, key string, t0 time.Duration
 			e.memo[key] = r
 			e.stats.DiskHits++
 			e.mu.Unlock()
-			e.observe(key, FromDisk, 0, t0)
+			e.observe(key, FromDisk, t0)
 			return r, FromDisk, nil
 		}
 	}
 
-	r, attempts, err := e.execute(ctx, n)
+	r, err := e.execute(ctx, n)
 	if err != nil {
 		return nil, FromRun, err
 	}
@@ -355,44 +349,27 @@ func (e *Engine) lead(ctx context.Context, n Point, key string, t0 time.Duration
 		// A failed write only costs future cache hits; the result stands.
 		_ = e.disk.Store(key, r)
 	}
-	e.observe(key, FromRun, attempts, t0)
+	e.observe(key, FromRun, t0)
 	return r, FromRun, nil
 }
 
-// execute simulates one normalized point, with timeout and bounded retry.
-// It reports how many attempts the point took.
-func (e *Engine) execute(ctx context.Context, n Point) (*Result, int, error) {
+// execute simulates one normalized point under the per-point timeout.
+// The simulation is deterministic, so a failed point would fail the same
+// way again: its error goes straight to the caller.
+func (e *Engine) execute(ctx context.Context, n Point) (*Result, error) {
 	cur := e.inflight.Add(1)
 	defer e.inflight.Add(-1)
 	if e.obsReg != nil {
 		e.obsReg.Gauge("comb_runner_inflight_peak", "Deepest simultaneous-simulation count observed.").SetMax(cur)
 	}
-	var lastErr error
-	for attempt := 0; attempt <= e.retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, attempt, err
-		}
-		if attempt > 0 {
-			e.mu.Lock()
-			e.stats.Retries++
-			e.mu.Unlock()
-			if e.obsReg != nil {
-				e.obsReg.Counter("comb_runner_retries_total", "Extra attempts after failed simulations.").Inc()
-			}
-		}
-		r, err := e.simulate(ctx, n)
-		if err == nil {
-			return r, attempt + 1, nil
-		}
-		if ctx.Err() != nil {
-			return nil, attempt + 1, ctx.Err()
-		}
-		lastErr = err
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if e.retries > 0 {
-		return nil, e.retries + 1, fmt.Errorf("runner: point %s failed after %d attempts: %w", n.Key(), e.retries+1, lastErr)
+	r, err := e.simulate(ctx, n)
+	if err != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
-	return nil, 1, lastErr
+	return r, err
 }
 
 // calibKey identifies one dry-run measurement.  The dry run executes a

@@ -415,20 +415,25 @@ func TestRunTimeout(t *testing.T) {
 	}
 }
 
-func TestRetriesWrapError(t *testing.T) {
-	eng := New(Config{Workers: 1, Retries: 2})
-	// Unknown system fails identically on every attempt.
-	_, err := eng.Run(context.Background(), Point{Method: "polling", System: "nosuch",
+// TestFailedPointReturnsError: a point whose simulation fails returns
+// the simulation's own error, and the failure is not cached, so the
+// next request for the point simulates it again.
+func TestFailedPointReturnsError(t *testing.T) {
+	eng := New(Config{Workers: 1})
+	pt := Point{Method: "polling", System: "nosuch",
 		Params: core.PollingConfig{Config: core.Config{MsgSize: 1000}, PollInterval: 1000, WorkTotal: 10000},
-	})
-	if err == nil {
-		t.Fatal("unknown system must fail")
 	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Errorf("error %q does not report the attempt count", err)
+	for i := 0; i < 2; i++ {
+		_, err := eng.Run(context.Background(), pt)
+		if err == nil {
+			t.Fatal("unknown system must fail")
+		}
+		if !strings.Contains(err.Error(), `"nosuch"`) || strings.Contains(err.Error(), "runner:") {
+			t.Errorf("error %q, want the simulation's own error naming the system", err)
+		}
 	}
-	if st := eng.Stats(); st.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", st.Retries)
+	if st := eng.Stats(); st != (Stats{}) {
+		t.Errorf("stats after two failed runs = %+v, want none counted", st)
 	}
 }
 

@@ -1,9 +1,10 @@
 //go:build goexperiment.synctest
 
-// Timeout-and-retry tests for the engine under Go's synctest bubble:
-// time is virtual, so a 5-second simulation timeout costs microseconds
-// of wall clock and the elapsed assertions are exact equalities — any
-// hidden real-time sleep or timer outside the bubble would break them.
+// Timeout and cancellation tests for the engine under Go's synctest
+// bubble: time is virtual, so a 5-second simulation timeout costs
+// microseconds of wall clock and the elapsed assertions are exact
+// equalities — any hidden real-time sleep or timer outside the bubble
+// would break them.
 // Build-gated so `go test ./...` without GOEXPERIMENT=synctest skips
 // this file entirely; scripts/verify.sh and CI run it explicitly.
 
@@ -12,7 +13,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -68,33 +68,11 @@ func TestRunTimeoutVirtual(t *testing.T) {
 	})
 }
 
-func TestRunTimeoutRetriesVirtual(t *testing.T) {
-	synctest.Run(func() {
-		eng := New(Config{Workers: 1, Timeout: time.Second, Retries: 2})
-		start := time.Now()
-		_, err := eng.Run(context.Background(), stallPoint())
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want DeadlineExceeded", err)
-		}
-		if !strings.Contains(err.Error(), "failed after 3 attempts") {
-			t.Fatalf("err = %v, want attempt count", err)
-		}
-		// Each attempt gets a fresh per-point deadline: three full
-		// timeouts elapse, not one shared deadline.
-		if d := time.Since(start); d != 3*time.Second {
-			t.Fatalf("virtual elapsed %v, want exactly 3 × 1s attempts", d)
-		}
-		if got := eng.Stats().Retries; got != 2 {
-			t.Fatalf("Stats().Retries = %d, want 2", got)
-		}
-	})
-}
-
 func TestRunCallerCancelVirtual(t *testing.T) {
 	synctest.Run(func() {
-		// No per-point timeout and generous retries: only the caller's
-		// cancellation can end this run, and it must not be retried.
-		eng := New(Config{Workers: 1, Retries: 5})
+		// No per-point timeout: only the caller's cancellation can end
+		// this run, and it ends it at once.
+		eng := New(Config{Workers: 1})
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(500 * time.Millisecond)
@@ -107,9 +85,6 @@ func TestRunCallerCancelVirtual(t *testing.T) {
 		}
 		if d := time.Since(start); d != 500*time.Millisecond {
 			t.Fatalf("virtual elapsed %v, want exactly the 500ms until cancel", d)
-		}
-		if got := eng.Stats().Retries; got != 0 {
-			t.Fatalf("cancellation was retried %d times", got)
 		}
 	})
 }

@@ -9,7 +9,7 @@
 //	       → bounded worker fleet
 //	       → result store hit?           → source "cache"
 //	       → identical key in flight?    → wait, source "shared"
-//	       → breaker → retry → timeout → engine run, source "run"
+//	       → breaker → timeout → engine run, source "run"
 //
 // Identical in-flight specs collapse into a single engine execution
 // (singleflight over the method/system/hash cache key), so N clients

@@ -17,9 +17,8 @@ import (
 type RunFunc func(ctx context.Context, s spec.Spec) (*runpipe.Outcome, error)
 
 // Middleware decorates a RunFunc.  Middlewares compose with Chain; the
-// server assembles breaker → retry → timeout around the configured run
-// function, so the breaker counts points that exhausted their retries
-// and every retry attempt gets a fresh deadline.
+// server assembles breaker → timeout around the configured run
+// function, so the breaker counts runs that failed or timed out.
 type Middleware func(RunFunc) RunFunc
 
 // Chain composes middlewares: the first argument becomes the outermost
@@ -50,32 +49,6 @@ func WithTimeout(d time.Duration) Middleware {
 				return nil, fmt.Errorf("serve: run exceeded %v: %w", d, context.DeadlineExceeded)
 			}
 			return out, err
-		}
-	}
-}
-
-// WithRetry re-runs a failed point up to retries extra times.  Context
-// cancellation from the caller is never retried — the client is gone —
-// but per-attempt timeouts from an inner WithTimeout are, which is why
-// the server nests timeout inside retry.
-func WithRetry(retries int) Middleware {
-	return func(next RunFunc) RunFunc {
-		if retries <= 0 {
-			return next
-		}
-		return func(ctx context.Context, s spec.Spec) (*runpipe.Outcome, error) {
-			var err error
-			for attempt := 0; attempt <= retries; attempt++ {
-				var out *runpipe.Outcome
-				out, err = next(ctx, s)
-				if err == nil {
-					return out, nil
-				}
-				if ctx.Err() != nil {
-					return nil, err
-				}
-			}
-			return nil, fmt.Errorf("serve: %d attempts failed: %w", retries+1, err)
 		}
 	}
 }

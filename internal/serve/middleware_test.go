@@ -47,48 +47,6 @@ func TestWithTimeout(t *testing.T) {
 	}
 }
 
-func TestWithRetry(t *testing.T) {
-	calls := 0
-	flaky := func(ctx context.Context, s spec.Spec) (*runpipe.Outcome, error) {
-		calls++
-		if calls < 3 {
-			return nil, errBoom
-		}
-		return fakeOutcome("sha256:retry"), nil
-	}
-	out, err := WithRetry(2)(flaky)(context.Background(), spec.Spec{})
-	if err != nil || out == nil {
-		t.Fatalf("retry to success: %v (calls %d)", err, calls)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-
-	// Exhausted retries surface the last error with the attempt count.
-	calls = 0
-	always := func(ctx context.Context, s spec.Spec) (*runpipe.Outcome, error) {
-		calls++
-		return nil, errBoom
-	}
-	_, err = WithRetry(2)(always)(context.Background(), spec.Spec{})
-	if !errors.Is(err, errBoom) || calls != 3 {
-		t.Fatalf("exhausted: err=%v calls=%d", err, calls)
-	}
-
-	// Caller cancellation is never retried.
-	calls = 0
-	cctx, cancel := context.WithCancel(context.Background())
-	cancelOnce := func(ctx context.Context, s spec.Spec) (*runpipe.Outcome, error) {
-		calls++
-		cancel()
-		return nil, ctx.Err()
-	}
-	_, err = WithRetry(5)(cancelOnce)(cctx, spec.Spec{})
-	if calls != 1 {
-		t.Fatalf("cancelled run retried: calls=%d err=%v", calls, err)
-	}
-}
-
 func TestChainOrder(t *testing.T) {
 	var order []string
 	tag := func(name string) Middleware {

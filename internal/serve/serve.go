@@ -23,7 +23,7 @@ import (
 // store, and every protection middleware disabled.
 type Config struct {
 	// Run executes one normalized spec; nil means runpipe.Run.  The
-	// server wraps it in breaker → retry → timeout before use.
+	// server wraps it in breaker → timeout before use.
 	Run RunFunc
 	// Store is the persistent result store; nil serves from memory only
 	// (identical in-flight jobs still dedupe via singleflight).
@@ -45,10 +45,8 @@ type Config struct {
 	// 0 means 1024; negative disables eviction.
 	RetainJobs int
 
-	// Timeout bounds each run attempt; 0 disables.
+	// Timeout bounds each run; 0 disables.
 	Timeout time.Duration
-	// Retries re-runs a failed point up to this many extra times.
-	Retries int
 	// BreakerThreshold opens the circuit breaker after this many
 	// consecutive failures; 0 disables the breaker.
 	BreakerThreshold int
@@ -175,7 +173,7 @@ func newServer(cfg Config) *Server {
 		s.breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, reg)
 		mws = append(mws, s.breaker.Middleware())
 	}
-	mws = append(mws, WithRetry(cfg.Retries), WithTimeout(cfg.Timeout))
+	mws = append(mws, WithTimeout(cfg.Timeout))
 	s.run = Chain(mws...)(cfg.Run)
 	if cfg.Rate > 0 {
 		s.rate = newTokenBucket(cfg.Rate, cfg.Burst)

@@ -1,9 +1,9 @@
 //go:build goexperiment.synctest
 
 // Middleware timing tests under Go's synctest bubble: run timeouts,
-// retry deadlines, breaker cooldowns and rate-limiter refills all use
-// virtual time, so the assertions are exact and the tests finish in
-// microseconds of wall clock.  Build-gated like the runner's synctest
+// breaker cooldowns and rate-limiter refills all use virtual time, so
+// the assertions are exact and the tests finish in microseconds of wall
+// clock.  Build-gated like the runner's synctest
 // file; scripts/verify.sh and CI run these with GOEXPERIMENT=synctest.
 
 package serve
@@ -41,59 +41,6 @@ func TestWithTimeoutVirtual(t *testing.T) {
 		}
 		if d := time.Since(start); d != 2*time.Second {
 			t.Fatalf("virtual elapsed %v, want exactly 2s", d)
-		}
-	})
-}
-
-// TestRetryFreshDeadlineVirtual pins the middleware nesting contract:
-// retry wraps timeout, so every attempt gets its own full deadline
-// rather than sharing one.
-func TestRetryFreshDeadlineVirtual(t *testing.T) {
-	synctest.Run(func() {
-		attempts := 0
-		counting := func(ctx context.Context, s spec.Spec) (*runpipe.Outcome, error) {
-			attempts++
-			return stallRun(ctx, s)
-		}
-		run := Chain(WithRetry(2), WithTimeout(time.Second))(counting)
-		start := time.Now()
-		_, err := run(context.Background(), someSpec())
-		if err == nil || !strings.Contains(err.Error(), "3 attempts failed") {
-			t.Fatalf("err = %v, want exhausted attempts", err)
-		}
-		if attempts != 3 {
-			t.Fatalf("ran %d attempts, want 3", attempts)
-		}
-		if d := time.Since(start); d != 3*time.Second {
-			t.Fatalf("virtual elapsed %v, want 3 fresh 1s deadlines", d)
-		}
-	})
-}
-
-// TestRetryCallerCancelVirtual: a vanished client is never retried.
-func TestRetryCallerCancelVirtual(t *testing.T) {
-	synctest.Run(func() {
-		attempts := 0
-		counting := func(ctx context.Context, s spec.Spec) (*runpipe.Outcome, error) {
-			attempts++
-			return stallRun(ctx, s)
-		}
-		run := WithRetry(5)(counting)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(300 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		_, err := run(ctx, someSpec())
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want Canceled", err)
-		}
-		if attempts != 1 {
-			t.Fatalf("cancelled run attempted %d times, want 1", attempts)
-		}
-		if d := time.Since(start); d != 300*time.Millisecond {
-			t.Fatalf("virtual elapsed %v, want exactly the 300ms until cancel", d)
 		}
 	})
 }

@@ -13,16 +13,17 @@ import "fmt"
 //
 //   - pending events live in a value-typed 4-ary min-heap (no per-event
 //     box, wide nodes for cache-friendly sift paths);
-//   - zero-delay events — the dominant class: wakeups, event fires,
-//     delivery hand-offs at the current instant — bypass the heap through
-//     a FIFO ring;
+//   - zero-delay events — the dominant class: wake-ups, broadcasts'
+//     waiters, delivery hand-offs at the current instant — bypass the
+//     heap through a FIFO ring;
 //   - the one cancellable event is a re-keyable slot (Slot): armed slots
 //     wait outside the heap, in a small indexed queue of their own, where
 //     re-arming moves an entry in place (a CPU core's preempted
 //     completion) and disarming removes it (a TCP retransmission timeout
 //     whose ack arrived), so the heap only ever removes its root;
-//   - process wake-ups ride pooled records through ScheduleCall instead
-//     of fresh closures.
+//   - a process wake-up carries the process itself as its argument,
+//     with one callback bound at construction, instead of a fresh
+//     closure.
 //
 // Every entry of the heap, the ring and the slot queue carries a key
 // (at, seq, sub) drawn from one counter, and the loop runs the entry
@@ -87,8 +88,7 @@ type Env struct {
 	// AtInstantEnd.
 	instEnd []func()
 
-	wakes  []*wakeRec // pooled process wake-up records
-	wakeFn func(any)  // bound once: runs a wakeRec and recycles it
+	wakeFn func(any) // bound once: resumes the *Proc it is given
 }
 
 // key orders pending events: by timestamp, FIFO within a timestamp.  sub
@@ -270,9 +270,6 @@ func (e *Env) QueueStats() QueueStats {
 // drive Run under a context: it may be called from within an executing
 // event.  A stopped environment stays stopped.
 func (e *Env) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Env) Stopped() bool { return e.stopped }
 
 // OnStep registers an observer called once per executed event with the
 // event's timestamp, after the clock has advanced to it and before the
@@ -616,11 +613,11 @@ func (e *Env) CallInPlace(fn func(any), arg any) {
 	fn(arg)
 }
 
-// ResumeInPlace resumes parked process p with wake-up value v as the
-// event NextInPlace stood in for, counting one step as CallInPlace does.
-func (e *Env) ResumeInPlace(p *Proc, v any) {
+// ResumeInPlace resumes parked process p as the event NextInPlace stood
+// in for, counting one step as CallInPlace does.
+func (e *Env) ResumeInPlace(p *Proc) {
 	e.step()
-	e.dispatch(p, v)
+	e.dispatch(p)
 }
 
 // Close terminates every parked process so their goroutines exit, then
@@ -631,7 +628,8 @@ func (e *Env) ResumeInPlace(p *Proc, v any) {
 func (e *Env) Close() {
 	for _, p := range e.procs {
 		if !p.done {
-			e.dispatch(p, killSignal{})
+			p.killed = true
+			e.dispatch(p)
 		}
 	}
 	e.procs = nil
@@ -641,42 +639,19 @@ func (e *Env) Close() {
 	e.ring = nil
 	e.ringPop = 0
 	e.pending = 0
-	e.wakes = nil
 	e.instEnd = nil
 }
 
-// wakeRec is a pooled "resume this process with this value" record.
-type wakeRec struct {
-	p *Proc
-	v any
-}
+// ready schedules parked process p to resume after delay.  The process
+// is the callback's argument, so a wake-up allocates nothing.
+func (e *Env) ready(delay Time, p *Proc) { e.ScheduleCall(delay, e.wakeFn, p) }
 
-// ready schedules parked process p to resume with v after delay, using a
-// pooled record instead of a fresh closure.
-func (e *Env) ready(delay Time, p *Proc, v any) {
-	var w *wakeRec
-	if n := len(e.wakes); n > 0 {
-		w = e.wakes[n-1]
-		e.wakes = e.wakes[:n-1]
-	} else {
-		w = &wakeRec{}
-	}
-	w.p, w.v = p, v
-	e.ScheduleCall(delay, e.wakeFn, w)
-}
-
-// Ready schedules a zero-delay resumption of parked process p with
-// wake-up value v — the allocation-free building block for engine-level
-// code (CPU scheduler, event fan-out) that would otherwise capture p in
-// a closure per wake.  p must be parked (or about to park) and not
+// Ready schedules a zero-delay resumption of parked process p: the
+// allocation-free building block for engine code that keeps its own
+// record of who waits (the CPU scheduler) and would otherwise capture p
+// in a closure per wake.  p must be parked (or about to park) and not
 // already have a pending resumption.
-func (e *Env) Ready(p *Proc, v any) { e.ready(0, p, v) }
+func (e *Env) Ready(p *Proc) { e.ready(0, p) }
 
-// runWake resumes a wake record's process and recycles the record.
-func (e *Env) runWake(a any) {
-	w := a.(*wakeRec)
-	p, v := w.p, w.v
-	w.p, w.v = nil, nil
-	e.wakes = append(e.wakes, w)
-	e.dispatch(p, v)
-}
+// runWake resumes the process a wake-up carries.
+func (e *Env) runWake(a any) { e.dispatch(a.(*Proc)) }

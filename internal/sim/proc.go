@@ -16,15 +16,14 @@ type Proc struct {
 	name   string
 	next   func() (struct{}, bool) // event loop -> process: run until it parks or finishes
 	yield  func(struct{}) bool     // process -> event loop: park
-	wake   any                     // wake-up value handed over by dispatch
+	killed bool                    // set by Env.Close: unwind instead of resuming
 	done   bool
-	doneEv *Event // lazily created; fires when the process finishes
 	panicv any
 	haspan bool
 }
 
-// killSignal is delivered to parked processes by Env.Close so their
-// coroutines unwind and exit.
+// killSignal unwinds a process that Env.Close resumes with its killed
+// flag set, so its coroutine exits.
 type killSignal struct{}
 
 // Spawn creates a process named name running fn and schedules its first
@@ -37,7 +36,7 @@ type killSignal struct{}
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name}
 	// The stop function is not kept: Close ends every unfinished
-	// coroutine by resuming it with killSignal.
+	// coroutine by resuming it with its killed flag set.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
@@ -48,33 +47,29 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 				}
 			}
 			p.done = true
-			if p.doneEv != nil && !p.doneEv.Fired() {
-				p.doneEv.Fire(p)
-			}
 		}()
-		if _, killed := p.wake.(killSignal); killed {
+		if p.killed {
 			panic(killSignal{})
 		}
 		fn(p)
 	})
 	e.procs = append(e.procs, p)
-	e.ready(0, p, nil)
+	e.ready(0, p)
 	return p
 }
 
-// dispatch resumes p with val and returns when p parks again or finishes.
-// It must only be called from event-loop context (an event callback), never
+// dispatch resumes p and returns when p parks again or finishes.  It
+// must only be called from event-loop context (an event callback), never
 // from inside another process, and it must be the last thing that event
 // does: a process that holds (Proc.Hold) returns at a later virtual time,
 // so code after dispatch would run at the wrong instant.  runWake,
-// AwaitAny's callback and Close all end with it.
-func (e *Env) dispatch(p *Proc, val any) {
+// ResumeInPlace and Close all end with it.
+func (e *Env) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
 	prev := e.cur
 	e.cur = p
-	p.wake = val
 	p.next()
 	e.cur = prev
 	if p.haspan {
@@ -84,23 +79,19 @@ func (e *Env) dispatch(p *Proc, val any) {
 	}
 }
 
-// park suspends the calling process until something dispatches it again,
-// returning the wake-up value.
-func (p *Proc) park() any {
+// park suspends the calling process until something dispatches it again.
+func (p *Proc) park() {
 	p.yield(struct{}{})
-	v := p.wake
-	p.wake = nil
-	if _, killed := v.(killSignal); killed {
+	if p.killed {
 		panic(killSignal{})
 	}
-	return v
 }
 
-// Park suspends the calling process until a matching Env.Ready (or other
-// dispatch) resumes it, returning the wake-up value.  It is the low-level
-// primitive for engine code that manages its own wake bookkeeping; most
-// callers want Await or Sleep.
-func (p *Proc) Park() any { return p.park() }
+// Park suspends the calling process until a matching Env.Ready or
+// Env.ResumeInPlace resumes it.  It is the low-level primitive for
+// engine code that keeps its own record of who waits (the CPU's
+// grants); most callers want Sleep or a Cond.
+func (p *Proc) Park() { p.park() }
 
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
@@ -111,36 +102,12 @@ func (p *Proc) Name() string { return p.name }
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// DoneEvent returns an event that fires when the process finishes.  It
-// fires immediately on subscription if the process already finished.
-func (p *Proc) DoneEvent() *Event {
-	if p.doneEv == nil {
-		p.doneEv = p.env.NewEvent()
-		if p.done {
-			p.doneEv.Fire(p)
-		}
-	}
-	return p.doneEv
-}
-
-// Join suspends the calling process until other finishes.  Joining a
-// finished process returns immediately; a process joining itself panics.
-func (p *Proc) Join(other *Proc) {
-	if p == other {
-		panic("sim: process joining itself")
-	}
-	if other.done {
-		return
-	}
-	p.Await(other.DoneEvent())
-}
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.Now() }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Time) {
-	p.env.ready(d, p, nil)
+	p.env.ready(d, p)
 	p.park()
 }
 
@@ -165,52 +132,3 @@ func (p *Proc) Sleep(d Time) {
 // returns false nothing has changed, and the caller schedules and parks
 // as usual.
 func (p *Proc) Hold(d Time, n int) bool { return p.env.hold(p, d, n) }
-
-// Yield suspends the process until all other events already scheduled for
-// the current instant have run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Await suspends the process until ev fires and returns the event's value.
-// If ev already fired it returns immediately.
-func (p *Proc) Await(ev *Event) any {
-	if ev.fired {
-		return ev.val
-	}
-	if ev.first == nil {
-		ev.first = p
-	} else {
-		ev.waiters = append(ev.waiters, p)
-	}
-	return p.park()
-}
-
-// AwaitAny suspends the process until the first of evs fires, returning its
-// index and value.  If several have already fired, the lowest index wins.
-// Calling it with no events panics.
-func (p *Proc) AwaitAny(evs ...*Event) (int, any) {
-	if len(evs) == 0 {
-		panic("sim: AwaitAny with no events")
-	}
-	for i, ev := range evs {
-		if ev.fired {
-			return i, ev.val
-		}
-	}
-	type wake struct {
-		i int
-		v any
-	}
-	woke := false
-	for i, ev := range evs {
-		i := i
-		ev.OnFire(func(v any) {
-			if woke {
-				return
-			}
-			woke = true
-			p.env.dispatch(p, wake{i, v})
-		})
-	}
-	w := p.park().(wake)
-	return w.i, w.v
-}

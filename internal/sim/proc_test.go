@@ -50,73 +50,6 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestProcAwaitEvent(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	ev := e.NewEvent()
-	var got any
-	var at Time
-	e.Spawn("waiter", func(p *Proc) {
-		got = p.Await(ev)
-		at = p.Now()
-	})
-	e.Spawn("firer", func(p *Proc) {
-		p.Sleep(42)
-		ev.Fire("hello")
-	})
-	e.Run()
-	if got != "hello" || at != 42 {
-		t.Fatalf("Await got %v at t=%v, want hello at 42", got, at)
-	}
-}
-
-func TestProcAwaitFiredEventReturnsImmediately(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	ev := e.NewEvent()
-	ev.Fire(7)
-	var got any
-	e.Spawn("w", func(p *Proc) { got = p.Await(ev) })
-	e.Run()
-	if got != 7 {
-		t.Fatalf("got %v, want 7", got)
-	}
-}
-
-func TestAwaitAnyFirstWins(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
-	var idx int
-	var val any
-	e.Spawn("w", func(p *Proc) { idx, val = p.AwaitAny(a, b, c) })
-	e.Spawn("f", func(p *Proc) {
-		p.Sleep(5)
-		b.Fire("b")
-		p.Sleep(5)
-		a.Fire("a")
-		c.Fire("c")
-	})
-	e.Run()
-	if idx != 1 || val != "b" {
-		t.Fatalf("AwaitAny = (%d, %v), want (1, b)", idx, val)
-	}
-}
-
-func TestAwaitAnyAlreadyFiredLowestIndex(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	a, b := e.NewEvent(), e.NewEvent()
-	a.Fire(1)
-	b.Fire(2)
-	var idx int
-	e.Spawn("w", func(p *Proc) { idx, _ = p.AwaitAny(b, a) })
-	e.Run()
-	if idx != 0 {
-		t.Fatalf("idx = %d, want 0 (lowest fired index)", idx)
-	}
-}
-
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
@@ -180,7 +113,7 @@ func TestProcsOnWindowWorkers(t *testing.T) {
 					wakes[i] = append(wakes[i], p.Now())
 				}
 			}),
-			e.Spawn("stuck", func(p *Proc) { p.Await(e.NewEvent()) }))
+			e.Spawn("stuck", func(p *Proc) { p.Park() }))
 	}
 	if err := NewWindows(envs, 2, 2, nil).Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -202,11 +135,11 @@ func TestProcsOnWindowWorkers(t *testing.T) {
 
 func TestCloseKillsParkedProcs(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent() // never fires
-	p := e.Spawn("stuck", func(p *Proc) { p.Await(ev) })
+	var c Cond // never broadcast
+	p := e.Spawn("stuck", func(p *Proc) { c.Wait(p, c.Gen()) })
 	e.Run()
 	if p.Done() {
-		t.Fatal("proc finished without event")
+		t.Fatal("proc finished without a broadcast")
 	}
 	e.Close()
 	if !p.Done() {
@@ -219,37 +152,9 @@ func TestCloseKillsUndispatchedProc(t *testing.T) {
 	e := NewEnv()
 	ran := false
 	p := e.Spawn("idle", func(p *Proc) { ran = true })
-	done := p.DoneEvent()
 	e.Close()
-	if !p.Done() || !done.Fired() || ran {
-		t.Fatalf("after Close: done %v, DoneEvent fired %v, body ran %v; want killed before running", p.Done(), done.Fired(), ran)
-	}
-}
-
-func TestEventFireTwicePanics(t *testing.T) {
-	e := NewEnv()
-	ev := e.NewEvent()
-	ev.Fire(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on double fire")
-		}
-	}()
-	ev.Fire(nil)
-}
-
-func TestOnFireAfterFiredSchedules(t *testing.T) {
-	e := NewEnv()
-	ev := e.NewEvent()
-	ev.Fire(3)
-	got := 0
-	ev.OnFire(func(v any) { got = v.(int) })
-	if got != 0 {
-		t.Fatal("callback ran synchronously")
-	}
-	e.Run()
-	if got != 3 {
-		t.Fatalf("got %d, want 3", got)
+	if !p.Done() || ran {
+		t.Fatalf("after Close: done %v, body ran %v; want killed before running", p.Done(), ran)
 	}
 }
 
@@ -274,78 +179,5 @@ func TestManyProcsDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if strings.Join(a, "") != strings.Join(b, "") {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestProcJoin(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	worker := e.Spawn("worker", func(p *Proc) { p.Sleep(100) })
-	var joinedAt Time
-	e.Spawn("joiner", func(p *Proc) {
-		p.Join(worker)
-		joinedAt = p.Now()
-	})
-	e.Run()
-	if joinedAt != 100 {
-		t.Fatalf("joined at %v, want 100", joinedAt)
-	}
-}
-
-func TestProcJoinFinished(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	fast := e.Spawn("fast", func(p *Proc) {})
-	var ok bool
-	e.Spawn("late", func(p *Proc) {
-		p.Sleep(50)
-		p.Join(fast) // already finished: immediate
-		ok = p.Now() == 50
-	})
-	e.Run()
-	if !ok {
-		t.Fatal("joining a finished process must not block")
-	}
-}
-
-func TestProcJoinSelfPanics(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	e.Spawn("narcissist", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected self-join panic")
-			}
-		}()
-		p.Join(p)
-	})
-	e.Run()
-}
-
-func TestDoneEventAfterFinish(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	worker := e.Spawn("w", func(p *Proc) {})
-	e.Run()
-	if !worker.DoneEvent().Fired() {
-		// DoneEvent created after completion must be pre-fired.
-		t.Fatal("late DoneEvent not fired")
-	}
-}
-
-func TestDoneEventMultipleJoiners(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	worker := e.Spawn("w", func(p *Proc) { p.Sleep(10) })
-	joined := 0
-	for i := 0; i < 3; i++ {
-		e.Spawn("j", func(p *Proc) {
-			p.Join(worker)
-			joined++
-		})
-	}
-	e.Run()
-	if joined != 3 {
-		t.Fatalf("joined = %d, want 3", joined)
 	}
 }

@@ -31,7 +31,7 @@
 // None of them declares whether it offloads: COMB measures that (paper
 // §4.1, package assess).  Transports bind rank i to node i of a
 // [cluster.System].  Every endpoint embeds one core (endpoint.go): its
-// node, fabric, activity hub, matcher and message numbering.  Wire and
-// message records are recycled on freelists kept one set per simulation
-// environment, like the fabric's packet pools.
+// node, fabric, activity condition, matcher and message numbering.
+// Wire and message records are recycled on freelists kept one set per
+// simulation environment, like the fabric's packet pools.
 package transport

@@ -157,7 +157,7 @@ func (ep *empEndpoint) maybeComplete(a *empAccum) {
 	req, src, tag, size := a.req, a.src, a.tag, a.size
 	ep.accs.put(a, ep.pooling())
 	req.Complete(src, tag, min(size, req.Len()))
-	ep.hub.Wake()
+	ep.act.Broadcast()
 }
 
 // onPacket is the NIC receive path: firmware matches the first frame
@@ -192,7 +192,7 @@ func (ep *empEndpoint) match(arg any) {
 		a.req = r
 	} else {
 		// The envelope is now visible to probes.
-		ep.hub.Wake()
+		ep.act.Broadcast()
 	}
 	ep.landFrag(a, f)
 	ep.frags.put(f, ep.pooling())

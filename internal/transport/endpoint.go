@@ -14,19 +14,19 @@ type msgID struct {
 }
 
 // endpoint is the state every transport's endpoint embeds: its node, the
-// fabric it sends on, the hub blocking waits park on, the MPI matching
-// engine, and the sequence numbering the messages it sends.
+// fabric it sends on, the condition blocking waits park on, the MPI
+// matching engine, and the sequence numbering the messages it sends.
 type endpoint struct {
 	node *cluster.Node
 	fab  *cluster.Fabric
-	hub  *mpi.ActivityHub
+	act  sim.Cond
 	m    mpi.Matcher
 	seq  int64
 }
 
 // newEndpoint returns the endpoint state of node on sys's fabric.
 func newEndpoint(sys *cluster.System, node *cluster.Node) endpoint {
-	return endpoint{node: node, fab: sys.Fabric, hub: mpi.NewActivityHub(node.Env)}
+	return endpoint{node: node, fab: sys.Fabric}
 }
 
 func (ep *endpoint) rank() int { return ep.node.ID }
@@ -38,8 +38,9 @@ func (ep *endpoint) nextID() msgID {
 	return id
 }
 
-// Activity implements mpi.Endpoint.
-func (ep *endpoint) Activity() *sim.Event { return ep.hub.Activity() }
+// Activity implements mpi.Endpoint.  Every state change a blocked wait
+// could be waiting for broadcasts on it.
+func (ep *endpoint) Activity() *sim.Cond { return &ep.act }
 
 // MatchState implements mpi.Endpoint, backing MPI_Probe.  For a
 // kernel- or NIC-matched transport it models the query's view of the
@@ -60,7 +61,7 @@ func (ep *endpoint) callAt(at sim.Time, fn func(any), arg any) {
 func (ep *endpoint) sendDone(a any) {
 	r := a.(*mpi.Request)
 	r.Complete(ep.rank(), r.Tag(), r.Len())
-	ep.hub.Wake()
+	ep.act.Broadcast()
 }
 
 // land copies a buffered message into the receive it matched and

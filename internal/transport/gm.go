@@ -157,7 +157,7 @@ type gmPools struct {
 // pushEvent appends a NIC event token and wakes blocked MPI waits.
 func (ep *gmEndpoint) pushEvent(ev gmEvent) {
 	ep.nicQ = append(ep.nicQ, ev)
-	ep.hub.Wake()
+	ep.act.Broadcast()
 }
 
 // Isend implements mpi.Endpoint.

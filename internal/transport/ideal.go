@@ -97,5 +97,5 @@ func (ep *idealEndpoint) onPacket(pkt *cluster.Packet) {
 	}
 	// Wake blocked waits and probes: either a request completed or a new
 	// envelope is visible on the unexpected queue.
-	ep.hub.Wake()
+	ep.act.Broadcast()
 }

@@ -202,7 +202,7 @@ func (ep *portalsEndpoint) maybeComplete(inb *ptlInbound) {
 	src, tag := inb.src, inb.tag
 	ep.inbs.put(inb, ep.pooling())
 	req.Complete(src, tag, count)
-	ep.hub.Wake()
+	ep.act.Broadcast()
 }
 
 // frag builds the wire payload of m's fragment [off, off+n) for the
@@ -254,7 +254,7 @@ func (ep *portalsEndpoint) rxCopyStart(a any) {
 				inb.kbuf = make([]byte, f.size)
 			}
 			// The envelope is now visible to probes.
-			ep.hub.Wake()
+			ep.act.Broadcast()
 		}
 	}
 	f.inb, ep.last = inb, inb

@@ -336,7 +336,7 @@ func (ep *tcpEndpoint) acceptSegment(seg *tcpSeg) {
 		ep.completed[seg.id] = true
 		ep.sendDoneAck(seg)
 		ep.ready = append(ep.ready, inb)
-		ep.hub.Wake()
+		ep.act.Broadcast()
 	}
 }
 
